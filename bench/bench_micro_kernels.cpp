@@ -25,6 +25,7 @@
 #include "sr/edsr.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/workspace.hpp"
+#include "tests/matmul_naive.hpp"
 #include "util/alloc_check.hpp"
 #include "util/thread_pool.hpp"
 #include "video/genres.hpp"

@@ -23,24 +23,12 @@ void map_into(const Tensor& x, Tensor& out, F&& f) {
 
 }  // namespace
 
+// ReLU, Sigmoid and Tanh backward read only the output, so their forward
+// runs infer_into straight into the output cache (reusing its capacity from
+// the previous step) and hands the caller a copy.
 Tensor ReLU::forward(const Tensor& x) {
-  mask_ = Tensor(x.shape());
-  Tensor out = x;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (out[i] > 0.0f) {
-      mask_[i] = 1.0f;
-    } else {
-      out[i] = 0.0f;
-    }
-  }
-  return out;
-}
-
-Tensor ReLU::infer(const Tensor& x) const {
-  Tensor out = x;
-  for (std::size_t i = 0; i < out.size(); ++i)
-    if (out[i] < 0.0f) out[i] = 0.0f;
-  return out;
+  infer_into(x, cached_output_, Workspace::local());
+  return cached_output_;
 }
 
 void ReLU::infer_into(const Tensor& x, Tensor& out, Workspace& ws) const {
@@ -50,22 +38,17 @@ void ReLU::infer_into(const Tensor& x, Tensor& out, Workspace& ws) const {
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
-  if (mask_.empty()) throw std::logic_error("ReLU::backward before forward");
+  if (cached_output_.empty())
+    throw std::logic_error("ReLU::backward before forward");
   Tensor grad = grad_out;
-  for (std::size_t i = 0; i < grad.size(); ++i) grad[i] *= mask_[i];
+  for (std::size_t i = 0; i < grad.size(); ++i)
+    grad[i] *= cached_output_[i] > 0.0f ? 1.0f : 0.0f;
   return grad;
 }
 
 Tensor LeakyReLU::forward(const Tensor& x) {
   cached_input_ = x;
   return infer(x);
-}
-
-Tensor LeakyReLU::infer(const Tensor& x) const {
-  Tensor out = x;
-  for (std::size_t i = 0; i < out.size(); ++i)
-    if (out[i] < 0.0f) out[i] *= slope_;
-  return out;
 }
 
 void LeakyReLU::infer_into(const Tensor& x, Tensor& out, Workspace& ws) const {
@@ -85,15 +68,8 @@ Tensor LeakyReLU::backward(const Tensor& grad_out) {
 }
 
 Tensor Sigmoid::forward(const Tensor& x) {
-  cached_output_ = infer(x);
+  infer_into(x, cached_output_, Workspace::local());
   return cached_output_;
-}
-
-Tensor Sigmoid::infer(const Tensor& x) const {
-  Tensor out = x;
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = 1.0f / (1.0f + std::exp(-out[i]));
-  return out;
 }
 
 void Sigmoid::infer_into(const Tensor& x, Tensor& out, Workspace& ws) const {
@@ -114,14 +90,8 @@ Tensor Sigmoid::backward(const Tensor& grad_out) {
 }
 
 Tensor Tanh::forward(const Tensor& x) {
-  cached_output_ = infer(x);
+  infer_into(x, cached_output_, Workspace::local());
   return cached_output_;
-}
-
-Tensor Tanh::infer(const Tensor& x) const {
-  Tensor out = x;
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = std::tanh(out[i]);
-  return out;
 }
 
 void Tanh::infer_into(const Tensor& x, Tensor& out, Workspace& ws) const {

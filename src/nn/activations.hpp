@@ -9,12 +9,11 @@ class ReLU final : public Module {
  public:
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-  Tensor infer(const Tensor& x) const override;
   void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const override;
   std::string name() const override { return "ReLU"; }
 
  private:
-  Tensor mask_;
+  Tensor cached_output_;  // y > 0 exactly where x > 0
 };
 
 /// Leaky ReLU with configurable negative slope.
@@ -23,7 +22,6 @@ class LeakyReLU final : public Module {
   explicit LeakyReLU(float slope = 0.2f) : slope_(slope) {}
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-  Tensor infer(const Tensor& x) const override;
   void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const override;
   std::string name() const override { return "LeakyReLU"; }
 
@@ -38,7 +36,6 @@ class Sigmoid final : public Module {
  public:
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-  Tensor infer(const Tensor& x) const override;
   void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const override;
   std::string name() const override { return "Sigmoid"; }
 
@@ -51,7 +48,6 @@ class Tanh final : public Module {
  public:
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-  Tensor infer(const Tensor& x) const override;
   void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const override;
   std::string name() const override { return "Tanh"; }
 

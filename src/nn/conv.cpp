@@ -31,11 +31,6 @@ Conv2d::Conv2d(int in_channels, int out_channels, int kernel, Rng& rng,
       weight_(he_init(out_channels, in_channels, kernel, rng)),
       bias_(Tensor({out_channels, 1})) {}
 
-void Conv2d::set_training(bool training) {
-  Module::set_training(training);
-  if (!training) cached_cols_.clear();
-}
-
 Shape Conv2d::out_shape(const Shape& in) const {
   if (in.size() != 4 || in[1] != in_channels_) {
     AllocAllowScope allow;  // error path may run under a hot-path guard
@@ -49,16 +44,17 @@ Shape Conv2d::out_shape(const Shape& in) const {
 Tensor Conv2d::forward(const Tensor& x) {
   if (x.rank() != 4 || x.dim(1) != in_channels_)
     throw std::invalid_argument("Conv2d: bad input shape " + x.shape_str());
-  cached_input_ = x;
   const int N = x.dim(0);
   const int oh = conv_out_size_checked(x.dim(2), kernel_, stride_, pad_, "Conv2d");
   const int ow = conv_out_size_checked(x.dim(3), kernel_, stride_, pad_, "Conv2d");
+  cached_in_shape_ = x.shape();
+  cached_cols_.resize(static_cast<std::size_t>(N));
   Tensor out({N, out_channels_, oh, ow});
-  if (training())
-    cached_cols_.assign(static_cast<std::size_t>(N), Tensor());
-  else
-    cached_cols_.clear();
-  // Batch items are independent and write disjoint output slices; each chunk
+  // The kernels of infer_into — im2col_into, then one GEMM with the bias
+  // folded into its epilogue, written straight into the item's output
+  // planes — so the outputs are bit-identical. The columns land in the
+  // item's cache slot for backward instead of a workspace checkout. Batch
+  // items are independent and write disjoint output slices; each chunk
   // claims the NCHW output planes of its items [lo, hi). (The per-item
   // cached_cols_ slots are distinct Tensor objects, also indexed by n.)
   const std::size_t item_floats =
@@ -69,27 +65,15 @@ Tensor Conv2d::forward(const Tensor& x) {
   };
   parallel_for_writes(0, N, 1, claim, [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t n = lo; n < hi; ++n) {
-      Tensor cols = im2col(x, static_cast<int>(n), kernel_, stride_, pad_);
-      const Tensor y = matmul(weight_.value, cols);  // outC x (oh*ow)
-      float* dst = out.data() +
-                   static_cast<std::size_t>(n) * out_channels_ * oh * ow;
-      const float* src = y.data();
-      for (int c = 0; c < out_channels_; ++c) {
-        const float b = bias_.value[static_cast<std::size_t>(c)];
-        for (int i = 0; i < oh * ow; ++i)
-          dst[static_cast<std::size_t>(c) * oh * ow + i] =
-              src[static_cast<std::size_t>(c) * oh * ow + i] + b;
-      }
-      if (training()) cached_cols_[static_cast<std::size_t>(n)] = std::move(cols);
+      Tensor& cols = cached_cols_[static_cast<std::size_t>(n)];
+      cols.reset({in_channels_ * kernel_ * kernel_, oh * ow});
+      im2col_into(x, static_cast<int>(n), kernel_, stride_, pad_, cols);
+      matmul_bias_into(weight_.value, cols, bias_.value.data(),
+                       MutMat(out.data() + static_cast<std::size_t>(n) * item_floats,
+                              out_channels_, oh * ow));
     }
   }, "nn/conv.cpp:Conv2d::forward");
   FiniteCheckGuard{*this, out};
-  return out;
-}
-
-Tensor Conv2d::infer(const Tensor& x) const {
-  Tensor out;
-  infer_into(x, out, Workspace::local());
   return out;
 }
 
@@ -108,11 +92,10 @@ void Conv2d::infer_into(const Tensor& x, Tensor& out, Workspace& ws,
   const int oh = conv_out_size_checked(x.dim(2), kernel_, stride_, pad_, "Conv2d");
   const int ow = conv_out_size_checked(x.dim(3), kernel_, stride_, pad_, "Conv2d");
   out.reset({N, out_channels_, oh, ow});
-  // Same arithmetic as forward() — im2col then one GEMM per item, identical
-  // summation order, so the outputs are bit-identical — but all scratch
-  // comes from the caller's workspace and the GEMM writes each item's plane
-  // block in place with the bias (and optional ReLU) folded into its
-  // epilogue: a warm workspace makes the whole call allocation-free.
+  // im2col then one GEMM per item, the GEMM writing each item's plane block
+  // in place with the bias (and optional ReLU) folded into its epilogue.
+  // All scratch comes from the caller's workspace, so a warm workspace makes
+  // the whole call allocation-free.
   // Inference batches are almost always size 1, so the parallelism comes
   // from inside im2col_into and the GEMM rather than from the batch axis.
   WorkspaceTensor cols = ws.acquire({in_channels_ * kernel_ * kernel_, oh * ow});
@@ -127,27 +110,27 @@ void Conv2d::infer_into(const Tensor& x, Tensor& out, Workspace& ws,
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
-  const Tensor& x = cached_input_;
+  const Shape& x = cached_in_shape_;
   if (x.empty()) throw std::logic_error("Conv2d::backward before forward");
-  const int N = x.dim(0);
-  const int oh = conv_out_size(x.dim(2), kernel_, stride_, pad_);
-  const int ow = conv_out_size(x.dim(3), kernel_, stride_, pad_);
+  const int N = x[0];
+  const int oh = conv_out_size(x[2], kernel_, stride_, pad_);
+  const int ow = conv_out_size(x[3], kernel_, stride_, pad_);
   if (grad_out.rank() != 4 || grad_out.dim(0) != N ||
       grad_out.dim(1) != out_channels_ || grad_out.dim(2) != oh ||
       grad_out.dim(3) != ow)
     throw std::invalid_argument("Conv2d::backward: grad shape " +
                                 grad_out.shape_str() + " does not match " +
                                 "cached forward output");
-  Tensor grad_in(x.shape());
+  Tensor grad_in(x);
   // Per-item weight/bias partials, reduced in index order after the parallel
   // section: float accumulation order must not depend on the thread count.
   std::vector<Tensor> dw(static_cast<std::size_t>(N));
   std::vector<Tensor> db(static_cast<std::size_t>(N));
   // Each chunk owns its items' grad_in planes (col2im_add only touches item
   // n's slice) plus the per-item dw/db slots reduced serially afterwards.
-  const std::size_t in_floats = static_cast<std::size_t>(x.dim(1)) *
-                                static_cast<std::size_t>(x.dim(2)) *
-                                static_cast<std::size_t>(x.dim(3));
+  const std::size_t in_floats = static_cast<std::size_t>(x[1]) *
+                                static_cast<std::size_t>(x[2]) *
+                                static_cast<std::size_t>(x[3]);
   const auto claim = [&, in_floats](std::int64_t lo, std::int64_t hi) {
     return span_of(grad_in.data() + static_cast<std::size_t>(lo) * in_floats,
                    static_cast<std::size_t>(hi - lo) * in_floats);
@@ -161,14 +144,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
                          static_cast<std::size_t>(n) * out_channels_ * oh * ow;
       const ConstMat go(src, out_channels_, oh * ow);
 
-      // Reuse the columns built by forward; recompute only if a caller ran
-      // forward in eval mode and then asked for gradients anyway.
-      const bool have_cols = static_cast<std::size_t>(n) < cached_cols_.size() &&
-                             !cached_cols_[static_cast<std::size_t>(n)].empty();
-      Tensor scratch;
-      if (!have_cols) scratch = im2col(x, n, kernel_, stride_, pad_);
-      const Tensor& cols =
-          have_cols ? cached_cols_[static_cast<std::size_t>(n)] : scratch;
+      const Tensor& cols = cached_cols_[static_cast<std::size_t>(n)];
 
       // dW_n = dY * cols^T ; db_n = rowsum(dY) ; dX_n = col2im(W^T * dY).
       matmul_nt_into(go, cols, dw[static_cast<std::size_t>(n)]);

@@ -16,7 +16,6 @@ class Conv2d final : public Module {
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-  Tensor infer(const Tensor& x) const override;
   void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const override;
   /// infer_into with the GEMM's fused epilogue extended to clamp at zero —
   /// lets ResBlock fold its inner ReLU into conv1's bias pass. Bit-identical
@@ -26,7 +25,6 @@ class Conv2d final : public Module {
   Shape out_shape(const Shape& in) const override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
   std::string name() const override { return "Conv2d"; }
-  void set_training(bool training) override;
 
   int in_channels() const noexcept { return in_channels_; }
   int out_channels() const noexcept { return out_channels_; }
@@ -41,11 +39,10 @@ class Conv2d final : public Module {
   int in_channels_, out_channels_, kernel_, stride_, pad_;
   Param weight_;
   Param bias_;
-  Tensor cached_input_;  // needed to form dX via col2im
+  Shape cached_in_shape_;  // shape of the dX that col2im scatters into
   // im2col of each batch item, built by forward and reused by backward so
-  // the columns are computed once per step instead of twice. Only populated
-  // in training mode — inference would pay k*k times the input's memory for
-  // matrices nobody reads.
+  // the columns are computed once per step instead of twice. Each slot is
+  // reset in place, so its capacity carries over from step to step.
   std::vector<Tensor> cached_cols_;
 };
 

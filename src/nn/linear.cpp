@@ -17,21 +17,16 @@ Linear::Linear(int in_features, int out_features, Rng& rng)
       bias_(Tensor({out_features, 1})) {}
 
 Tensor Linear::forward(const Tensor& x) {
-  if (x.rank() != 2 || x.dim(1) != in_features_)
-    throw std::invalid_argument("Linear: bad input shape " + x.shape_str());
+  Tensor out = infer(x);
   cached_input_ = x;
-  return infer(x);
-}
-
-Tensor Linear::infer(const Tensor& x) const {
-  Tensor out;
-  infer_into(x, out, Workspace::local());
   return out;
 }
 
 Shape Linear::out_shape(const Shape& in) const {
-  if (in.size() != 2 || in[1] != in_features_)
+  if (in.size() != 2 || in[1] != in_features_) {
+    AllocAllowScope allow;  // error path may run under a hot-path guard
     throw std::invalid_argument("Linear::out_shape: bad input shape");
+  }
   return {in[0], out_features_};
 }
 

@@ -13,7 +13,6 @@ class Linear final : public Module {
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-  Tensor infer(const Tensor& x) const override;
   void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const override;
   Shape out_shape(const Shape& in) const override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "tensor/workspace.hpp"
 #include "util/alloc_check.hpp"
 
 namespace dcsr::nn {
@@ -23,6 +24,12 @@ void FiniteCheckGuard::verify(const Module& layer, const Tensor& out) {
        << ") — uninitialized/stale workspace read or numeric blow-up";
     throw NonFiniteError(name, os.str());
   }
+}
+
+Tensor Module::infer(const Tensor& x) const {
+  Tensor out;
+  infer_into(x, out, Workspace::local());
+  return out;
 }
 
 void Module::zero_grad() {

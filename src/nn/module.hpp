@@ -32,7 +32,7 @@ class NonFiniteError : public std::runtime_error {
 
 /// Scans a layer output for NaN/Inf in checked builds and throws
 /// NonFiniteError naming the layer. Constructed as the last statement of
-/// every infer/infer_into/forward implementation:
+/// every infer_into/forward implementation:
 ///
 ///   FiniteCheckGuard{*this, out};
 ///
@@ -67,12 +67,16 @@ struct Param {
 
 /// Base class for all layers.
 ///
-/// Training uses explicit reverse-mode differentiation: forward() caches
-/// whatever the layer needs, backward() consumes dL/d(output) and returns
+/// Inference has one entry point per layer: infer_into(), const and
+/// stateless. infer() is a non-virtual convenience over it. Training uses
+/// explicit reverse-mode differentiation: forward() computes infer_into()'s
+/// function on the same kernels, bit for bit, and caches only what the
+/// layer's backward() reads; backward() consumes dL/d(output) and returns
 /// dL/d(input) while accumulating dL/d(param) into each Param::grad. There is
-/// no tape/graph machinery — the model topologies in this project (EDSR and a
-/// small VAE) are static, and explicit backward keeps every gradient path
-/// auditable and unit-testable against finite differences.
+/// no tape/graph machinery and no train/eval mode — the model topologies in
+/// this project (EDSR and a small VAE) are static, and explicit backward
+/// keeps every gradient path auditable and unit-testable against finite
+/// differences.
 class Module {
  public:
   Module() = default;
@@ -80,27 +84,24 @@ class Module {
   Module& operator=(const Module&) = delete;
   virtual ~Module() = default;
 
-  virtual Tensor forward(const Tensor& x) = 0;
+  /// Training forward pass. The default, for layers whose backward() needs
+  /// nothing from the forward pass, is infer(x).
+  virtual Tensor forward(const Tensor& x) { return infer(x); }
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
-  /// Stateless inference: computes the same function as forward() but writes
-  /// only into caller-owned scratch — no layer caches, no train/eval state,
-  /// no member mutation of any kind. Because it leaves the object untouched,
-  /// one model instance can serve concurrent infer() calls from many threads
-  /// (the client pipeline's frame-level parallelism depends on this).
-  /// backward() after infer() is a logic error: nothing was cached.
-  virtual Tensor infer(const Tensor& x) const = 0;
+  /// The inference entry point: writes the layer's output into `out`
+  /// (reshaped in place) and draws every piece of scratch from `ws`, so a
+  /// warm workspace makes the call allocation-free. No layer caches, no
+  /// member mutation of any kind: one model instance can serve concurrent
+  /// calls from many threads (the client pipeline's frame-level parallelism
+  /// depends on this). `ws` must be the calling thread's workspace (see
+  /// Workspace ownership rules in tensor/workspace.hpp). backward() after
+  /// inference is a logic error: nothing was cached.
+  virtual void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const = 0;
 
-  /// Workspace-backed inference: computes the same function as infer() —
-  /// bit-identically — but writes the result into `out` (reshaped in place)
-  /// and draws every piece of scratch from `ws`, so a warm workspace makes
-  /// the call allocation-free. `ws` must be the calling thread's workspace
-  /// (see Workspace ownership rules in tensor/workspace.hpp); hot-path
-  /// layers override this, everything else falls back to infer().
-  virtual void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const {
-    (void)ws;
-    out = infer(x);
-  }
+  /// infer_into() into a fresh tensor, with scratch from this thread's
+  /// workspace.
+  Tensor infer(const Tensor& x) const;
 
   /// Shape of the output this layer produces for an input of shape `in`,
   /// without running it. Containers use it to size workspace checkouts with
@@ -108,7 +109,9 @@ class Module {
   /// misses). Default: shape-preserving, which covers activations and
   /// residual blocks. Shapes are inline values (tensor/shape.hpp), so
   /// chaining out_shape calls per frame costs no heap allocation — required
-  /// for infer_into to run under a DCSR_ALLOC_CHECK hot-path guard.
+  /// for infer_into to run under a DCSR_ALLOC_CHECK hot-path guard. A bad
+  /// input shape throws std::invalid_argument from inside an
+  /// AllocAllowScope, because containers call this under their guard.
   virtual Shape out_shape(const Shape& in) const { return in; }
 
   /// Learnable parameters; default none.
@@ -116,42 +119,13 @@ class Module {
 
   virtual std::string name() const = 0;
 
-  /// Train/eval switch. In eval mode layers may skip caching activations
-  /// that only backward() needs (e.g. Conv2d's im2col column matrices, which
-  /// dwarf the input itself by a factor of k*k). Containers override this to
-  /// propagate to their children. Default is training.
-  virtual void set_training(bool training) { training_ = training; }
-  bool training() const noexcept { return training_; }
-
   /// Clears accumulated gradients on all parameters.
   void zero_grad();
 
   /// Total number of learnable scalars.
   std::size_t param_count();
-
- private:
-  bool training_ = true;
 };
 
 using ModulePtr = std::unique_ptr<Module>;
-
-/// RAII train/eval switch: sets the module's mode on construction and
-/// restores the mode it found on destruction — including when the scope
-/// unwinds through an exception mid-loop, which a manual save/set/restore
-/// sequence silently gets wrong.
-class TrainingModeGuard {
- public:
-  TrainingModeGuard(Module& m, bool training)
-      : module_(m), saved_(m.training()) {
-    module_.set_training(training);
-  }
-  ~TrainingModeGuard() { module_.set_training(saved_); }
-  TrainingModeGuard(const TrainingModeGuard&) = delete;
-  TrainingModeGuard& operator=(const TrainingModeGuard&) = delete;
-
- private:
-  Module& module_;
-  bool saved_;
-};
 
 }  // namespace dcsr::nn

@@ -18,12 +18,6 @@ Tensor ResBlock::forward(const Tensor& x) {
   return y;
 }
 
-Tensor ResBlock::infer(const Tensor& x) const {
-  Tensor out;
-  infer_into(x, out, Workspace::local());
-  return out;
-}
-
 void ResBlock::infer_into(const Tensor& x, Tensor& out, Workspace& ws) const {
   // conv1 with the ReLU folded into its GEMM epilogue (bit-identical to a
   // separate ReLU layer — see matmul_bias_into), conv2 straight into the

@@ -15,15 +15,9 @@ class ResBlock final : public Module {
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-  Tensor infer(const Tensor& x) const override;
   void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const override;
   std::vector<Param*> params() override;
   std::string name() const override { return "ResBlock"; }
-  void set_training(bool training) override {
-    Module::set_training(training);
-    conv1_.set_training(training);
-    conv2_.set_training(training);
-  }
 
   float res_scale() const noexcept { return res_scale_; }
 

@@ -14,12 +14,6 @@ Tensor Sequential::forward(const Tensor& x) {
   return y;
 }
 
-Tensor Sequential::infer(const Tensor& x) const {
-  Tensor out;
-  infer_into(x, out, Workspace::local());
-  return out;
-}
-
 Shape Sequential::out_shape(const Shape& in) const {
   Shape s = in;
   for (const auto& layer : layers_) s = layer->out_shape(s);

@@ -26,15 +26,10 @@ class Sequential final : public Module {
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-  Tensor infer(const Tensor& x) const override;
   void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const override;
   Shape out_shape(const Shape& in) const override;
   std::vector<Param*> params() override;
   std::string name() const override { return "Sequential"; }
-  void set_training(bool training) override {
-    Module::set_training(training);
-    for (auto& m : layers_) m->set_training(training);
-  }
 
   std::size_t layer_count() const noexcept { return layers_.size(); }
   Module& layer(std::size_t i) noexcept { return *layers_[i]; }

@@ -14,6 +14,14 @@ namespace dcsr::nn {
 
 namespace {
 
+// Shape errors are raised from out_shape, which containers call under their
+// hot-path guard: sanction the message build so the caller sees the
+// invalid_argument, not a HotPathAllocError.
+[[noreturn]] void shape_error(const char* what) {
+  AllocAllowScope allow;
+  throw std::invalid_argument(what);
+}
+
 // Grain for plane-parallel loops: keep small layers serial (the pool
 // dispatch would dominate), give big frames one chunk per thread.
 std::int64_t plane_grain(std::size_t plane_floats) {
@@ -23,31 +31,20 @@ std::int64_t plane_grain(std::size_t plane_floats) {
 
 }  // namespace
 
-Tensor PixelShuffle::forward(const Tensor& x) { return infer(x); }
-
-Tensor PixelShuffle::infer(const Tensor& x) const {
-  Tensor out;
-  infer_into(x, out, Workspace::local());
-  return out;
-}
-
 Shape PixelShuffle::out_shape(const Shape& in) const {
   const int r = scale_;
   if (in.size() != 4 || in[1] % (r * r) != 0)
-    throw std::invalid_argument("PixelShuffle: channels not divisible by r^2");
+    shape_error("PixelShuffle: channels not divisible by r^2");
   return {in[0], in[1] / (r * r), in[2] * r, in[3] * r};
 }
 
 void PixelShuffle::infer_into(const Tensor& x, Tensor& out, Workspace& ws) const {
   (void)ws;  // pure gather, no scratch
-  const int r = scale_;
-  if (x.rank() != 4 || x.dim(1) % (r * r) != 0) {
-    AllocAllowScope allow;  // error path may run under a hot-path guard
-    throw std::invalid_argument("PixelShuffle: channels not divisible by r^2");
-  }
+  const Shape out_s = out_shape(x.shape());
   HotPathGuard alloc_guard("nn/shape_ops.cpp:PixelShuffle::infer_into");
-  const int N = x.dim(0), C = x.dim(1) / (r * r), H = x.dim(2), W = x.dim(3);
-  out.reset({N, C, H * r, W * r});
+  const int r = scale_;
+  const int N = x.dim(0), C = out_s[1], H = x.dim(2), W = x.dim(3);
+  out.reset(out_s);
   // Every output plane (n, c) is a pure gather from input planes — disjoint
   // writes, no accumulation, so the plane fan-out is bit-identical for any
   // thread count. Each chunk claims its contiguous run of output planes.
@@ -121,31 +118,19 @@ Tap bilinear_tap(int o, int r, int in_size) noexcept {
 
 }  // namespace
 
-Tensor BilinearUpsample::forward(const Tensor& x) { return infer(x); }
-
-Tensor BilinearUpsample::infer(const Tensor& x) const {
-  Tensor out;
-  infer_into(x, out, Workspace::local());
-  return out;
-}
-
 Shape BilinearUpsample::out_shape(const Shape& in) const {
-  if (in.size() != 4)
-    throw std::invalid_argument("BilinearUpsample: expected NCHW");
+  if (in.size() != 4) shape_error("BilinearUpsample: expected NCHW");
   return {in[0], in[1], in[2] * scale_, in[3] * scale_};
 }
 
 void BilinearUpsample::infer_into(const Tensor& x, Tensor& out,
                                   Workspace& ws) const {
   (void)ws;  // pure gather, no scratch
-  if (x.rank() != 4) {
-    AllocAllowScope allow;  // error path may run under a hot-path guard
-    throw std::invalid_argument("BilinearUpsample: expected NCHW");
-  }
+  const Shape out_s = out_shape(x.shape());
   HotPathGuard alloc_guard("nn/shape_ops.cpp:BilinearUpsample::infer_into");
   const int r = scale_;
   const int N = x.dim(0), C = x.dim(1), H = x.dim(2), W = x.dim(3);
-  out.reset({N, C, H * r, W * r});
+  out.reset(out_s);
   for (int oy = 0; oy < H * r; ++oy) {
     const Tap ty = bilinear_tap(oy, r, H);
     for (int ox = 0; ox < W * r; ++ox) {
@@ -185,31 +170,19 @@ Tensor BilinearUpsample::backward(const Tensor& grad_out) {
   return grad;
 }
 
-Tensor UpsampleNearest::forward(const Tensor& x) { return infer(x); }
-
-Tensor UpsampleNearest::infer(const Tensor& x) const {
-  Tensor out;
-  infer_into(x, out, Workspace::local());
-  return out;
-}
-
 Shape UpsampleNearest::out_shape(const Shape& in) const {
-  if (in.size() != 4)
-    throw std::invalid_argument("UpsampleNearest: expected NCHW");
+  if (in.size() != 4) shape_error("UpsampleNearest: expected NCHW");
   return {in[0], in[1], in[2] * scale_, in[3] * scale_};
 }
 
 void UpsampleNearest::infer_into(const Tensor& x, Tensor& out,
                                  Workspace& ws) const {
   (void)ws;  // pure replication, no scratch
-  if (x.rank() != 4) {
-    AllocAllowScope allow;  // error path may run under a hot-path guard
-    throw std::invalid_argument("UpsampleNearest: expected NCHW");
-  }
+  const Shape out_s = out_shape(x.shape());
   HotPathGuard alloc_guard("nn/shape_ops.cpp:UpsampleNearest::infer_into");
   const int r = scale_;
   const int N = x.dim(0), C = x.dim(1), H = x.dim(2), W = x.dim(3);
-  out.reset({N, C, H * r, W * r});
+  out.reset(out_s);
   // Plane fan-out, same shape as PixelShuffle::infer: disjoint output
   // planes, pure replication, each chunk claiming its plane run.
   const std::size_t plane = static_cast<std::size_t>(H) * r * W * r;
@@ -246,29 +219,21 @@ Tensor UpsampleNearest::backward(const Tensor& grad_out) {
 }
 
 Tensor Flatten::forward(const Tensor& x) {
-  if (x.rank() != 4) throw std::invalid_argument("Flatten: expected NCHW");
+  Tensor out = infer(x);
   cached_shape_ = x.shape();
-  return x.reshaped({x.dim(0), x.dim(1) * x.dim(2) * x.dim(3)});
-}
-
-Tensor Flatten::infer(const Tensor& x) const {
-  if (x.rank() != 4) throw std::invalid_argument("Flatten: expected NCHW");
-  return x.reshaped({x.dim(0), x.dim(1) * x.dim(2) * x.dim(3)});
+  return out;
 }
 
 Shape Flatten::out_shape(const Shape& in) const {
-  if (in.size() != 4) throw std::invalid_argument("Flatten: expected NCHW");
+  if (in.size() != 4) shape_error("Flatten: expected NCHW");
   return {in[0], in[1] * in[2] * in[3]};
 }
 
 void Flatten::infer_into(const Tensor& x, Tensor& out, Workspace& ws) const {
   (void)ws;
-  if (x.rank() != 4) {
-    AllocAllowScope allow;  // error path may run under a hot-path guard
-    throw std::invalid_argument("Flatten: expected NCHW");
-  }
+  const Shape out_s = out_shape(x.shape());
   HotPathGuard alloc_guard("nn/shape_ops.cpp:Flatten::infer_into");
-  out.reset({x.dim(0), x.dim(1) * x.dim(2) * x.dim(3)});
+  out.reset(out_s);
   std::copy(x.data(), x.data() + x.size(), out.data());
 }
 
@@ -278,30 +243,17 @@ Tensor Flatten::backward(const Tensor& grad_out) {
   return grad_out.reshaped(cached_shape_);
 }
 
-Tensor Reshape4::forward(const Tensor& x) { return infer(x); }
-
-Tensor Reshape4::infer(const Tensor& x) const {
-  if (x.rank() != 2) throw std::invalid_argument("Reshape4: expected 2-D input");
-  return x.reshaped({x.dim(0), c_, h_, w_});
-}
-
 Shape Reshape4::out_shape(const Shape& in) const {
-  if (in.size() != 2) throw std::invalid_argument("Reshape4: expected 2-D input");
+  if (in.size() != 2) shape_error("Reshape4: expected 2-D input");
+  if (in[1] != c_ * h_ * w_) shape_error("Reshape4: element count mismatch");
   return {in[0], c_, h_, w_};
 }
 
 void Reshape4::infer_into(const Tensor& x, Tensor& out, Workspace& ws) const {
   (void)ws;
-  if (x.rank() != 2) {
-    AllocAllowScope allow;  // error path may run under a hot-path guard
-    throw std::invalid_argument("Reshape4: expected 2-D input");
-  }
-  if (x.size() != static_cast<std::size_t>(x.dim(0)) * c_ * h_ * w_) {
-    AllocAllowScope allow;
-    throw std::invalid_argument("Reshape4: element count mismatch");
-  }
+  const Shape out_s = out_shape(x.shape());
   HotPathGuard alloc_guard("nn/shape_ops.cpp:Reshape4::infer_into");
-  out.reset({x.dim(0), c_, h_, w_});
+  out.reset(out_s);
   std::copy(x.data(), x.data() + x.size(), out.data());
 }
 

@@ -10,9 +10,7 @@ namespace dcsr::nn {
 class PixelShuffle final : public Module {
  public:
   explicit PixelShuffle(int scale) : scale_(scale) {}
-  Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-  Tensor infer(const Tensor& x) const override;
   void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const override;
   Shape out_shape(const Shape& in) const override;
   std::string name() const override { return "PixelShuffle"; }
@@ -29,9 +27,7 @@ class PixelShuffle final : public Module {
 class BilinearUpsample final : public Module {
  public:
   explicit BilinearUpsample(int scale) : scale_(scale) {}
-  Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-  Tensor infer(const Tensor& x) const override;
   void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const override;
   Shape out_shape(const Shape& in) const override;
   std::string name() const override { return "BilinearUpsample"; }
@@ -44,9 +40,7 @@ class BilinearUpsample final : public Module {
 class UpsampleNearest final : public Module {
  public:
   explicit UpsampleNearest(int scale) : scale_(scale) {}
-  Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-  Tensor infer(const Tensor& x) const override;
   void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const override;
   Shape out_shape(const Shape& in) const override;
   std::string name() const override { return "UpsampleNearest"; }
@@ -60,7 +54,6 @@ class Flatten final : public Module {
  public:
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-  Tensor infer(const Tensor& x) const override;
   void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const override;
   Shape out_shape(const Shape& in) const override;
   std::string name() const override { return "Flatten"; }
@@ -74,9 +67,7 @@ class Flatten final : public Module {
 class Reshape4 final : public Module {
  public:
   Reshape4(int c, int h, int w) : c_(c), h_(h), w_(w) {}
-  Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-  Tensor infer(const Tensor& x) const override;
   void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const override;
   Shape out_shape(const Shape& in) const override;
   std::string name() const override { return "Reshape4"; }

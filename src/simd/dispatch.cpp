@@ -28,14 +28,6 @@ bool cpu_supports_avx2_fma() noexcept {
 #endif
 }
 
-bool cpu_supports_neon() noexcept {
-#if defined(__aarch64__)
-  return true;  // NEON is architectural on AArch64.
-#else
-  return false;
-#endif
-}
-
 // All backend tables, built once. Tables are layered: sse2 overlays the
 // scalar oracle, avx2 overlays sse2 (so a family avx2 doesn't override
 // keeps the best lower implementation). Building a table never executes
@@ -43,14 +35,12 @@ bool cpu_supports_neon() noexcept {
 // so constructing unsupported tables is safe; host gating happens in
 // table_for().
 struct Tables {
-  KernelTable scalar, sse2, avx2, neon;
-  bool compiled_sse2, compiled_avx2, compiled_neon;
-  Tables() noexcept
-      : scalar(scalar_table()), sse2(scalar), neon(scalar) {
+  KernelTable scalar, sse2, avx2;
+  bool compiled_sse2, compiled_avx2;
+  Tables() noexcept : scalar(scalar_table()), sse2(scalar) {
     compiled_sse2 = populate_sse2(sse2);
     avx2 = sse2;
     compiled_avx2 = populate_avx2(avx2);
-    compiled_neon = populate_neon(neon);
   }
 };
 
@@ -75,10 +65,9 @@ const KernelTable* resolve_from_env() {
     }
     return t;
   }
-  // Best supported backend, avx2 > sse2 > neon > scalar.
+  // Best supported backend, avx2 > sse2 > scalar.
   if (const KernelTable* t = table_for(Backend::kAvx2)) return t;
   if (const KernelTable* t = table_for(Backend::kSse2)) return t;
-  if (const KernelTable* t = table_for(Backend::kNeon)) return t;
   return &tables().scalar;
 }
 
@@ -119,11 +108,10 @@ const char* backend_name(Backend b) noexcept {
 }
 
 Backend parse_backend(const std::string& value) {
-  for (const Backend b : {Backend::kScalar, Backend::kSse2, Backend::kAvx2,
-                          Backend::kNeon})
+  for (const Backend b : {Backend::kScalar, Backend::kSse2, Backend::kAvx2})
     if (value == backend_name(b)) return b;
   throw SimdDispatchError("DCSR_SIMD: unknown backend '" + value +
-                          "' (expected scalar|sse2|avx2|neon)");
+                          "' (expected scalar|sse2|avx2)");
 }
 
 bool host_supports(Backend b) noexcept {
@@ -132,7 +120,7 @@ bool host_supports(Backend b) noexcept {
     case Backend::kSse2: return tables().compiled_sse2 && cpu_supports_sse2();
     case Backend::kAvx2:
       return tables().compiled_avx2 && cpu_supports_avx2_fma();
-    case Backend::kNeon: return tables().compiled_neon && cpu_supports_neon();
+    case Backend::kNeon: return false;
   }
   return false;
 }
@@ -143,7 +131,7 @@ const KernelTable* table_for(Backend b) noexcept {
     case Backend::kScalar: return &tables().scalar;
     case Backend::kSse2: return &tables().sse2;
     case Backend::kAvx2: return &tables().avx2;
-    case Backend::kNeon: return &tables().neon;
+    case Backend::kNeon: break;
   }
   return nullptr;
 }

@@ -20,12 +20,12 @@ namespace dcsr::simd {
 /// suite once per host-supported backend.
 ///
 /// Selection happens once, on first use:
-///   - `DCSR_SIMD=scalar|sse2|avx2|neon` forces a backend. Naming a backend
+///   - `DCSR_SIMD=scalar|sse2|avx2` forces a backend. Naming a backend
 ///     the host cannot run (or an unknown value) throws SimdDispatchError —
 ///     loud, so perf numbers are never silently attributed to the wrong
 ///     backend.
 ///   - Unset: the best backend the host supports (cpuid), avx2 > sse2 >
-///     neon > scalar.
+///     scalar.
 ///
 /// Intrinsics are confined to src/simd/ (lint rule [raw-intrinsics]); all
 /// call sites go through active(). Kernels compose with the existing
@@ -39,7 +39,7 @@ class SimdDispatchError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Display / env-var name of a backend ("scalar", "sse2", "avx2", "neon").
+/// Display / env-var name of a backend ("scalar", "sse2", "avx2").
 const char* backend_name(Backend b) noexcept;
 
 /// Parses a DCSR_SIMD value. Throws SimdDispatchError on unknown names; the
@@ -48,7 +48,7 @@ const char* backend_name(Backend b) noexcept;
 Backend parse_backend(const std::string& value);
 
 /// Whether this host can execute the given backend's instructions (cpuid on
-/// x86; compile-target checks for NEON). kScalar is always supported.
+/// x86). kScalar is always supported.
 bool host_supports(Backend b) noexcept;
 
 /// The kernel table for a backend, or nullptr if the host cannot run it.

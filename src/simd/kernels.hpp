@@ -9,9 +9,11 @@ enum class Backend : int {
   kScalar = 0,
   kSse2 = 1,
   kAvx2 = 2,
+  // No NEON backend exists and none is ever supported: host_supports() is
+  // false and parse_backend("neon") throws. The enumerator stays only so
+  // code outside the library that lists backends keeps compiling.
   kNeon = 3,
 };
-inline constexpr int kNumBackends = 4;
 
 /// Kernel families, for per-family provenance in report(). A backend may
 /// override any subset; unoverridden families inherit the scalar oracle (or
@@ -127,7 +129,6 @@ bool scalar_fma_contraction() noexcept;
 /// architecture, and returns whether it installed anything.
 bool populate_sse2(KernelTable& t) noexcept;
 bool populate_avx2(KernelTable& t) noexcept;
-bool populate_neon(KernelTable& t) noexcept;
 
 /// Shared 8x8 DCT-II basis, computed once: basis()[k*8+n] = ck *
 /// cos((2n+1) k pi / 16) with c0 = sqrt(1/8), ck>0 = sqrt(2/8) — identical

@@ -69,12 +69,6 @@ Tensor Edsr::forward(const Tensor& x) {
   return y;
 }
 
-Tensor Edsr::infer(const Tensor& x) const {
-  Tensor out;
-  infer_into(x, out, Workspace::local());
-  return out;
-}
-
 Shape Edsr::out_shape(const Shape& in) const {
   if (in.size() != 4 || in[1] != 3) {
     AllocAllowScope allow;  // error path may run under a hot-path guard
@@ -84,11 +78,11 @@ Shape Edsr::out_shape(const Shape& in) const {
 }
 
 void Edsr::infer_into(const Tensor& x, Tensor& out, Workspace& ws) const {
-  // Same chain and float order as forward()/the old allocating infer(), but
-  // every intermediate is a workspace checkout: the head activation stays
-  // live for the global skip, the residual body ping-pongs through two
-  // equal-shaped buffers (each freed before the next acquire, so at most
-  // two are outstanding), and the tail writes straight into `out`.
+  // Same chain and float order as forward(), but every intermediate is a
+  // workspace checkout: the head activation stays live for the global skip,
+  // the residual body ping-pongs through two equal-shaped buffers (each
+  // freed before the next acquire, so at most two are outstanding), and the
+  // tail writes straight into `out`.
   //
   // The whole chain runs under an allocation guard: once the workspace is
   // warm, a frame must not touch the heap at all. Warm-up traffic (workspace
@@ -165,15 +159,6 @@ std::vector<nn::Param*> Edsr::params() {
   for (auto& c : up_convs_) append(c->params());
   append(tail_.params());
   return ps;
-}
-
-void Edsr::set_training(bool training) {
-  nn::Module::set_training(training);
-  head_.set_training(training);
-  for (auto& rb : body_) rb->set_training(training);
-  body_conv_.set_training(training);
-  for (auto& c : up_convs_) c->set_training(training);
-  tail_.set_training(training);
 }
 
 FrameRGB Edsr::enhance(const FrameRGB& frame) const {

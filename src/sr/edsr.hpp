@@ -41,21 +41,18 @@ class Edsr final : public nn::Module {
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
 
-  /// Stateless forward pass (same floats as forward(), no member mutation).
+  /// Stateless inference (same floats as forward(), no member mutation),
+  /// all intermediates drawn from `ws` (the calling thread's workspace).
   /// Safe to call concurrently from any number of threads on one instance —
   /// the client pipeline's frame-level inference parallelism relies on it.
-  Tensor infer(const Tensor& x) const override;
-
-  /// Workspace-backed infer: bit-identical to infer(), all intermediates
-  /// drawn from `ws` (the calling thread's workspace). Steady-state playback
-  /// runs this with zero heap allocations once the workspace is warm.
+  /// Steady-state playback runs this with zero heap allocations once the
+  /// workspace is warm.
   void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const override;
 
   Shape out_shape(const Shape& in) const override;
 
   std::vector<nn::Param*> params() override;
   std::string name() const override { return "Edsr"; }
-  void set_training(bool training) override;
 
   const EdsrConfig& config() const noexcept { return cfg_; }
 
@@ -70,8 +67,8 @@ class Edsr final : public nn::Module {
   /// because of running out of memory".
   std::uint64_t activation_bytes(int in_width, int in_height) const noexcept;
 
-  /// Enhances a single RGB frame (convenience around infer()). const and
-  /// thread-safe: no train/eval toggling, no layer caches touched.
+  /// Enhances a single RGB frame (convenience around enhance_into()). const
+  /// and thread-safe: no layer caches touched.
   FrameRGB enhance(const FrameRGB& frame) const;
 
   /// enhance() writing into a caller-owned frame: with `out` warm (same

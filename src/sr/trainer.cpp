@@ -59,9 +59,6 @@ TrainStats train_sr_model(Edsr& model, const std::vector<TrainSample>& samples,
       throw std::invalid_argument("train_sr_model: frame smaller than patch");
   }
 
-  // Restores the caller's train/eval mode on every exit path, including an
-  // exception thrown mid-loop by forward/backward.
-  const nn::TrainingModeGuard mode_guard(model, /*training=*/true);
   nn::Adam opt(model.params(), opts.lr);
   TrainStats stats;
   stats.loss_curve.reserve(static_cast<std::size_t>(opts.iterations));

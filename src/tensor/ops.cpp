@@ -39,8 +39,8 @@ void require_2d(const Tensor& t, const char* what) {
 // L2), k by kKC (A panel in L1), and run a kMR x kNR register tile in the
 // middle. For every C element the k loop advances strictly ascending across
 // blocks, which keeps the float summation order identical to the naive
-// kernel — blocked results are bit-identical to matmul_naive and invariant
-// to the thread count.
+// kernel — blocked results are bit-identical to a naive ikj loop and
+// invariant to the thread count.
 // ---------------------------------------------------------------------------
 
 constexpr int kMR = 6;    // register tile rows
@@ -288,70 +288,6 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   if (b.dim(1) != a.dim(1)) throw std::invalid_argument("matmul_nt: inner dim mismatch");
   Tensor out;
   matmul_nt_into(a, b, out);
-  return out;
-}
-
-Tensor matmul_naive(const Tensor& a, const Tensor& b) {
-  require_2d(a, "matmul_naive");
-  require_2d(b, "matmul_naive");
-  const int m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  if (b.dim(0) != k) throw std::invalid_argument("matmul_naive: inner dim mismatch");
-  Tensor out({m, n});
-  const float* A = a.data();
-  const float* B = b.data();
-  float* C = out.data();
-  // ikj loop order: streams B and C rows, friendly to the prefetcher.
-  for (int i = 0; i < m; ++i) {
-    for (int kk = 0; kk < k; ++kk) {
-      const float aik = A[static_cast<std::size_t>(i) * k + kk];
-      const float* Brow = B + static_cast<std::size_t>(kk) * n;
-      float* Crow = C + static_cast<std::size_t>(i) * n;
-      for (int j = 0; j < n; ++j) Crow[j] += aik * Brow[j];
-    }
-  }
-  return out;
-}
-
-Tensor matmul_tn_naive(const Tensor& a, const Tensor& b) {
-  require_2d(a, "matmul_tn_naive");
-  require_2d(b, "matmul_tn_naive");
-  const int k = a.dim(0), m = a.dim(1), n = b.dim(1);
-  if (b.dim(0) != k) throw std::invalid_argument("matmul_tn_naive: inner dim mismatch");
-  Tensor out({m, n});
-  const float* A = a.data();
-  const float* B = b.data();
-  float* C = out.data();
-  for (int kk = 0; kk < k; ++kk) {
-    const float* Arow = A + static_cast<std::size_t>(kk) * m;
-    const float* Brow = B + static_cast<std::size_t>(kk) * n;
-    for (int i = 0; i < m; ++i) {
-      const float aik = Arow[i];
-      float* Crow = C + static_cast<std::size_t>(i) * n;
-      for (int j = 0; j < n; ++j) Crow[j] += aik * Brow[j];
-    }
-  }
-  return out;
-}
-
-Tensor matmul_nt_naive(const Tensor& a, const Tensor& b) {
-  require_2d(a, "matmul_nt_naive");
-  require_2d(b, "matmul_nt_naive");
-  const int m = a.dim(0), k = a.dim(1), n = b.dim(0);
-  if (b.dim(1) != k) throw std::invalid_argument("matmul_nt_naive: inner dim mismatch");
-  Tensor out({m, n});
-  const float* A = a.data();
-  const float* B = b.data();
-  float* C = out.data();
-  for (int i = 0; i < m; ++i) {
-    const float* Arow = A + static_cast<std::size_t>(i) * k;
-    float* Crow = C + static_cast<std::size_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      const float* Brow = B + static_cast<std::size_t>(j) * k;
-      float acc = 0.0f;
-      for (int kk = 0; kk < k; ++kk) acc += Arow[kk] * Brow[kk];
-      Crow[j] = acc;
-    }
-  }
   return out;
 }
 

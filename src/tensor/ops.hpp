@@ -39,8 +39,8 @@ struct MutMat {
 ///
 /// Cache-blocked (MC/KC/NC) with a register-tiled inner kernel, parallelised
 /// over row blocks on the default pool. Per output element the k-summation
-/// order is fixed and ascending, so results are bit-identical to
-/// matmul_naive and invariant to the thread count.
+/// order is fixed and ascending, so results are bit-identical to the naive
+/// reference (tests/matmul_naive.hpp) and invariant to the thread count.
 Tensor matmul(const Tensor& a, const Tensor& b);
 
 /// Matrix product with the first operand transposed: aT(k x m) * b(k x n).
@@ -74,12 +74,6 @@ void matmul_nt_into(ConstMat a, ConstMat b, Tensor& out);
 /// tensor in the Conv2d hot path).
 void matmul_bias_into(ConstMat a, ConstMat b, const float* row_bias, MutMat out,
                       bool fuse_relu = false);
-
-/// Scalar, unblocked, single-threaded reference implementations. Kept as the
-/// ground truth the blocked kernels are property-tested against.
-Tensor matmul_naive(const Tensor& a, const Tensor& b);
-Tensor matmul_tn_naive(const Tensor& a, const Tensor& b);
-Tensor matmul_nt_naive(const Tensor& a, const Tensor& b);
 
 /// 2-D transpose.
 Tensor transpose(const Tensor& a);

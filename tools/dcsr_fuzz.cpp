@@ -30,15 +30,15 @@
 #include <string>
 #include <vector>
 
-#include "core/fuzz.hpp"
+#include "fuzz_harness.hpp"
 #include "simd/dispatch.hpp"
 
 namespace {
 
-using dcsr::core::fuzz::FuzzFailure;
-using dcsr::core::fuzz::FuzzStats;
-using dcsr::core::fuzz::Harness;
-using dcsr::core::fuzz::ReplayOutcome;
+using dcsr::fuzz::FuzzFailure;
+using dcsr::fuzz::FuzzStats;
+using dcsr::fuzz::Harness;
+using dcsr::fuzz::ReplayOutcome;
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
@@ -60,8 +60,8 @@ std::optional<Harness> harness_from_filename(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
   const std::string name =
       slash == std::string::npos ? path : path.substr(slash + 1);
-  for (const Harness h : dcsr::core::fuzz::all_harnesses())
-    if (name.rfind(dcsr::core::fuzz::harness_name(h), 0) == 0) return h;
+  for (const Harness h : dcsr::fuzz::all_harnesses())
+    if (name.rfind(dcsr::fuzz::harness_name(h), 0) == 0) return h;
   return std::nullopt;
 }
 
@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
   }
 
   if (!corpus_dir.empty()) {
-    for (const auto& [name, bytes] : dcsr::core::fuzz::regression_corpus()) {
+    for (const auto& [name, bytes] : dcsr::fuzz::regression_corpus()) {
       write_file(corpus_dir + "/" + name, bytes);
       std::cout << "wrote " << corpus_dir << "/" << name << " (" << bytes.size()
                 << " bytes)\n";
@@ -136,22 +136,22 @@ int main(int argc, char** argv) {
   if (!replay_path.empty()) {
     const auto h = harness_override.empty()
                        ? harness_from_filename(replay_path)
-                       : dcsr::core::fuzz::harness_from_name(harness_override);
+                       : dcsr::fuzz::harness_from_name(harness_override);
     if (!h) {
       std::cerr << "dcsr_fuzz: cannot infer harness for " << replay_path
                 << "; pass --harness\n";
       return 2;
     }
-    const auto outcome = dcsr::core::fuzz::replay(*h, read_file(replay_path));
-    std::cout << dcsr::core::fuzz::harness_name(*h) << " "
+    const auto outcome = dcsr::fuzz::replay(*h, read_file(replay_path));
+    std::cout << dcsr::fuzz::harness_name(*h) << " "
               << outcome_name(outcome) << "\n";
     return 0;
   }
 
   std::vector<Harness> targets;
   if (target == "all") {
-    targets = dcsr::core::fuzz::all_harnesses();
-  } else if (const auto h = dcsr::core::fuzz::harness_from_name(target)) {
+    targets = dcsr::fuzz::all_harnesses();
+  } else if (const auto h = dcsr::fuzz::harness_from_name(target)) {
     targets = {*h};
   } else {
     return usage();
@@ -159,20 +159,20 @@ int main(int argc, char** argv) {
 
   for (const Harness h : targets) {
     try {
-      const FuzzStats stats = dcsr::core::fuzz::run(h, seed, iters, start);
-      std::cout << dcsr::core::fuzz::harness_name(h) << ": "
+      const FuzzStats stats = dcsr::fuzz::run(h, seed, iters, start);
+      std::cout << dcsr::fuzz::harness_name(h) << ": "
                 << stats.iterations << " iterations, " << stats.parsed
                 << " parsed, " << stats.typed_errors << " typed errors, "
                 << stats.safe_errors << " safe errors\n";
     } catch (const FuzzFailure& e) {
       const std::string crash_file =
           std::string("fuzz-crash-") +
-          dcsr::core::fuzz::harness_name(e.harness()) + ".bin";
+          dcsr::fuzz::harness_name(e.harness()) + ".bin";
       write_file(crash_file, e.input());
       std::cerr << "FAIL: " << e.what() << "\n"
                 << "input saved to " << crash_file << " (" << e.input().size()
                 << " bytes); reproduce with: dcsr_fuzz "
-                << dcsr::core::fuzz::harness_name(e.harness()) << " --seed "
+                << dcsr::fuzz::harness_name(e.harness()) << " --seed "
                 << seed << " --start " << e.iteration() << " --iters 1\n";
       return 1;
     }

@@ -25,8 +25,9 @@
 //                   src/util/rng.* — all randomness flows through the
 //                   deterministic, forkable Rng.
 //   [module-infer]  every concrete nn::Module subclass declares
-//                   `infer(...) const` — the stateless, concurrency-safe
-//                   entry point PR 2 made mandatory.
+//                   `infer_into(...) const` — the one virtual inference
+//                   entry point, stateless and concurrency-safe
+//                   (Module::infer is a non-virtual wrapper over it).
 //   [const-forward] no forward( call inside a `const` member function —
 //                   forward() mutates layer caches; const paths must call
 //                   infer().
@@ -272,7 +273,7 @@ void rule_module_infer(const std::string& path, const std::string& stripped,
                        std::vector<Finding>& findings) {
   static const std::regex re(
       R"(class\s+(\w+)(\s+final)?\s*:\s*public\s+(?:nn::)?Module\b)");
-  static const std::regex re_infer(R"(\binfer\s*\([^;{)]*\)\s*const\b)");
+  static const std::regex re_infer(R"(\binfer_into\s*\([^;{)]*\)\s*const\b)");
   for (auto it = std::sregex_iterator(stripped.begin(), stripped.end(), re);
        it != std::sregex_iterator(); ++it) {
     const std::size_t pos = static_cast<std::size_t>(it->position());
@@ -286,8 +287,8 @@ void rule_module_infer(const std::string& path, const std::string& stripped,
           {path, line_of(stripped, pos), "module-infer",
            "class " + (*it)[1].str() +
                " derives from nn::Module but does not declare "
-               "`infer(...) const` — every concrete layer must provide the "
-               "stateless, thread-safe inference path"});
+               "`infer_into(...) const` — every concrete layer must provide "
+               "the stateless, thread-safe inference path"});
   }
 }
 
@@ -620,20 +621,30 @@ const Fixture kFixtures[] = {
     {"member named rand", "src/codec/motion.cpp", "int y = gen.rand();",
      nullptr},
     // [module-infer]
-    {"Module subclass without const infer", "src/nn/foo.hpp",
+    {"Module subclass without const infer_into", "src/nn/foo.hpp",
      "#pragma once\nclass Foo final : public Module {\n"
      " public:\n  Tensor forward(const Tensor& x) override;\n"
      "  Tensor backward(const Tensor& g) override;\n};\n",
      "module-infer"},
-    {"Module subclass with const infer", "src/nn/foo.hpp",
+    {"Module subclass declaring only the infer wrapper", "src/nn/foo.hpp",
+     "#pragma once\nclass Foo final : public Module {\n"
+     " public:\n  Tensor infer(const Tensor& x) const;\n"
+     "  Tensor backward(const Tensor& g) override;\n};\n",
+     "module-infer"},
+    {"Module subclass with const infer_into", "src/nn/foo.hpp",
      "#pragma once\nclass Foo final : public Module {\n"
      " public:\n  Tensor forward(const Tensor& x) override;\n"
-     "  Tensor infer(const Tensor& x) const override;\n"
+     "  void infer_into(const Tensor& x, Tensor& out, Workspace& ws) "
+     "const override;\n"
      "  Tensor backward(const Tensor& g) override;\n};\n",
      nullptr},
-    {"qualified nn::Module base without infer", "src/sr/bar.hpp",
+    {"non-const infer_into does not count", "src/nn/foo.hpp",
+     "#pragma once\nclass Foo final : public Module {\n"
+     "  void infer_into(const Tensor& x, Tensor& out, Workspace& ws);\n};\n",
+     "module-infer"},
+    {"qualified nn::Module base without infer_into", "src/sr/bar.hpp",
      "#pragma once\nclass Bar final : public nn::Module {\n"
-     "  int infer_count_;\n};\n",
+     "  int infer_into_count_;\n};\n",
      "module-infer"},
     // [const-forward]
     {"forward() called from const method", "src/nn/foo.cpp",
@@ -738,7 +749,8 @@ const Fixture kFixtures[] = {
      "// std::getenv is banned here\nint x;", nullptr},
     // [pragma-once]
     {"header without pragma once", "src/nn/foo.hpp",
-     "class Foo final : public Module { Tensor infer(const Tensor&) const; };",
+     "class Foo final : public Module {\n"
+     "  void infer_into(const Tensor&, Tensor&, Workspace&) const;\n};",
      "pragma-once"},
     {"source file needs no pragma once", "src/nn/foo.cpp", "int x;", nullptr},
 };
