@@ -17,11 +17,13 @@
 #include "codec/motion.hpp"
 #include "codec/quant.hpp"
 #include "core/client_pipeline.hpp"
+#include "core/server_pipeline.hpp"
 #include "image/convert.hpp"
 #include "image/metrics.hpp"
 #include "image/resize.hpp"
 #include "nn/conv.hpp"
 #include "simd/dispatch.hpp"
+#include "split/segmenter.hpp"
 #include "sr/edsr.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/workspace.hpp"
@@ -101,6 +103,20 @@ void BM_Im2col(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Im2col)->Arg(8)->Arg(32);
+
+// col2im_add, the scatter at the end of Conv2d::backward, on a training
+// patch (c channels, 24x24, 3x3, stride 1, pad 1): one row-wise add pass.
+void BM_Col2imAdd(benchmark::State& state) {
+  const int c = static_cast<int>(state.range(0));
+  Rng rng(5);
+  const Tensor cols = Tensor::randn({c * 9, 24 * 24}, rng);
+  Tensor grad({1, c, 24, 24});
+  for (auto _ : state) {
+    col2im_add(cols, grad, 0, 3, 1, 1);
+    benchmark::DoNotOptimize(grad.data());
+  }
+}
+BENCHMARK(BM_Col2imAdd)->Arg(8)->Arg(16);
 
 void BM_Matmul(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -299,6 +315,27 @@ void BM_DecodeFrameThreads(benchmark::State& state) {
   state.SetItemsProcessed(frames);
 }
 BENCHMARK(BM_DecodeFrameThreads)->Arg(1)->Arg(sweep_threads());
+
+// Whole-video encode of the quickstart video (96x64, 600 frames) with the
+// server pipeline's codec settings, across pool sizes. Closed GOPs — one per
+// I frame, every 12 frames — are the parallel axis, each rendering and
+// converting its own source frames.
+void BM_EncodeVideoThreads(benchmark::State& state) {
+  const int dflt = base_threads();
+  static const auto video = make_genre_video(Genre::kNews, 5, 96, 64, 60.0, 10.0);
+  static const core::ServerConfig cfg;
+  static const auto segments = split::variable_segments(*video, cfg.segmenter);
+  set_default_pool_threads(static_cast<int>(state.range(0)));
+  std::int64_t frames = 0;
+  for (auto _ : state) {
+    const codec::EncodedVideo ev = codec::Encoder(cfg.codec).encode(*video, segments);
+    benchmark::DoNotOptimize(ev.segments.data());
+    frames += ev.frame_count();
+  }
+  set_default_pool_threads(dflt);
+  state.SetItemsProcessed(frames);
+}
+BENCHMARK(BM_EncodeVideoThreads)->Arg(1)->Arg(sweep_threads())->Unit(benchmark::kMillisecond);
 
 // Batched SR through enhance_batch_into: one workspace checkout and one
 // dispatch per batch instead of per frame. items_processed counts frames, so

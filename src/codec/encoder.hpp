@@ -19,6 +19,13 @@ struct SegmentPlan {
 
 /// Closed-loop encoder. Stateless across calls; all coding state lives on
 /// the stack of encode().
+///
+/// Every I frame opens a closed GOP: no B frame sits directly before an I,
+/// and an I frame references nothing, so the GOPs of a segment are
+/// independent. Both entry points plan a segment's frame types once, then
+/// encode its GOPs (for encode(), the GOPs of all segments) concurrently on
+/// the default pool and concatenate them in GOP order. The output is
+/// byte-identical for every pool size; a pool of 1 is the serial encoder.
 class Encoder {
  public:
   explicit Encoder(CodecConfig cfg) : cfg_(cfg) {}
@@ -26,7 +33,9 @@ class Encoder {
   const CodecConfig& config() const noexcept { return cfg_; }
 
   /// Encodes the given segments of a video. Segments must be contiguous,
-  /// non-overlapping, and in order.
+  /// non-overlapping, and in order. Each GOP renders and converts only its
+  /// own frames, so `video.frame()` is called concurrently from pool
+  /// threads (see VideoSource).
   EncodedVideo encode(const VideoSource& video,
                       const std::vector<SegmentPlan>& segments) const;
 

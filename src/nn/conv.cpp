@@ -136,6 +136,9 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
                    static_cast<std::size_t>(hi - lo) * in_floats);
   };
   parallel_for_writes(0, N, 1, claim, [&](std::int64_t lo, std::int64_t hi) {
+    // Column gradient, consumed by col2im before the next item needs it: one
+    // buffer per chunk, reset in place from item to item.
+    Tensor dcols;
     for (std::int64_t item = lo; item < hi; ++item) {
       const int n = static_cast<int>(item);
       // This item's slice of grad_out is already a contiguous
@@ -156,7 +159,6 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
         dbn[static_cast<std::size_t>(c)] = acc;
       }
       db[static_cast<std::size_t>(n)] = std::move(dbn);
-      Tensor dcols;
       matmul_tn_into(weight_.value, go, dcols);
       col2im_add(dcols, grad_in, n, kernel_, stride_, pad_);
     }

@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "simd/dispatch.hpp"
 #include "util/alloc_check.hpp"
@@ -24,6 +26,28 @@ void require_2d(const Tensor& t, const char* what) {
     AllocAllowScope allow;
     throw std::invalid_argument(std::string(what) + ": expected 2-D tensor");
   }
+}
+
+// `n` must index an item of the NCHW tensor `t`: the kernels below address
+// its planes through raw pointers, which nothing else bounds-checks.
+void require_item(const Tensor& t, int n, const char* what) {
+  if (n < 0 || n >= t.dim(0)) {
+    AllocAllowScope allow;
+    throw std::invalid_argument(std::string(what) + ": batch index " +
+                                std::to_string(n) + " out of range for " +
+                                t.shape_str());
+  }
+}
+
+// Output positions [lo, hi) along one conv axis whose kernel tap `k` reads
+// an in-bounds input sample: 0 <= i * stride + k - pad < in.
+std::pair<int, int> valid_outputs(int in, int out, int k, int stride, int pad) {
+  const int first = pad - k;       // i * stride >= first
+  const int last = in - 1 + pad - k;  // i * stride <= last
+  if (last < 0) return {0, 0};
+  const int lo = first <= 0 ? 0 : (first + stride - 1) / stride;
+  const int hi = std::min(out, last / stride + 1);
+  return {lo, std::max(lo, hi)};
 }
 
 // ---------------------------------------------------------------------------
@@ -336,6 +360,7 @@ void im2col_into(const Tensor& input, int n, int kernel, int stride, int pad,
     AllocAllowScope allow;  // error path may run under a hot-path guard
     throw std::invalid_argument("im2col: expected NCHW input");
   }
+  require_item(input, n, "im2col_into");
   const int C = input.dim(1), H = input.dim(2), W = input.dim(3);
   const int oh = conv_out_size(H, kernel, stride, pad);
   const int ow = conv_out_size(W, kernel, stride, pad);
@@ -371,25 +396,43 @@ void im2col_into(const Tensor& input, int n, int kernel, int stride, int pad,
 
 void col2im_add(const Tensor& cols, Tensor& out, int n, int kernel, int stride,
                 int pad) {
-  if (out.rank() != 4) throw std::invalid_argument("col2im_add: expected NCHW output");
+  if (out.rank() != 4) {
+    AllocAllowScope allow;  // error path may run under a hot-path guard
+    throw std::invalid_argument("col2im_add: expected NCHW output");
+  }
+  require_item(out, n, "col2im_add");
   const int C = out.dim(1), H = out.dim(2), W = out.dim(3);
   const int oh = conv_out_size(H, kernel, stride, pad);
   const int ow = conv_out_size(W, kernel, stride, pad);
-  if (cols.dim(0) != C * kernel * kernel || cols.dim(1) != oh * ow)
+  if (cols.rank() != 2 || cols.dim(0) != C * kernel * kernel ||
+      cols.dim(1) != oh * ow) {
+    AllocAllowScope allow;
     throw std::invalid_argument("col2im_add: column shape mismatch");
+  }
+  // Row by row in (c, ky, kx, y, x) order, so every output element receives
+  // its contributions in the same sequence as a per-element scatter. The
+  // in-bounds x range of each (c, ky, kx) row is hoisted, leaving a
+  // branch-free add loop over raw rows (contiguous at stride 1).
   const float* src = cols.data();
+  float* item = out.data() + static_cast<std::size_t>(n) * C * H * W;
   for (int c = 0; c < C; ++c) {
+    float* plane = item + static_cast<std::size_t>(c) * H * W;
     for (int ky = 0; ky < kernel; ++ky) {
+      const auto [y_lo, y_hi] = valid_outputs(H, oh, ky, stride, pad);
       for (int kx = 0; kx < kernel; ++kx) {
+        const auto [x_lo, x_hi] = valid_outputs(W, ow, kx, stride, pad);
         const int row = (c * kernel + ky) * kernel + kx;
         const float* s = src + static_cast<std::size_t>(row) * oh * ow;
-        for (int y = 0; y < oh; ++y) {
-          const int sy = y * stride + ky - pad;
-          if (sy < 0 || sy >= H) continue;
-          for (int x = 0; x < ow; ++x) {
-            const int sx = x * stride + kx - pad;
-            if (sx < 0 || sx >= W) continue;
-            out.at(n, c, sy, sx) += s[y * ow + x];
+        const int count = x_hi - x_lo;
+        for (int y = y_lo; y < y_hi; ++y) {
+          const float* s_row = s + static_cast<std::size_t>(y) * ow + x_lo;
+          float* d_row = plane +
+                         static_cast<std::size_t>(y * stride + ky - pad) * W +
+                         (x_lo * stride + kx - pad);
+          if (stride == 1) {
+            for (int i = 0; i < count; ++i) d_row[i] += s_row[i];
+          } else {
+            for (int i = 0; i < count; ++i) d_row[i * stride] += s_row[i];
           }
         }
       }

@@ -88,11 +88,16 @@ Tensor im2col(const Tensor& input, int n, int kernel, int stride, int pad);
 
 /// im2col into a caller-owned column matrix of shape (C*k*k) x (outH*outW).
 /// Lets inference loops reuse one scratch allocation across batch items.
+/// Throws std::invalid_argument unless `input` is NCHW, 0 <= n < N and
+/// `cols` already has that shape.
 void im2col_into(const Tensor& input, int n, int kernel, int stride, int pad,
                  Tensor& cols);
 
 /// Adjoint of im2col: scatter-adds columns back into a C x H x W gradient
 /// image (written into the n-th item of `out`, which must be pre-shaped).
+/// Adds row by row in (c, ky, kx, y, x) order, so each output element sums
+/// its contributions in a fixed sequence. Throws std::invalid_argument
+/// unless `out` is NCHW, 0 <= n < N and `cols` is the matching 2-D matrix.
 void col2im_add(const Tensor& cols, Tensor& out, int n, int kernel, int stride,
                 int pad);
 

@@ -11,7 +11,9 @@ namespace dcsr {
 /// Random-access frame producer. The codec and pipelines consume this
 /// interface, so real decoders, synthetic generators, and test fixtures are
 /// interchangeable. Frames must be pure functions of the index (no hidden
-/// playback state), which permits out-of-order access during training.
+/// playback state), which permits out-of-order access during training, and
+/// `frame()` must be safe to call concurrently: codec::Encoder::encode
+/// renders each closed GOP's frames on the pool thread that encodes it.
 class VideoSource {
  public:
   VideoSource() = default;

@@ -2,14 +2,19 @@
 
 #include "codec/bits.hpp"
 #include "codec/block_coder.hpp"
+#include "codec/container.hpp"
 #include "codec/dct.hpp"
 #include "codec/decoder.hpp"
 #include "codec/encoder.hpp"
 #include "codec/frame_coding.hpp"
 #include "codec/motion.hpp"
 #include "codec/quant.hpp"
+#include "codec/rate_control.hpp"
+#include "fp_exact.hpp"
 #include "image/convert.hpp"
 #include "image/metrics.hpp"
+#include "util/serialize.hpp"
+#include "util/thread_pool.hpp"
 #include "video/genres.hpp"
 #include "video/noise.hpp"
 
@@ -459,6 +464,79 @@ TEST(Codec, NonContiguousSegmentsRejected) {
   const Encoder enc(CodecConfig{});
   EXPECT_THROW(enc.encode(*video, {{0, 10}, {15, 15}}), std::invalid_argument);
   EXPECT_THROW(enc.encode(*video, {{0, 10}}), std::invalid_argument);  // not covering
+}
+
+std::vector<std::uint8_t> container_bytes(const EncodedVideo& ev) {
+  ByteWriter w;
+  write_container(ev, w);
+  return w.bytes();
+}
+
+TEST(Encoder, GopParallelBitIdentical) {
+  // Closed GOPs (one per I frame) encode concurrently and are concatenated in
+  // GOP order, so the container must not depend on the pool size. Segment
+  // lengths: 1, 3, a multiple of both non-zero intra periods (60) and a
+  // non-multiple (26), so GOPs of every shape occur, including a B-frame
+  // plan cut short by the segment end.
+  const auto video = make_genre_video(Genre::kSports, 41, 32, 48, 3.0);  // 3 MB rows
+  ASSERT_EQ(video->frame_count(), 90);
+  const std::vector<SegmentPlan> plan{{0, 1}, {1, 3}, {4, 60}, {64, 26}};
+  const int saved_threads = default_thread_count();
+  for (const int intra_period : {0, 5, 12}) {
+    for (const bool b_frames : {false, true}) {
+      for (const int slices : {1, 3}) {
+        CodecConfig cfg;
+        cfg.crf = 30;
+        cfg.intra_period = intra_period;
+        cfg.use_b_frames = b_frames;
+        cfg.slices = slices;
+        std::vector<std::uint8_t> bytes[2];
+        for (const int t : {0, 1}) {
+          set_default_pool_threads(t == 0 ? 1 : 4);
+          bytes[t] = container_bytes(Encoder(cfg).encode(*video, plan));
+        }
+        EXPECT_EQ(bytes[0], bytes[1]) << "intra_period=" << intra_period
+                                      << " b_frames=" << b_frames
+                                      << " slices=" << slices;
+      }
+    }
+  }
+  // Rate control re-encodes each segment through encode_segment, which fans
+  // out over that segment's GOPs.
+  CodecConfig base;
+  base.intra_period = 12;
+  base.use_b_frames = true;
+  std::vector<std::uint8_t> bytes[2];
+  std::vector<int> crfs[2];
+  for (const int t : {0, 1}) {
+    set_default_pool_threads(t == 0 ? 1 : 4);
+    const RateControlledVideo rc =
+        encode_with_target_bitrate(*video, plan, base, 150e3);
+    bytes[t] = container_bytes(rc.video);
+    crfs[t] = rc.segment_crf;
+  }
+  set_default_pool_threads(saved_threads);
+  EXPECT_EQ(bytes[0], bytes[1]);
+  EXPECT_EQ(crfs[0], crfs[1]);
+}
+
+TEST(Encoder, QuickstartContainerIsPinned) {
+  // The quickstart video (examples/quickstart.cpp) encoded with the server
+  // pipeline's codec settings over the segments its split produces. The
+  // pinned size and CRC-32 were recorded with the serial encoder, before
+  // GOPs encoded in parallel.
+  const auto video = make_genre_video(Genre::kNews, 5, 96, 64, 60.0, 10.0);
+  CodecConfig cfg;
+  cfg.crf = 51;
+  cfg.intra_period = 12;
+  const EncodedVideo ev =
+      Encoder(cfg).encode(*video, {{0, 300}, {300, 3}, {303, 182}, {485, 115}});
+  EXPECT_EQ(ev.frame_count(), 600);
+#if DCSR_FP_EXACT_BUILD
+  const std::vector<std::uint8_t> bytes = container_bytes(ev);
+  EXPECT_EQ(bytes.size(), 109425u);
+  EXPECT_EQ(crc32(bytes.data(), bytes.size()), 0x2144df1cu);
+#endif
 }
 
 TEST(Codec, HigherCrfUsesFewerBytes) {

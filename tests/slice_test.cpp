@@ -14,6 +14,7 @@
 #include "codec/errors.hpp"
 #include "codec/frame_coding.hpp"
 #include "codec/quant.hpp"
+#include "fp_exact.hpp"
 #include "image/convert.hpp"
 #include "image/metrics.hpp"
 #include "util/alloc_check.hpp"
@@ -216,22 +217,6 @@ TEST(Slice, SlicelessStreamStillWritesV2) {
   EXPECT_TRUE(back.segments[0].frames[0].slice_sizes.empty());
   EXPECT_EQ(back.segments[0].frames[0].payload, v.segments[0].frames[0].payload);
 }
-
-// The pinned CRC below is an FP-exact cross-build claim, and sanitizer
-// instrumentation legitimately changes scalar FP contraction — so only
-// uninstrumented builds check the exact bytes; sanitized builds still check
-// structure and reconstruction fidelity.
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-#define DCSR_FP_EXACT_BUILD 0
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-#define DCSR_FP_EXACT_BUILD 0
-#else
-#define DCSR_FP_EXACT_BUILD 1
-#endif
-#else
-#define DCSR_FP_EXACT_BUILD 1
-#endif
 
 TEST(Slice, PreSliceFixtureDecodesUnchanged) {
   // tests/data/pre-slice-v2.dcv was written and decoded by the build

@@ -10,11 +10,13 @@
 #include <utility>
 #include <vector>
 
+#include "col2im_naive.hpp"
 #include "matmul_naive.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/shape.hpp"
 #include "tensor/tensor.hpp"
 #include "tensor/workspace.hpp"
+#include "util/alloc_check.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dcsr {
@@ -259,6 +261,73 @@ TEST(Ops, Col2imIsAdjointOfIm2col) {
   for (std::size_t i = 0; i < cols.size(); ++i) lhs += cols[i] * y[i];
   for (std::size_t i = 0; i < x.size(); ++i) rhs += x[i] * back[i];
   EXPECT_NEAR(lhs, rhs, 1e-3);
+}
+
+TEST(Ops, Col2imMatchesNaiveBitwise) {
+  // The row-wise col2im_add adds in the per-element scatter's
+  // (c, ky, kx, y, x) order, so every output element must come out with the
+  // same bits — the adjoint test above only checks to 1e-3, which a changed
+  // summation order would pass. Item n = 1 of a 3-item batch, H != W, and a
+  // non-zero `out` to accumulate into; items 0 and 2 must stay untouched.
+  Rng rng(31);
+  for (const int k : {1, 3, 5}) {
+    for (const int stride : {1, 2}) {
+      for (const int pad : {0, 1, 2}) {
+        const int C = 3, H = 9, W = 7;
+        const int oh = conv_out_size(H, k, stride, pad);
+        const int ow = conv_out_size(W, k, stride, pad);
+        if (oh <= 0 || ow <= 0) continue;
+        const Tensor cols = Tensor::randn({C * k * k, oh * ow}, rng);
+        const Tensor base = Tensor::randn({3, C, H, W}, rng);
+        Tensor got = base;
+        Tensor want = base;
+        col2im_add(cols, got, 1, k, stride, pad);
+        col2im_add_naive(cols, want, 1, k, stride, pad);
+        ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+            << "kernel=" << k << " stride=" << stride << " pad=" << pad;
+        const std::size_t item = static_cast<std::size_t>(C) * H * W;
+        EXPECT_EQ(std::memcmp(got.data(), base.data(), item * sizeof(float)), 0);
+        EXPECT_EQ(std::memcmp(got.data() + 2 * item, base.data() + 2 * item,
+                              item * sizeof(float)),
+                  0);
+      }
+    }
+  }
+}
+
+TEST(Ops, Im2colAndCol2imRejectBadBatchIndexAndRank) {
+  // Both kernels address item n through raw pointers, so an out-of-range n
+  // must be rejected up front. The errors surface as std::invalid_argument
+  // even inside a hot-path guard (the checked build's heap auditor would
+  // otherwise turn building the message into a HotPathAllocError).
+  set_alloc_check_enabled(true);
+  const Tensor x = Tensor::full({2, 3, 6, 5}, 1.0f);
+  Tensor grad({2, 3, 6, 5});
+  Tensor cols({3 * 3 * 3, 6 * 5});
+  const auto rejects = [](auto&& call) {
+    try {
+      HotPathGuard guard("tensor_test:Im2colAndCol2imRejectBadBatchIndexAndRank");
+      call();
+    } catch (const std::invalid_argument&) {
+      return true;
+    } catch (...) {
+      return false;
+    }
+    return false;
+  };
+  for (const int n : {-1, 2, 1000}) {
+    EXPECT_TRUE(rejects([&] { im2col_into(x, n, 3, 1, 1, cols); })) << n;
+    EXPECT_TRUE(rejects([&] { col2im_add(cols, grad, n, 3, 1, 1); })) << n;
+  }
+  // Columns of the right element count but the wrong rank.
+  Tensor cols_3d({3 * 3 * 3, 6, 5});
+  EXPECT_TRUE(rejects([&] { col2im_add(cols_3d, grad, 0, 3, 1, 1); }));
+  // Valid calls still go through, and the rejected ones wrote nothing.
+  for (std::size_t i = 0; i < grad.size(); ++i) ASSERT_EQ(grad[i], 0.0f);
+  im2col_into(x, 1, 3, 1, 1, cols);
+  col2im_add(cols, grad, 1, 3, 1, 1);
+  EXPECT_EQ(grad.at(0, 0, 0, 0), 0.0f);
+  EXPECT_EQ(grad.at(1, 0, 2, 2), 9.0f);  // interior: all nine taps land
 }
 
 TEST(Ops, SumAndMse) {

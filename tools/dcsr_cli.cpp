@@ -1,9 +1,12 @@
 // dcsr_cli — command-line front end for the codec and container layers.
 //
 //   dcsr_cli synth  <out.dcv> [genre] [seed] [seconds] [crf] [slices]
+//                   [intra_period]
 //       Generates a synthetic genre video, splits it at scene changes,
-//       encodes it (optionally as multiple macroblock-row slices per frame),
-//       and writes a .dcv container.
+//       encodes it (optionally as multiple macroblock-row slices per frame,
+//       and with an extra I frame every intra_period frames of a segment;
+//       0, the default, puts I frames only at segment starts), and writes a
+//       .dcv container. The bytes do not depend on DCSR_THREADS.
 //
 //   dcsr_cli decode <in.dcv> <out.yuv>
 //       Decodes the container and dumps raw little-endian f32 planes
@@ -71,20 +74,24 @@ int cmd_synth(int argc, char** argv) {
   const double seconds = argc > 3 ? std::atof(argv[3]) : 20.0;
   const int crf = argc > 4 ? std::atoi(argv[4]) : 35;
   const int slices = argc > 5 ? std::atoi(argv[5]) : 1;
+  const int intra_period = argc > 6 ? std::atoi(argv[6]) : 0;
 
   const auto video = make_genre_video(genre, seed, kWidth, kHeight, seconds, kFps);
   const auto segments = split::variable_segments(*video);
   codec::CodecConfig cfg;
   cfg.crf = crf;
   cfg.slices = slices;
+  cfg.intra_period = intra_period;
   const auto encoded = codec::Encoder(cfg).encode(*video, segments);
 
   ByteWriter w;
   codec::write_container(encoded, w);
   write_file(out, w.bytes());
-  std::printf("wrote %s: %d frames in %zu segments, %.1f KB (crf %d, %d slices)\n",
-              out.c_str(), encoded.frame_count(), encoded.segments.size(),
-              w.size() / 1e3, crf, slices);
+  std::printf(
+      "wrote %s: %d frames in %zu segments, %.1f KB (crf %d, %d slices, "
+      "intra period %d)\n",
+      out.c_str(), encoded.frame_count(), encoded.segments.size(),
+      w.size() / 1e3, crf, slices, intra_period);
   return 0;
 }
 
@@ -222,7 +229,8 @@ int main(int argc, char** argv) {
   if (argc < 3) {
     std::fprintf(stderr,
                  "usage:\n"
-                 "  dcsr_cli synth  <out.dcv> [genre] [seed] [seconds] [crf] [slices]\n"
+                 "  dcsr_cli synth  <out.dcv> [genre] [seed] [seconds] [crf] [slices]"
+                 " [intra_period]\n"
                  "  dcsr_cli decode <in.dcv> <out.yuv>\n"
                  "  dcsr_cli info   <in.dcv>\n"
                  "  dcsr_cli verify <in.dcv> [genre] [seed] [seconds]\n"

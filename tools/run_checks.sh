@@ -44,9 +44,12 @@
 #               slice counts 1/2/4, decode every container under both
 #               DCSR_THREADS=1 and =4, and byte-diff all six raw-YUV dumps
 #               against each other — decoded output must be bit-identical
-#               across slice counts AND thread counts. Also decodes the
-#               committed pre-slice (v2, sliceless) fixture to pin backward
-#               compatibility through the CLI.
+#               across slice counts AND thread counts. Also synthesises an
+#               intra-period-12 video under DCSR_THREADS=1 and =4 and
+#               byte-compares the two containers (the encoder's closed GOPs
+#               run concurrently, replayed by the containment auditor), and
+#               decodes the committed pre-slice (v2, sliceless) fixture to
+#               pin backward compatibility through the CLI.
 #   tidy        clang-tidy over every translation unit in src/ against the
 #               checked-in .clang-tidy, driven by the default build's
 #               compile_commands.json; any diagnostic fails the leg. If
@@ -219,6 +222,18 @@ run_leg() {
       cmake -B "$build" -S "$ROOT" -DDCSR_WERROR=ON -DDCSR_CHECKED=ON || return 1
       cmake --build "$build" -j --target dcsr_cli || return 1
       local cli="$build/tools/dcsr_cli" s t ref=""
+      # Encoder determinism: closed GOPs encode concurrently, so the
+      # container bytes must not depend on the thread count.
+      for t in 1 4; do
+        env DCSR_THREADS="$t" "$cli" synth "$build/decode-smoke-gop-t$t.dcv" \
+          sports 7 2 30 2 12 >/dev/null || return 1
+      done
+      if ! cmp -s "$build/decode-smoke-gop-t1.dcv" "$build/decode-smoke-gop-t4.dcv"; then
+        echo "decode-smoke: intra-period-12 containers differ between" \
+             "DCSR_THREADS=1 and =4" >&2
+        return 1
+      fi
+      echo "decode-smoke: encoded container bit-identical across threads {1,4}"
       for s in 1 2 4; do
         "$cli" synth "$build/decode-smoke-s$s.dcv" sports 7 2 30 "$s" \
           >/dev/null || return 1
