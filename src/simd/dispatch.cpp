@@ -9,17 +9,9 @@ namespace dcsr::simd {
 
 namespace {
 
-bool cpu_supports_sse2() noexcept {
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-  return __builtin_cpu_supports("sse2");
-#else
-  return false;
-#endif
-}
-
 bool cpu_supports_avx2_fma() noexcept {
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-  // The AVX2 backend leans on vfmadd for the contracted families, so it
+  // The AVX2 backend leans on vfmadd for the fused families, so it
   // needs both feature bits (paired on every real AVX2 part, but checking
   // is free).
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
@@ -28,18 +20,14 @@ bool cpu_supports_avx2_fma() noexcept {
 #endif
 }
 
-// All backend tables, built once. Tables are layered: sse2 overlays the
-// scalar oracle, avx2 overlays sse2 (so a family avx2 doesn't override
-// keeps the best lower implementation). Building a table never executes
-// that backend's instructions — populate_* only stores function pointers —
-// so constructing unsupported tables is safe; host gating happens in
-// table_for().
+// Both backend tables, built once: avx2 overlays a copy of the scalar
+// oracle. Building a table never executes that backend's instructions —
+// populate_avx2 only stores function pointers — so constructing it on an
+// unsupported host is safe; host gating happens in table_for().
 struct Tables {
-  KernelTable scalar, sse2, avx2;
-  bool compiled_sse2, compiled_avx2;
-  Tables() noexcept : scalar(scalar_table()), sse2(scalar) {
-    compiled_sse2 = populate_sse2(sse2);
-    avx2 = sse2;
+  KernelTable scalar, avx2;
+  bool compiled_avx2;
+  Tables() noexcept : scalar(scalar_table()), avx2(scalar) {
     compiled_avx2 = populate_avx2(avx2);
   }
 };
@@ -65,9 +53,8 @@ const KernelTable* resolve_from_env() {
     }
     return t;
   }
-  // Best supported backend, avx2 > sse2 > scalar.
+  // Best supported backend, avx2 > scalar.
   if (const KernelTable* t = table_for(Backend::kAvx2)) return t;
-  if (const KernelTable* t = table_for(Backend::kSse2)) return t;
   return &tables().scalar;
 }
 
@@ -108,18 +95,18 @@ const char* backend_name(Backend b) noexcept {
 }
 
 Backend parse_backend(const std::string& value) {
-  for (const Backend b : {Backend::kScalar, Backend::kSse2, Backend::kAvx2})
+  for (const Backend b : {Backend::kScalar, Backend::kAvx2})
     if (value == backend_name(b)) return b;
   throw SimdDispatchError("DCSR_SIMD: unknown backend '" + value +
-                          "' (expected scalar|sse2|avx2)");
+                          "' (expected scalar|avx2)");
 }
 
 bool host_supports(Backend b) noexcept {
   switch (b) {
     case Backend::kScalar: return true;
-    case Backend::kSse2: return tables().compiled_sse2 && cpu_supports_sse2();
     case Backend::kAvx2:
       return tables().compiled_avx2 && cpu_supports_avx2_fma();
+    case Backend::kSse2:
     case Backend::kNeon: return false;
   }
   return false;
@@ -129,8 +116,8 @@ const KernelTable* table_for(Backend b) noexcept {
   if (!host_supports(b)) return nullptr;
   switch (b) {
     case Backend::kScalar: return &tables().scalar;
-    case Backend::kSse2: return &tables().sse2;
     case Backend::kAvx2: return &tables().avx2;
+    case Backend::kSse2:
     case Backend::kNeon: break;
   }
   return nullptr;

@@ -9,23 +9,22 @@ namespace dcsr::simd {
 
 /// Runtime-dispatched SIMD kernel backends.
 ///
-/// The scalar kernels in kernels_scalar.cpp are the bit-exact reference
-/// oracle: every other backend must produce byte-identical outputs for every
-/// kernel family it overrides, which is what lets the rest of the tree treat
-/// the backend as an invisible implementation detail — the determinism
-/// contract (ROADMAP "Threading model") extends to "bit-identical within a
-/// backend, every backend pinned against the scalar reference" and, because
-/// the pins hold, across backends too. The Simd.* test suite enforces this
-/// per backend; tools/run_checks.sh's `simd` leg re-runs the whole tier-1
-/// suite once per host-supported backend.
+/// Two backends exist: the scalar kernels in kernels_scalar.cpp, which are
+/// the bit-exact reference oracle, and AVX2+FMA, which overrides every
+/// kernel family with byte-identical outputs. The oracle writes each fused
+/// multiply-add as std::fma and both kernel TUs compile with
+/// -ffp-contract=off, so the kernels' bits do not depend on the build type
+/// or -march, and the backend is an invisible implementation detail: results
+/// are bit-identical across backends. Simd.ScalarOracleGoldenCrc pins the
+/// oracle's own bits, the other Simd.* tests pin AVX2 against it, and
+/// tools/run_checks.sh's `simd` leg re-runs the whole tier-1 suite once per
+/// host-supported backend.
 ///
 /// Selection happens once, on first use:
-///   - `DCSR_SIMD=scalar|sse2|avx2` forces a backend. Naming a backend
-///     the host cannot run (or an unknown value) throws SimdDispatchError —
-///     loud, so perf numbers are never silently attributed to the wrong
-///     backend.
-///   - Unset: the best backend the host supports (cpuid), avx2 > sse2 >
-///     scalar.
+///   - `DCSR_SIMD=scalar|avx2` forces a backend. Naming a backend the host
+///     cannot run (or an unknown value) throws SimdDispatchError — loud, so
+///     perf numbers are never silently attributed to the wrong backend.
+///   - Unset: avx2 when the host supports it (cpuid), else scalar.
 ///
 /// Intrinsics are confined to src/simd/ (lint rule [raw-intrinsics]); all
 /// call sites go through active(). Kernels compose with the existing
@@ -39,7 +38,7 @@ class SimdDispatchError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Display / env-var name of a backend ("scalar", "sse2", "avx2").
+/// Display / env-var name of a backend ("scalar", "avx2").
 const char* backend_name(Backend b) noexcept;
 
 /// Parses a DCSR_SIMD value. Throws SimdDispatchError on unknown names; the

@@ -3,11 +3,9 @@
 // Shared per-element helpers for the kernel TUs (scalar oracle and SIMD
 // backends alike). SIMD row kernels vectorise interior lanes and call these
 // for edge pixels / tail lanes, so edge handling is the *same inlined code*
-// in every backend: GCC's contraction decisions per statement are
-// deterministic given FMA availability, and the dispatcher only installs a
-// backend's FMA-dependent families when the oracle TU was contracted too
-// (scalar_fma_contraction), so the shared helpers compile to the same float
-// semantics in every TU that ends up live.
+// in every backend. Each fused step is a written std::fma and every other
+// multiply rounds; the kernel TUs that inline them compile with
+// -ffp-contract=off, so the helpers mean the same float operations in each.
 // Internal to src/simd: call sites outside it go through dispatch.hpp.
 
 #include <algorithm>
@@ -36,9 +34,11 @@ inline float chroma_sample(const float* r0, const float* r1, int cw, int x,
   const float fx = cx - static_cast<float>(x0);
   const int xl = clamp_idx(x0, cw);
   const int xr = clamp_idx(x0 + 1, cw);
-  const float a = r0[xl] * (1 - fx) + r0[xr] * fx;
-  const float b = r1[xl] * (1 - fx) + r1[xr] * fx;
-  return a * (1 - fy) + b * fy;
+  // Per row the right tap rounds and the left tap fuses; vertically the
+  // row-1 term rounds and the row-0 term fuses.
+  const float a = std::fma(r0[xl], 1 - fx, r0[xr] * fx);
+  const float b = std::fma(r1[xl], 1 - fx, r1[xr] * fx);
+  return std::fma(a, 1 - fy, b * fy);
 }
 
 // One output pixel of YUV420 -> RGB (bilinear chroma upsample, BT.601).
@@ -46,11 +46,13 @@ inline void yuv_rgb_pixel(const float* yrow, const float* u0, const float* u1,
                           const float* v0, const float* v1, float fy, int cw,
                           int x, float* r, float* g, float* b) noexcept {
   const float luma = yrow[x];
+  // The U branch's (1 - kWb) multiply rounds before the + luma add; the V
+  // branch's (1 - kWr) multiply fuses into it.
   const float u = (chroma_sample(u0, u1, cw, x, fy) - 0.5f) * 2.0f * (1.0f - kWb);
-  const float v = (chroma_sample(v0, v1, cw, x, fy) - 0.5f) * 2.0f * (1.0f - kWr);
-  const float rr = luma + v;
+  const float v = (chroma_sample(v0, v1, cw, x, fy) - 0.5f) * 2.0f;
+  const float rr = std::fma(v, 1.0f - kWr, luma);
   const float bb = luma + u;
-  const float gg = (luma - kWr * rr - kWb * bb) / kWg;
+  const float gg = std::fma(-kWb, bb, std::fma(-kWr, rr, luma)) / kWg;
   r[x] = std::clamp(rr, 0.0f, 1.0f);
   g[x] = std::clamp(gg, 0.0f, 1.0f);
   b[x] = std::clamp(bb, 0.0f, 1.0f);
@@ -59,7 +61,8 @@ inline void yuv_rgb_pixel(const float* yrow, const float* u0, const float* u1,
 // One pixel of RGB -> luma + full-resolution chroma offsets.
 inline void rgb_yuv_pixel(const float* r, const float* g, const float* b,
                           int x, float* yrow, float* uf, float* vf) noexcept {
-  const float luma = kWr * r[x] + kWg * g[x] + kWb * b[x];
+  // The kWg * g product rounds; the kWr and kWb terms fuse onto it.
+  const float luma = std::fma(kWb, b[x], std::fma(kWr, r[x], kWg * g[x]));
   yrow[x] = luma;
   uf[x] = 0.5f + 0.5f * (b[x] - luma) / (1.0f - kWb);
   vf[x] = 0.5f + 0.5f * (r[x] - luma) / (1.0f - kWr);

@@ -20,7 +20,7 @@
 # Release measurement.
 #
 # The bench binary also stamps dcsr_simd_backend / dcsr_simd_dispatch into
-# the JSON context; select a backend with DCSR_SIMD=scalar|sse2|avx2.
+# the JSON context; select a backend with DCSR_SIMD=scalar|avx2.
 # Usage: tools/run_benches.sh [extra benchmark args...]
 set -euo pipefail
 
