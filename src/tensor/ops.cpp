@@ -72,24 +72,12 @@ constexpr int kNR = 16;   // register tile columns (two AVX2 vectors)
 constexpr int kKC = 256;  // k block: A panel kMR*kKC floats stays in L1
 constexpr int kNC = 512;  // column block: B panel kKC*kNC floats stays in L2
 
-// The kMR x kNR register micro-kernel lives in src/simd/ (gemm_tile_6x16):
+// The register tile, up to kMR x kNR, lives in src/simd/ (gemm_tile):
 // scalar reference in kernels_scalar.cpp, AVX2 replay pinned bitwise against
-// it. gemm_strided resolves the active backend once, outside the parallel
-// region, so a bad DCSR_SIMD surfaces as an exception on the calling thread.
-
-// Edge tile with runtime extents; accumulates straight into C.
-void micro_tile_any(const float* A, std::size_t a_rs, std::size_t a_ks,
-                    const float* B, std::size_t ldb, float* C, std::size_t ldc,
-                    int mr, int nr, int kn) {
-  for (int kk = 0; kk < kn; ++kk) {
-    const float* b = B + static_cast<std::size_t>(kk) * ldb;
-    for (int r = 0; r < mr; ++r) {
-      const float a = A[r * a_rs + static_cast<std::size_t>(kk) * a_ks];
-      float* c = C + static_cast<std::size_t>(r) * ldc;
-      for (int j = 0; j < nr; ++j) c[j] += a * b[j];
-    }
-  }
-}
+// it. It runs full and edge tiles alike, so an element's rounding does not
+// depend on where the tile grid cuts it. gemm_strided resolves the active
+// backend once, outside the parallel region, so a bad DCSR_SIMD surfaces as
+// an exception on the calling thread.
 
 void gemm_strided(const float* A, std::size_t a_rs, std::size_t a_ks,
                   const float* B, std::size_t ldb, float* C, std::size_t ldc,
@@ -121,12 +109,9 @@ void gemm_strided(const float* A, std::size_t a_rs, std::size_t a_ks,
           const float* Ap = A + static_cast<std::size_t>(i) * a_rs +
                             static_cast<std::size_t>(kc) * a_ks;
           float* Cp = C + static_cast<std::size_t>(i) * ldc + jc;
-          int j = 0;
-          if (mr == kMR)
-            for (; j + kNR <= jn; j += kNR)
-              kt.gemm_tile_6x16(Ap, a_rs, a_ks, Bp + j, ldb, Cp + j, ldc, kn);
-          if (j < jn)
-            micro_tile_any(Ap, a_rs, a_ks, Bp + j, ldb, Cp + j, ldc, mr, jn - j, kn);
+          for (int j = 0; j < jn; j += kNR)
+            kt.gemm_tile(Ap, a_rs, a_ks, Bp + j, ldb, Cp + j, ldc, mr,
+                         std::min(kNR, jn - j), kn);
         }
       }
       // Fused epilogue: once the kc loop above has finished, every element

@@ -4,8 +4,11 @@
 // blocked kernels in tensor/ops.hpp are property-tested against
 // (Ops.BlockedKernelsMatchNaiveReferences) and the baseline
 // bench_micro_kernels' BM_MatmulNaive times them against. Test and bench
-// tooling only; nothing in src/ uses these.
+// tooling only; nothing in src/ uses these. The NN and TN references
+// accumulate with one written fma per k step, the chain the blocked
+// kernel's tiles use, so they match it bitwise in every build type.
 
+#include <cmath>
 #include <cstddef>
 #include <stdexcept>
 
@@ -28,7 +31,7 @@ inline Tensor matmul_naive(const Tensor& a, const Tensor& b) {
       const float aik = A[static_cast<std::size_t>(i) * k + kk];
       const float* Brow = B + static_cast<std::size_t>(kk) * n;
       float* Crow = C + static_cast<std::size_t>(i) * n;
-      for (int j = 0; j < n; ++j) Crow[j] += aik * Brow[j];
+      for (int j = 0; j < n; ++j) Crow[j] = std::fma(aik, Brow[j], Crow[j]);
     }
   }
   return out;
@@ -49,7 +52,7 @@ inline Tensor matmul_tn_naive(const Tensor& a, const Tensor& b) {
     for (int i = 0; i < m; ++i) {
       const float aik = Arow[i];
       float* Crow = C + static_cast<std::size_t>(i) * n;
-      for (int j = 0; j < n; ++j) Crow[j] += aik * Brow[j];
+      for (int j = 0; j < n; ++j) Crow[j] = std::fma(aik, Brow[j], Crow[j]);
     }
   }
   return out;
