@@ -1,6 +1,7 @@
 #include "core/deployment.hpp"
 
 #include <cstdio>
+#include <filesystem>
 #include <stdexcept>
 
 #include "codec/container.hpp"
@@ -18,6 +19,7 @@ DeploymentPaths deployment_paths(const std::string& dir) {
 
 void write_deployment(const ServerResult& server, const std::string& dir,
                       bool fp16) {
+  std::filesystem::create_directories(dir);
   const DeploymentPaths paths = deployment_paths(dir);
 
   // Stream.

@@ -23,7 +23,9 @@ struct DeploymentPaths {
 
 DeploymentPaths deployment_paths(const std::string& dir);
 
-/// Writes all four artefacts. `fp16` halves the model payloads.
+/// Writes all four artefacts into `dir`, creating it and any missing parents
+/// first; throws std::filesystem::filesystem_error if that fails (e.g. a
+/// component of `dir` is a regular file). `fp16` halves the model payloads.
 void write_deployment(const ServerResult& server, const std::string& dir,
                       bool fp16 = true);
 

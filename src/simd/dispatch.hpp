@@ -12,13 +12,13 @@ namespace dcsr::simd {
 /// Two backends exist: the scalar kernels in kernels_scalar.cpp, which are
 /// the bit-exact reference oracle, and AVX2+FMA, which overrides every
 /// kernel family with byte-identical outputs. The oracle writes each fused
-/// multiply-add as std::fma and both kernel TUs compile with
-/// -ffp-contract=off, so the kernels' bits do not depend on the build type
-/// or -march, and the backend is an invisible implementation detail: results
-/// are bit-identical across backends. Simd.ScalarOracleGoldenCrc pins the
-/// oracle's own bits, the other Simd.* tests pin AVX2 against it, and
-/// tools/run_checks.sh's `simd` leg re-runs the whole tier-1 suite once per
-/// host-supported backend.
+/// multiply-add as std::fma and the tree compiles with -ffp-contract=off
+/// (root CMakeLists.txt), so the kernels' bits do not depend on the build
+/// type or -march, and the backend is an invisible implementation detail:
+/// results are bit-identical across backends. Simd.ScalarOracleGoldenCrc
+/// pins the oracle's own bits, the other Simd.* tests pin AVX2 against it,
+/// and tools/run_checks.sh's `simd` leg re-runs the whole tier-1 suite once
+/// per host-supported backend.
 ///
 /// Selection happens once, on first use:
 ///   - `DCSR_SIMD=scalar|avx2` forces a backend. Naming a backend the host

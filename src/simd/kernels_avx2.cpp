@@ -1,6 +1,6 @@
-// AVX2 backend. Compiled with -mavx2 -mfma -ffp-contract=off (see
-// src/simd/CMakeLists.txt); installed only when cpuid reports both avx2 and
-// fma.
+// AVX2 backend. Compiled with -mavx2 -mfma (see src/simd/CMakeLists.txt) on
+// top of the tree-wide -ffp-contract=off; installed only when cpuid reports
+// both avx2 and fma.
 //
 // Bit-exactness strategy per family:
 //   - dct/idct/dequant_idct/gemm/yuv: the scalar oracle writes its fused

@@ -4,8 +4,8 @@
 // backends alike). SIMD row kernels vectorise interior lanes and call these
 // for edge pixels / tail lanes, so edge handling is the *same inlined code*
 // in every backend. Each fused step is a written std::fma and every other
-// multiply rounds; the kernel TUs that inline them compile with
-// -ffp-contract=off, so the helpers mean the same float operations in each.
+// multiply rounds; the tree compiles with -ffp-contract=off, so the helpers
+// mean the same float operations in every TU that inlines them.
 // Internal to src/simd: call sites outside it go through dispatch.hpp.
 
 #include <algorithm>

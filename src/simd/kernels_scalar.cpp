@@ -3,9 +3,9 @@
 // quant.cpp, motion.cpp, convert.cpp and tensor/ops.cpp, with raw-pointer
 // arguments replacing the wrapper types, so the dispatch table has a scalar
 // entry for every family. Every fused multiply-add is a written std::fma and
-// this TU is compiled with -ffp-contract=off (src/simd/CMakeLists.txt), so
-// the arithmetic below is the oracle's definition whatever -march or build
-// type compiles it.
+// the tree compiles with -ffp-contract=off (root CMakeLists.txt), so the
+// arithmetic below is the oracle's definition whatever -march or build type
+// compiles it.
 #include <algorithm>
 #include <cmath>
 #include <cstring>

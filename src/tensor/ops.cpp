@@ -190,26 +190,6 @@ Tensor add(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-Tensor sub(const Tensor& a, const Tensor& b) {
-  require_same(a, b, "sub");
-  Tensor out = a;
-  out.axpy_(-1.0f, b);
-  return out;
-}
-
-Tensor mul(const Tensor& a, const Tensor& b) {
-  require_same(a, b, "mul");
-  Tensor out = a;
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] *= b[i];
-  return out;
-}
-
-Tensor scaled(const Tensor& a, float s) {
-  Tensor out = a;
-  out.scale_(s);
-  return out;
-}
-
 void matmul_into(ConstMat a, ConstMat b, Tensor& out) {
   const int m = a.rows, k = a.cols, n = b.cols;
   if (b.rows != k) throw std::invalid_argument("matmul_into: inner dim mismatch");
@@ -291,24 +271,6 @@ void matmul_nt_into(ConstMat a, ConstMat b, Tensor& out) {
   }, "tensor/ops.cpp:matmul_nt");
 }
 
-Tensor matmul_nt(const Tensor& a, const Tensor& b) {
-  require_2d(a, "matmul_nt");
-  require_2d(b, "matmul_nt");
-  if (b.dim(1) != a.dim(1)) throw std::invalid_argument("matmul_nt: inner dim mismatch");
-  Tensor out;
-  matmul_nt_into(a, b, out);
-  return out;
-}
-
-Tensor transpose(const Tensor& a) {
-  require_2d(a, "transpose");
-  const int m = a.dim(0), n = a.dim(1);
-  Tensor out({n, m});
-  for (int i = 0; i < m; ++i)
-    for (int j = 0; j < n; ++j) out.at(j, i) = a.at(i, j);
-  return out;
-}
-
 int conv_out_size(int in, int kernel, int stride, int pad) noexcept {
   return (in + 2 * pad - kernel) / stride + 1;
 }
@@ -327,16 +289,6 @@ int conv_out_size_checked(int in, int kernel, int stride, int pad,
   const int out = conv_out_size(in, kernel, stride, pad);
   if (out <= 0) bad("non-positive conv output size");
   return out;
-}
-
-Tensor im2col(const Tensor& input, int n, int kernel, int stride, int pad) {
-  if (input.rank() != 4) throw std::invalid_argument("im2col: expected NCHW input");
-  const int C = input.dim(1), H = input.dim(2), W = input.dim(3);
-  const int oh = conv_out_size(H, kernel, stride, pad);
-  const int ow = conv_out_size(W, kernel, stride, pad);
-  Tensor cols({C * kernel * kernel, oh * ow});
-  im2col_into(input, n, kernel, stride, pad, cols);
-  return cols;
 }
 
 void im2col_into(const Tensor& input, int n, int kernel, int stride, int pad,

@@ -4,11 +4,8 @@
 
 namespace dcsr {
 
-/// Elementwise ops. All require matching shapes and return a new tensor.
+/// Elementwise sum. Requires matching shapes and returns a new tensor.
 Tensor add(const Tensor& a, const Tensor& b);
-Tensor sub(const Tensor& a, const Tensor& b);
-Tensor mul(const Tensor& a, const Tensor& b);
-Tensor scaled(const Tensor& a, float s);
 
 /// Non-owning view of a row-major 2-D matrix. The `*_into` GEMM entry points
 /// accept views so a kernel can multiply a slice of a larger buffer (e.g.
@@ -47,20 +44,19 @@ Tensor matmul(const Tensor& a, const Tensor& b);
 /// Blocked and parallelised like matmul.
 Tensor matmul_tn(const Tensor& a, const Tensor& b);
 
-/// Matrix product with the second operand transposed: a(m x k) * bT(n x k).
+/// `*_into` variants of the two products: identical kernels and float order
+/// (bit-identical results), but the output is written into `out`, which is
+/// reshaped in place — a warm caller-owned buffer (typically a Workspace
+/// checkout) is reused instead of reallocated. The allocating entry points
+/// above are thin wrappers over these. `out` must not alias either input.
+void matmul_into(ConstMat a, ConstMat b, Tensor& out);
+void matmul_tn_into(ConstMat a, ConstMat b, Tensor& out);
+
+/// Matrix product with the second operand transposed, a(m x k) * bT(n x k),
+/// into `out` (reshaped in place; must not alias either input).
 /// Lane-parallel dot-product kernel; deterministic for a fixed shape but the
 /// accumulation order differs from the naive reference (compare with a
 /// tolerance, not bitwise).
-Tensor matmul_nt(const Tensor& a, const Tensor& b);
-
-/// `*_into` variants of the three products: identical kernels and float
-/// order (bit-identical results), but the output is written into `out`,
-/// which is reshaped in place — a warm caller-owned buffer (typically a
-/// Workspace checkout) is reused instead of reallocated. The allocating
-/// entry points above are thin wrappers over these. `out` must not alias
-/// either input.
-void matmul_into(ConstMat a, ConstMat b, Tensor& out);
-void matmul_tn_into(ConstMat a, ConstMat b, Tensor& out);
 void matmul_nt_into(ConstMat a, ConstMat b, Tensor& out);
 
 /// Conv GEMM with a fused bias (and optionally ReLU) epilogue, written into
@@ -75,19 +71,13 @@ void matmul_nt_into(ConstMat a, ConstMat b, Tensor& out);
 void matmul_bias_into(ConstMat a, ConstMat b, const float* row_bias, MutMat out,
                       bool fuse_relu = false);
 
-/// 2-D transpose.
-Tensor transpose(const Tensor& a);
-
 /// im2col for a single image (C x H x W laid out as the n-th item of an NCHW
 /// tensor): extracts k x k patches with the given stride and zero padding
-/// into a (C*k*k) x (outH*outW) matrix. This is the workhorse behind Conv2d.
-/// Parallelised over the C*k*k output rows (each row is a disjoint slice of
-/// the column matrix, so the values are thread-count invariant); inside an
-/// outer parallel region the tiling degrades to serial as usual.
-Tensor im2col(const Tensor& input, int n, int kernel, int stride, int pad);
-
-/// im2col into a caller-owned column matrix of shape (C*k*k) x (outH*outW).
-/// Lets inference loops reuse one scratch allocation across batch items.
+/// into the caller-owned (C*k*k) x (outH*outW) matrix `cols`, so loops reuse
+/// one scratch allocation across batch items. This is the workhorse behind
+/// Conv2d. Parallelised over the C*k*k output rows (each row is a disjoint
+/// slice of the column matrix, so the values are thread-count invariant);
+/// inside an outer parallel region the tiling degrades to serial as usual.
 /// Throws std::invalid_argument unless `input` is NCHW, 0 <= n < N and
 /// `cols` already has that shape.
 void im2col_into(const Tensor& input, int n, int kernel, int stride, int pad,

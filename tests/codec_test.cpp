@@ -10,7 +10,6 @@
 #include "codec/motion.hpp"
 #include "codec/quant.hpp"
 #include "codec/rate_control.hpp"
-#include "fp_exact.hpp"
 #include "image/convert.hpp"
 #include "image/metrics.hpp"
 #include "util/serialize.hpp"
@@ -523,8 +522,9 @@ TEST(Encoder, GopParallelBitIdentical) {
 TEST(Encoder, QuickstartContainerIsPinned) {
   // The quickstart video (examples/quickstart.cpp) encoded with the server
   // pipeline's codec settings over the segments its split produces. The
-  // pinned size and CRC-32 were recorded with the serial encoder, before
-  // GOPs encoded in parallel.
+  // pin is the size and the container's own trailing CRC-32, i.e. the CRC
+  // of every byte before it; a CRC over the whole container, trailer
+  // included, is the constant CRC-32 residue 0x2144df1c for any container.
   const auto video = make_genre_video(Genre::kNews, 5, 96, 64, 60.0, 10.0);
   CodecConfig cfg;
   cfg.crf = 51;
@@ -532,11 +532,9 @@ TEST(Encoder, QuickstartContainerIsPinned) {
   const EncodedVideo ev =
       Encoder(cfg).encode(*video, {{0, 300}, {300, 3}, {303, 182}, {485, 115}});
   EXPECT_EQ(ev.frame_count(), 600);
-#if DCSR_FP_EXACT_BUILD
   const std::vector<std::uint8_t> bytes = container_bytes(ev);
-  EXPECT_EQ(bytes.size(), 109425u);
-  EXPECT_EQ(crc32(bytes.data(), bytes.size()), 0x2144df1cu);
-#endif
+  ASSERT_EQ(bytes.size(), 109395u);
+  EXPECT_EQ(crc32(bytes.data(), bytes.size() - 4), 0x9a78c132u);
 }
 
 TEST(Codec, HigherCrfUsesFewerBytes) {

@@ -96,6 +96,26 @@ TEST(Deployment, ManifestDrivesSessionIdentically) {
   EXPECT_EQ(session.model_downloads, static_cast<int>(dep.models.size()));
 }
 
+TEST(Deployment, WritesIntoFreshNestedDirectory) {
+  const auto video = make_genre_video(Genre::kSports, 70, 64, 48, 10.0, 15.0);
+  const ServerResult server = run_server_pipeline(*video, fast_config());
+  TempDir root;
+  const std::string dir = root.path + "/cdn/news/v1";
+  write_deployment(server, dir, true);
+  const Deployment dep = load_deployment(dir);
+  EXPECT_EQ(dep.labels, server.labels);
+  EXPECT_EQ(dep.video.size_bytes(), server.encoded.size_bytes());
+  EXPECT_EQ(dep.models.size(), static_cast<std::size_t>(server.k));
+}
+
+TEST(Deployment, DirectoryUnderRegularFileThrowsTyped) {
+  TempDir root;
+  const std::string file = root.path + "/not_a_dir";
+  write_file(file, {'x'});
+  EXPECT_THROW(write_deployment(ServerResult{}, file + "/deploy", true),
+               std::filesystem::filesystem_error);
+}
+
 TEST(Deployment, MissingFilesFailLoudly) {
   TempDir dir;
   EXPECT_THROW(load_deployment(dir.path), std::runtime_error);

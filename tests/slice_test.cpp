@@ -14,7 +14,6 @@
 #include "codec/errors.hpp"
 #include "codec/frame_coding.hpp"
 #include "codec/quant.hpp"
-#include "fp_exact.hpp"
 #include "image/convert.hpp"
 #include "image/metrics.hpp"
 #include "util/alloc_check.hpp"
@@ -251,9 +250,7 @@ TEST(Slice, PreSliceFixtureDecodesUnchanged) {
     yuv.write_f32_span(f.v.data(), f.v.size());
   }
   EXPECT_EQ(yuv.size(), 1105920u);
-#if DCSR_FP_EXACT_BUILD
   EXPECT_EQ(crc32(yuv.bytes().data(), yuv.size()), 0x1380e174u);
-#endif
 }
 
 // ---- Warm decode heap silence ----------------------------------------------

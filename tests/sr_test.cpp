@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "codec/bits.hpp"
+#include "codec/container.hpp"
 #include "codec/frame_coding.hpp"
 #include "codec/quant.hpp"
 #include "image/convert.hpp"
@@ -249,8 +250,14 @@ TEST(Trainer, BitIdenticalAcrossThreadCounts) {
   // same floats no matter how many threads the pool runs. Conv batch items
   // parallelise over disjoint outputs and weight/bias gradients reduce in
   // item order, so DCSR_THREADS=1 and DCSR_THREADS=4 may differ only in
-  // wall-clock, never in results.
+  // wall-clock, never in results. The trained model's fp32 parameter bytes
+  // are pinned too, so a change to the training arithmetic (or to the build
+  // flags that define it) cannot pass unnoticed.
   const int saved_threads = default_thread_count();
+  struct Trained {
+    TrainStats stats;
+    std::vector<std::uint8_t> params;
+  };
   const auto train_once = [](int threads) {
     set_default_pool_threads(threads);
     Rng rng(77);
@@ -260,16 +267,24 @@ TEST(Trainer, BitIdenticalAcrossThreadCounts) {
     opts.iterations = 25;
     opts.patch_size = 16;
     opts.batch_size = 2;
-    return train_sr_model(model, {pair}, opts, rng);
+    Trained t{train_sr_model(model, {pair}, opts, rng), {}};
+    ByteWriter w;
+    nn::save_params(model, w);
+    t.params = w.bytes();
+    return t;
   };
-  const TrainStats serial = train_once(1);
-  const TrainStats threaded = train_once(4);
+  const Trained serial = train_once(1);
+  const Trained threaded = train_once(4);
   set_default_pool_threads(saved_threads);
 
-  EXPECT_EQ(serial.final_loss, threaded.final_loss);
-  ASSERT_EQ(serial.loss_curve.size(), threaded.loss_curve.size());
-  for (std::size_t i = 0; i < serial.loss_curve.size(); ++i)
-    EXPECT_EQ(serial.loss_curve[i], threaded.loss_curve[i]) << "iteration " << i;
+  EXPECT_EQ(serial.stats.final_loss, threaded.stats.final_loss);
+  ASSERT_EQ(serial.stats.loss_curve.size(), threaded.stats.loss_curve.size());
+  for (std::size_t i = 0; i < serial.stats.loss_curve.size(); ++i)
+    EXPECT_EQ(serial.stats.loss_curve[i], threaded.stats.loss_curve[i])
+        << "iteration " << i;
+  EXPECT_EQ(serial.params, threaded.params);
+  EXPECT_EQ(codec::crc32(serial.params.data(), serial.params.size()),
+            0x83382af3u);
 }
 
 TEST(Edsr, InferMatchesForwardBitwise) {

@@ -116,9 +116,6 @@ TEST(Ops, ElementwiseAddSubMul) {
   b[0] = 3;
   b[1] = 5;
   EXPECT_EQ(add(a, b)[1], 7.0f);
-  EXPECT_EQ(sub(b, a)[0], 2.0f);
-  EXPECT_EQ(mul(a, b)[1], 10.0f);
-  EXPECT_EQ(scaled(a, 4.0f)[0], 4.0f);
 }
 
 TEST(Ops, MatmulAgainstHandComputed) {
@@ -165,7 +162,8 @@ TEST(Ops, BlockedKernelsMatchNaiveReferences) {
     for (std::size_t i = 0; i < ct.size(); ++i) EXPECT_EQ(ct[i], ct_ref[i]);
 
     const Tensor bt = Tensor::randn({n, k}, rng);
-    const Tensor cn = matmul_nt(a, bt);
+    Tensor cn;
+    matmul_nt_into(a, bt, cn);
     const Tensor cn_ref = matmul_nt_naive(a, bt);
     ASSERT_TRUE(cn.same_shape(cn_ref));
     // NT reduces dot products over lanes — deterministic, but the order
@@ -182,12 +180,13 @@ TEST(Ops, MatmulResultsInvariantToThreadCount) {
   const Tensor b = Tensor::randn({50, 90}, rng);
   const Tensor bt = Tensor::randn({90, 50}, rng);
 
+  Tensor n1, n4;
   set_default_pool_threads(1);
   const Tensor c1 = matmul(a, b);
-  const Tensor n1 = matmul_nt(a, bt);
+  matmul_nt_into(a, bt, n1);
   set_default_pool_threads(4);
   const Tensor c4 = matmul(a, b);
-  const Tensor n4 = matmul_nt(a, bt);
+  matmul_nt_into(a, bt, n4);
   set_default_pool_threads(saved);
 
   for (std::size_t i = 0; i < c1.size(); ++i) EXPECT_EQ(c1[i], c4[i]);
@@ -201,14 +200,16 @@ TEST(Ops, MatmulRejectsEmptyTensors) {
   EXPECT_THROW(Tensor({3, 0}), std::invalid_argument);
   // A default-constructed tensor is rank-0, which matmul rejects as not 2-D.
   EXPECT_THROW(matmul(Tensor(), Tensor({1, 1})), std::invalid_argument);
-  EXPECT_THROW(matmul_nt(Tensor({1, 1}), Tensor()), std::invalid_argument);
+  Tensor out;
+  EXPECT_THROW(matmul_nt_into(Tensor({1, 1}), Tensor(), out),
+               std::invalid_argument);
 }
 
 TEST(Ops, TransposedVariantsMatchExplicitTranspose) {
   Rng rng(17);
   const Tensor a = Tensor::randn({4, 3}, rng);
   const Tensor b = Tensor::randn({4, 5}, rng);
-  const Tensor expected = matmul(transpose(a), b);
+  const Tensor expected = matmul_tn_naive(a, b);
   const Tensor got = matmul_tn(a, b);
   ASSERT_TRUE(expected.same_shape(got));
   for (std::size_t i = 0; i < got.size(); ++i)
@@ -216,8 +217,10 @@ TEST(Ops, TransposedVariantsMatchExplicitTranspose) {
 
   const Tensor c = Tensor::randn({3, 4}, rng);
   const Tensor d = Tensor::randn({5, 4}, rng);
-  const Tensor e1 = matmul(c, transpose(d));
-  const Tensor e2 = matmul_nt(c, d);
+  const Tensor e1 = matmul_nt_naive(c, d);
+  Tensor e2;
+  matmul_nt_into(c, d, e2);
+  ASSERT_TRUE(e1.same_shape(e2));
   for (std::size_t i = 0; i < e1.size(); ++i) EXPECT_NEAR(e1[i], e2[i], 1e-5f);
 }
 
@@ -231,15 +234,15 @@ TEST(Ops, Im2colIdentityKernel) {
   // With a 1x1 kernel, im2col is just a channel-major flatten.
   Tensor x({1, 2, 2, 2});
   for (int i = 0; i < 8; ++i) x[static_cast<std::size_t>(i)] = static_cast<float>(i);
-  const Tensor cols = im2col(x, 0, 1, 1, 0);
-  EXPECT_EQ(cols.dim(0), 2);
-  EXPECT_EQ(cols.dim(1), 4);
+  Tensor cols({2, 4});
+  im2col_into(x, 0, 1, 1, 0, cols);
   for (int i = 0; i < 8; ++i) EXPECT_EQ(cols[static_cast<std::size_t>(i)], static_cast<float>(i));
 }
 
 TEST(Ops, Im2colZeroPadsBorders) {
   Tensor x = Tensor::full({1, 1, 2, 2}, 1.0f);
-  const Tensor cols = im2col(x, 0, 3, 1, 1);
+  Tensor cols({9, 4});
+  im2col_into(x, 0, 3, 1, 1, cols);
   // Centre tap of the first output position sees pixel (0,0) = 1; the
   // top-left tap is padding = 0.
   EXPECT_EQ(cols.at(4, 0), 1.0f);
@@ -252,7 +255,8 @@ TEST(Ops, Col2imIsAdjointOfIm2col) {
   Rng rng(23);
   const Tensor x = Tensor::randn({1, 3, 6, 6}, rng);
   const int k = 3, stride = 2, pad = 1;
-  const Tensor cols = im2col(x, 0, k, stride, pad);
+  Tensor cols({3 * k * k, 3 * 3});
+  im2col_into(x, 0, k, stride, pad, cols);
   const Tensor y = Tensor::randn(cols.shape(), rng);
   Tensor back({1, 3, 6, 6});
   col2im_add(y, back, 0, k, stride, pad);
@@ -356,9 +360,10 @@ TEST(Ops, ConvOutSizeCheckedThrowsNamingGeometry) {
   EXPECT_THROW(conv_out_size_checked(8, 0, 1, 1, "k"), std::invalid_argument);
 }
 
-// The *_into kernels are the allocation-free spellings of the allocating
-// entry points (which are now thin wrappers around them). Same floats, and a
-// warm destination of the wrong shape must be reshaped in place.
+// matmul and matmul_tn are thin wrappers over their *_into kernels: same
+// floats, and a warm destination of the wrong shape must be reshaped in
+// place. matmul_nt_into and im2col_into (which have no allocating spelling)
+// must write into a stale destination what they write into a fresh one.
 TEST(Ops, IntoVariantsMatchAllocatingBitwise) {
   Rng rng(29);
   const Tensor a = Tensor::randn({13, 21}, rng);
@@ -378,14 +383,17 @@ TEST(Ops, IntoVariantsMatchAllocatingBitwise) {
   for (std::size_t i = 0; i < ct.size(); ++i) EXPECT_EQ(out[i], ct[i]);
 
   matmul_nt_into(a, bt, out);
-  const Tensor cn = matmul_nt(a, bt);
+  Tensor cn;
+  matmul_nt_into(a, bt, cn);
   ASSERT_TRUE(out.same_shape(cn));
   for (std::size_t i = 0; i < cn.size(); ++i) EXPECT_EQ(out[i], cn[i]);
 
   const Tensor x = Tensor::randn({1, 3, 6, 6}, rng);
-  const Tensor cols = im2col(x, 0, 3, 1, 1);
+  Tensor cols({3 * 3 * 3, 6 * 6});
+  im2col_into(x, 0, 3, 1, 1, cols);
   // im2col_into validates rather than reshapes: the caller owns the sizing
-  // (conv acquires the exact shape from its workspace).
+  // (conv acquires the exact shape from its workspace). Every element is
+  // written, padding taps included, so stale contents never leak through.
   Tensor cols_out = Tensor::full(cols.shape(), 5.0f);
   im2col_into(x, 0, 3, 1, 1, cols_out);
   EXPECT_THROW(im2col_into(x, 0, 3, 1, 1, out), std::invalid_argument);

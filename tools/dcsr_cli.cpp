@@ -24,7 +24,8 @@
 //   dcsr_cli deploy <dir> [genre] [seed] [seconds]
 //       Runs the full server-side dcSR pipeline (split / encode at CRF 51 /
 //       cluster / train micro models) and writes a CDN deployment directory
-//       (video.dcv + models.bin + playlist.txt + meta.txt).
+//       (video.dcv + models.bin + playlist.txt + meta.txt), creating it and
+//       any missing parents.
 //
 //   dcsr_cli play   <dir> [genre] [seed] [seconds]
 //       Loads a deployment, streams it through the model cache, decodes with

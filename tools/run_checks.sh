@@ -28,11 +28,12 @@
 #               kernel backend — not just the one the dispatcher would pick
 #               — passes the whole tree. Also asserts the negative path:
 #               requesting an unknown backend name must fail loudly. Then
-#               builds Release in build-release, runs the Simd.* and Ops.*
-#               suites there (the oracle's golden CRCs must hold without
-#               -march=native, and blocked GEMM must still match its naive
-#               reference bitwise) and, on an AVX2 host, fails if the
-#               Release dispatch line names any family =scalar.
+#               builds the whole tree as Release in build-release, runs the
+#               full suite there (every exact-byte pin must hold without
+#               -march=native), cmp's the synth/decode/deploy outputs of
+#               dcsr_cli, the quickstart stdout and the dcsr_fleet --json
+#               summary against the default build's, and, on an AVX2 host,
+#               fails if the Release dispatch line names any family =scalar.
 #   bench-smoke every microbenchmark for a single iteration in the default
 #               build — catches bench bit-rot (and exercises the
 #               steady-state workspace counters) without a timed run
@@ -158,15 +159,41 @@ run_leg() {
       done
       # scalar is always compiled in; zero passes means the probe is broken.
       [ "$ran" -ge 1 ] || { echo "simd leg: no backend ran" >&2; return 1; }
-      # The kernels' bits and the dispatch must not depend on the build type.
+      # Results must not depend on the build type: a Release build passes
+      # the whole suite (exact-byte pins included) and writes the same bytes
+      # as the default build through every CLI surface.
       local rel="${RELEASE_BUILD_DIR:-$ROOT/build-release}"
-      echo "--- simd leg: Simd.* and Ops.* in a Release build ($rel) ---"
+      echo "--- simd leg: full suite in a Release build ($rel) ---"
       cmake -B "$rel" -S "$ROOT" -DDCSR_WERROR=ON \
         -DCMAKE_BUILD_TYPE=Release || return 1
-      cmake --build "$rel" -j \
-        --target simd_test tensor_test bench_micro_kernels || return 1
-      ctest --test-dir "$rel" --output-on-failure -R '^(Simd|Ops)\.' -j ||
-        return 1
+      cmake --build "$rel" -j || return 1
+      ctest --test-dir "$rel" --output-on-failure -j || return 1
+      echo "--- simd leg: default and Release builds write the same bytes ---"
+      local d o f
+      for d in "$build" "$rel"; do
+        o="$d/cross-build"
+        rm -rf "$o" && mkdir -p "$o" || return 1
+        "$d/tools/dcsr_cli" synth "$o/sports.dcv" sports 1 4 30 2 \
+          >/dev/null || return 1
+        "$d/tools/dcsr_cli" decode "$o/sports.dcv" "$o/sports.yuv" \
+          >/dev/null || return 1
+        "$d/tools/dcsr_cli" deploy "$o/deploy" news 5 60 >/dev/null || return 1
+        "$d/examples/quickstart" >"$o/quickstart.txt" || return 1
+        "$d/tools/dcsr_fleet" --json "$o/fleet-timed.json" >/dev/null ||
+          return 1
+        # Wall-clock throughput is the one field allowed to differ.
+        grep -v -e '"wall_seconds"' -e '"sessions_per_second"' \
+          "$o/fleet-timed.json" >"$o/fleet.json" || return 1
+      done
+      for f in sports.dcv sports.yuv deploy/video.dcv deploy/models.bin \
+               deploy/playlist.txt deploy/meta.txt quickstart.txt fleet.json; do
+        if ! cmp "$build/cross-build/$f" "$rel/cross-build/$f"; then
+          echo "simd leg: $f differs between the default and Release" \
+               "builds" >&2
+          return 1
+        fi
+      done
+      echo "simd leg: default and Release outputs byte-identical"
       probe="$rel/bench/bench_micro_kernels"
       if env DCSR_SIMD=avx2 \
           "$probe" --benchmark_list_tests=true >/dev/null 2>&1; then
