@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "bench/common.hpp"
-#include "codec/bits.hpp"
 #include "codec/frame_coding.hpp"
 #include "codec/quant.hpp"
 #include "image/convert.hpp"
@@ -22,7 +21,8 @@ using namespace dcsr::bench;
 
 int main() {
   // A pool of 150 distinct degraded/original frame pairs drawn from a long
-  // documentary-style video (the most visually diverse genre).
+  // documentary-style video (the most visually diverse genre), degraded by
+  // the sliced intra coder the encoder writes.
   const auto video =
       make_genre_video(Genre::kDocumentary, 71, kWidth, kHeight, 150.0, kFps);
   const codec::Quantizer q(51);
@@ -30,8 +30,9 @@ int main() {
   for (int i = 0; i < 150; ++i) {
     sr::TrainSample p;
     p.hi = video->frame(i * video->frame_count() / 150);
-    codec::BitWriter bw;
-    const FrameYUV recon = codec::encode_intra_frame(rgb_to_yuv420(p.hi), q, bw);
+    codec::EncodedFrame ef;
+    const FrameYUV recon =
+        codec::encode_intra_frame_sliced(rgb_to_yuv420(p.hi), q, 1, ef);
     p.lo = yuv420_to_rgb(recon);
     pool.push_back(std::move(p));
   }

@@ -379,8 +379,8 @@ void BM_IntraFrameEncode(benchmark::State& state) {
   const FrameYUV f = rgb_to_yuv420(video->frame(0));
   const codec::Quantizer q(28);
   for (auto _ : state) {
-    codec::BitWriter bw;
-    benchmark::DoNotOptimize(codec::encode_intra_frame(f, q, bw));
+    codec::EncodedFrame ef;
+    benchmark::DoNotOptimize(codec::encode_intra_frame_sliced(f, q, 1, ef));
   }
 }
 BENCHMARK(BM_IntraFrameEncode);

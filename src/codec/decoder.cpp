@@ -43,8 +43,32 @@ Decoder::Decoder(int width, int height, int crf)
                                 std::to_string(height));
 }
 
+void Decoder::decode_frame(const EncodedFrame& ef, const Quantizer& q,
+                           FrameYUV& out) {
+  if (ef.sliced()) {
+    decode_frame_sliced(ef, q, out);
+  } else {
+    // Legacy (container v2) monolithic payload: the pre-slice decode path,
+    // kept bit-exact for old streams. It builds fresh frames, so its traffic
+    // is sanctioned rather than silent.
+    AllocAllowScope allow;
+    BitReader br(ef.payload);
+    switch (ef.type) {
+      case FrameType::kI:
+        out = decode_intra_frame(width_, height_, q, br);
+        break;
+      case FrameType::kP:
+        out = decode_p_frame(ref_last_, q, br);
+        break;
+      case FrameType::kB:
+        out = decode_b_frame(ref_past_, ref_last_, q, br);
+        break;
+    }
+  }
+  if (deblock_) deblock_frame(out, q.base_step());
+}
+
 void Decoder::decode_frame_sliced(const EncodedFrame& ef, const Quantizer& q,
-                                  const FrameYUV* past, const FrameYUV* future,
                                   FrameYUV& out) {
   const auto n = static_cast<int>(ef.slice_sizes.size());
   if (width_ % 16 != 0 || height_ % 16 != 0) {
@@ -57,24 +81,20 @@ void Decoder::decode_frame_sliced(const EncodedFrame& ef, const Quantizer& q,
     throw BitstreamError("decode: more slices than macroblock rows", 0);
   }
 
-  // Canonical geometry (mirrors slice_partition) and payload offsets, built
-  // in warm per-frame scratch; each slice header is validated against this,
-  // never trusted.
+  // Canonical geometry and payload offsets, built in warm per-frame scratch;
+  // each slice header is validated against this, never trusted.
   if (spans_.capacity() < static_cast<std::size_t>(n) ||
       slice_offsets_.capacity() < static_cast<std::size_t>(n)) {
     AllocAllowScope allow;
     spans_.reserve(static_cast<std::size_t>(n));
     slice_offsets_.reserve(static_cast<std::size_t>(n));
   }
-  spans_.clear();
+  slice_partition(mb_rows, n, spans_);
   slice_offsets_.clear();
   std::size_t off = 0;
-  for (int s = 0; s < n; ++s) {
-    const int r0 = s * mb_rows / n;
-    const int r1 = (s + 1) * mb_rows / n;
-    spans_.push_back({r0, r1 - r0});
+  for (const std::uint32_t size : ef.slice_sizes) {
     slice_offsets_.push_back(off);
-    off += ef.slice_sizes[static_cast<std::size_t>(s)];
+    off += size;
   }
   if (off != ef.payload.size()) {
     AllocAllowScope allow;
@@ -112,10 +132,12 @@ void Decoder::decode_frame_sliced(const EncodedFrame& ef, const Quantizer& q,
               decode_intra_slice(out, q, data, size, span);
               break;
             case FrameType::kP:
-              decode_p_slice(out, *past, q, data, size, span);
+              // P predicts from the most recent reference; B from (past,
+              // future) = (older, most recent), as in the legacy path.
+              decode_p_slice(out, ref_last_, q, data, size, span);
               break;
             case FrameType::kB:
-              decode_b_slice(out, *past, *future, q, data, size, span);
+              decode_b_slice(out, ref_past_, ref_last_, q, data, size, span);
               break;
           }
         }
@@ -154,32 +176,7 @@ void Decoder::decode_segment_into(const EncodedSegment& seg,
       // Steady-state decode is on the heap-silence contract: slice scratch,
       // the output planes and the reference buffers all reuse warm storage.
       HotPathGuard guard("codec/decoder.cpp:decode_segment_into");
-      if (ef.sliced()) {
-        // P predicts from the most recent reference; B from (past, future) =
-        // (older, most recent) — same pairing as the legacy branch below.
-        const FrameYUV* past =
-            ef.type == FrameType::kB ? &ref_past_ : &ref_last_;
-        const FrameYUV* future = ef.type == FrameType::kB ? &ref_last_ : nullptr;
-        decode_frame_sliced(ef, q, past, future, frame);
-      } else {
-        // Legacy (container v2) monolithic payload: the pre-slice decode
-        // path, kept bit-exact for old streams. It builds fresh frames, so
-        // its traffic is sanctioned rather than silent.
-        AllocAllowScope allow;
-        BitReader br(ef.payload);
-        switch (ef.type) {
-          case FrameType::kI:
-            frame = decode_intra_frame(width_, height_, q, br);
-            break;
-          case FrameType::kP:
-            frame = decode_p_frame(ref_last_, q, br);
-            break;
-          case FrameType::kB:
-            frame = decode_b_frame(ref_past_, ref_last_, q, br);
-            break;
-        }
-      }
-      if (deblock_) deblock_frame(frame, q.base_step());
+      decode_frame(ef, q, frame);
     }
     // The dcSR integration point: enhance the reference in the DPB before
     // any dependent frame is decoded. Deblocking (above) runs first as a
@@ -197,6 +194,14 @@ void Decoder::decode_segment_into(const EncodedSegment& seg,
       ++refs_seen;
     }
   }
+}
+
+FrameYUV Decoder::decode_intra(const EncodedSegment& seg, const EncodedFrame& ef) {
+  if (ef.type != FrameType::kI)
+    throw std::invalid_argument("decode_intra: not an I frame");
+  FrameYUV out;
+  decode_frame(ef, Quantizer(seg.crf >= 0 ? seg.crf : crf_), out);
+  return out;
 }
 
 std::vector<FrameYUV> Decoder::decode_video(const EncodedVideo& video) {

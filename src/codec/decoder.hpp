@@ -53,9 +53,19 @@ class Decoder {
   /// Decodes a whole video; returns frames in display order.
   std::vector<FrameYUV> decode_video(const EncodedVideo& video);
 
+  /// Decodes one I frame of `seg` on its own: the frame decode_segment holds
+  /// in the DPB when the reference hook fires for it (deblocked if set), bit
+  /// for bit. Touches neither the reference buffer nor the hook. The
+  /// server's training inputs come from here. Throws std::invalid_argument
+  /// on a P or B frame.
+  FrameYUV decode_intra(const EncodedSegment& seg, const EncodedFrame& ef);
+
  private:
+  // The one step from bytes to pixels: decodes `ef` (its slices, or a
+  // legacy v2 payload) into `out` against the reference buffer, then
+  // deblocks it when the stream does.
+  void decode_frame(const EncodedFrame& ef, const Quantizer& q, FrameYUV& out);
   void decode_frame_sliced(const EncodedFrame& ef, const Quantizer& q,
-                           const FrameYUV* past, const FrameYUV* future,
                            FrameYUV& out);
 
   int width_, height_, crf_;

@@ -353,16 +353,15 @@ float pred_sad(const FrameYUV& src, const MbPred& pred, int mbx, int mby) {
 
 // ---- Slice partition -------------------------------------------------------
 
-std::vector<SliceSpan> slice_partition(int mb_rows, int slices) {
+void slice_partition(int mb_rows, int slices, std::vector<SliceSpan>& out) {
   const int n = std::clamp(slices, 1, mb_rows);
-  std::vector<SliceSpan> spans;
-  spans.reserve(static_cast<std::size_t>(n));
+  out.clear();
+  out.reserve(static_cast<std::size_t>(n));
   for (int s = 0; s < n; ++s) {
     const int r0 = s * mb_rows / n;
     const int r1 = (s + 1) * mb_rows / n;
-    spans.push_back({r0, r1 - r0});
+    out.push_back({r0, r1 - r0});
   }
-  return spans;
 }
 
 // ---- Intra frame -----------------------------------------------------------
@@ -388,7 +387,9 @@ FrameYUV encode_intra_frame_sliced(const FrameYUV& src, const Quantizer& q,
                                    int slices, EncodedFrame& frame) {
   require_mb_aligned(src);
   FrameYUV recon(src.width(), src.height());
-  for (const SliceSpan s : slice_partition(src.height() / 16, slices)) {
+  std::vector<SliceSpan> spans;
+  slice_partition(src.height() / 16, slices, spans);
+  for (const SliceSpan s : spans) {
     const int r0 = s.first_mb_row, r1 = s.first_mb_row + s.mb_row_count;
     BitWriter bw;
     write_slice_header(bw, s);
@@ -498,7 +499,9 @@ FrameYUV encode_p_frame_sliced(const FrameYUV& src, const FrameYUV& ref,
                                EncodedFrame& frame) {
   require_mb_aligned(src);
   FrameYUV recon(src.width(), src.height());
-  for (const SliceSpan s : slice_partition(src.height() / 16, slices)) {
+  std::vector<SliceSpan> spans;
+  slice_partition(src.height() / 16, slices, spans);
+  for (const SliceSpan s : spans) {
     BitWriter bw;
     write_slice_header(bw, s);
     encode_p_rows(src, ref, recon, q, search_range, s.first_mb_row,
@@ -669,7 +672,9 @@ FrameYUV encode_b_frame_sliced(const FrameYUV& src, const FrameYUV& ref_past,
                                EncodedFrame& frame) {
   require_mb_aligned(src);
   FrameYUV recon(src.width(), src.height());
-  for (const SliceSpan s : slice_partition(src.height() / 16, slices)) {
+  std::vector<SliceSpan> spans;
+  slice_partition(src.height() / 16, slices, spans);
+  for (const SliceSpan s : spans) {
     BitWriter bw;
     write_slice_header(bw, s);
     encode_b_rows(src, ref_past, ref_future, recon, q, search_range,
@@ -693,35 +698,6 @@ void decode_b_slice(FrameYUV& out, const FrameYUV& ref_past,
   clamp_rows(out.y, 16 * r0, 16 * r1);
   clamp_rows(out.u, 8 * r0, 8 * r1);
   clamp_rows(out.v, 8 * r0, 8 * r1);
-}
-
-FrameYUV decode_intra_frame_sliced(int width, int height, const Quantizer& q,
-                                   const EncodedFrame& frame) {
-  if (width % 16 != 0 || height % 16 != 0) {
-    AllocAllowScope allow;
-    throw BitstreamError("decode: sliced stream geometry is not MB-aligned", 0);
-  }
-  const int n = static_cast<int>(frame.slice_sizes.size());
-  const auto spans = slice_partition(height / 16, n);
-  if (static_cast<int>(spans.size()) != n) {
-    AllocAllowScope allow;
-    throw BitstreamError("decode: more slices than macroblock rows", 0);
-  }
-  std::size_t total = 0;
-  for (const auto s : frame.slice_sizes) total += s;
-  if (total != frame.payload.size()) {
-    AllocAllowScope allow;
-    throw BitstreamError("decode: slice sizes disagree with payload size", 0);
-  }
-  FrameYUV out(width, height);
-  std::size_t off = 0;
-  for (int i = 0; i < n; ++i) {
-    decode_intra_slice(out, q, frame.payload.data() + off,
-                       frame.slice_sizes[static_cast<std::size_t>(i)],
-                       spans[static_cast<std::size_t>(i)]);
-    off += frame.slice_sizes[static_cast<std::size_t>(i)];
-  }
-  return out;
 }
 
 }  // namespace dcsr::codec

@@ -48,11 +48,13 @@ struct SliceSpan {
   int mb_row_count = 0;
 };
 
-/// Canonical partition of `mb_rows` MB rows into `slices` slices: slice s of
-/// S covers rows [s*R/S, (s+1)*R/S). `slices` is clamped to [1, mb_rows], so
-/// every slice is non-empty. Encoder and decoder both derive geometry from
-/// this function; slice headers carry it redundantly and are validated.
-std::vector<SliceSpan> slice_partition(int mb_rows, int slices);
+/// Canonical partition of `mb_rows` (>= 1) MB rows into `slices` slices,
+/// written into `out`: slice s of S covers rows [s*R/S, (s+1)*R/S). `slices`
+/// is clamped to [1, mb_rows], so every slice is non-empty. `out` is cleared
+/// and refilled in its existing capacity, so a warm vector stays off the
+/// heap. Encoder and decoder both derive geometry from this function; slice
+/// headers carry it redundantly and are validated.
+void slice_partition(int mb_rows, int slices, std::vector<SliceSpan>& out);
 
 /// Sliced frame coding. Each slice is an independently decodable, byte-
 /// aligned entropy substream: a resync header (marker byte 0x5c +
@@ -89,12 +91,5 @@ void decode_b_slice(FrameYUV& out, const FrameYUV& ref_past,
                     const FrameYUV& ref_future, const Quantizer& q,
                     const std::uint8_t* data, std::size_t size,
                     SliceSpan expect);
-
-/// Decodes a whole sliced intra frame sequentially (every slice in order).
-/// Convenience for call sites that inspect individual I frames outside a
-/// Decoder — the server's training-pair collection, tools, tests. Throws
-/// BitstreamError on geometry/size-table mismatches like the Decoder does.
-FrameYUV decode_intra_frame_sliced(int width, int height, const Quantizer& q,
-                                   const EncodedFrame& frame);
 
 }  // namespace dcsr::codec

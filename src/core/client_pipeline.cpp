@@ -125,42 +125,49 @@ void pipeline_segments(std::size_t count, Produce produce, Consume consume) {
   }
 }
 
-// Decodes every segment with the given reference hook and feeds all display
-// frames to the collector.
+// Called on each reference the playback decoder hands out: every I frame,
+// and every P frame too when asked for. `segment` indexes encoded.segments;
+// `local` is the frame's display index within that segment.
+using PlaybackHook = std::function<void(FrameYUV& frame, codec::FrameType type,
+                                        std::size_t segment, int local)>;
+
+// The in-loop playback loop: decodes every segment with the given reference
+// hook (may be empty) and feeds all display frames to the collector.
 PlaybackResult decode_and_measure(const codec::EncodedVideo& encoded,
                                   const VideoSource& original,
                                   const PlaybackOptions& opts,
-                                  const std::function<void(FrameYUV&, int segment)>& enhance_i) {
+                                  const PlaybackHook& hook,
+                                  bool include_p_frames = false) {
   MetricsCollector collector(original, opts);
   codec::Decoder decoder(encoded.width, encoded.height, encoded.crf);
   decoder.set_deblock(encoded.deblock);
+  std::size_t segment = 0;  // the segment being decoded; producer side only
+  if (hook)
+    decoder.set_reference_hook(
+        [&](FrameYUV& f, codec::FrameType type, int display_index) {
+          hook(f, type, segment,
+               display_index - encoded.segments[segment].first_frame);
+        },
+        include_p_frames);
   // Two rotating segment buffers: produce(s) refills buffer s%2 while the
   // consumer still reads s-1's (the other one), so the single-lookahead
   // pipeline reuses the same frame storage for the whole playback instead of
   // allocating a fresh vector per segment.
   std::array<std::vector<FrameRGB>, 2> rgb_bufs;
   const auto produce = [&](std::size_t s) {
-    if (enhance_i) {
-      decoder.set_reference_hook([&enhance_i, s](FrameYUV& f, codec::FrameType,
-                                                 int) {
-        enhance_i(f, static_cast<int>(s));
-      });
-    }
+    segment = s;
     std::vector<FrameRGB>& buf = rgb_bufs[s % 2];
     convert_segment_into(decoder.decode_segment(encoded.segments[s]), buf);
     return &buf;
   };
 
-  std::vector<int> frame_base(encoded.segments.size(), 0);
-  for (std::size_t s = 1; s < encoded.segments.size(); ++s)
-    frame_base[s] = frame_base[s - 1] +
-                    static_cast<int>(encoded.segments[s - 1].frames.size());
-
+  int frame_base = 0;  // display index of the consumed segment's first frame
   pipeline_segments<std::vector<FrameRGB>*>(
       encoded.segments.size(), produce,
-      [&](std::vector<FrameRGB>* rgb, std::size_t s) {
+      [&](std::vector<FrameRGB>* rgb, std::size_t) {
         for (std::size_t i = 0; i < rgb->size(); ++i)
-          collector.measure_rgb((*rgb)[i], frame_base[s] + static_cast<int>(i));
+          collector.measure_rgb((*rgb)[i], frame_base + static_cast<int>(i));
+        frame_base += static_cast<int>(rgb->size());
       });
   return collector.finish();
 }
@@ -186,22 +193,18 @@ PlaybackResult play_dcsr(const codec::EncodedVideo& encoded,
                          const std::vector<std::unique_ptr<sr::Edsr>>& models,
                          const VideoSource& original,
                          const PlaybackOptions& opts) {
-  if (labels.size() != encoded.segments.size())
-    throw std::invalid_argument("play_dcsr: one label per segment required");
-  for (const int l : labels)
-    if (l < 0 || static_cast<std::size_t>(l) >= models.size())
-      throw std::invalid_argument("play_dcsr: label out of range");
-  return decode_and_measure(
-      encoded, original, opts, [&](FrameYUV& f, int segment) {
-        enhance_reference_frame(
-            f, *models[static_cast<std::size_t>(labels[static_cast<std::size_t>(segment)])]);
-      });
+  return play_dcsr_anchors(encoded, labels, models, original,
+                           /*anchor_period=*/0, opts)
+      .playback;
 }
 
 PlaybackResult play_nemo(const codec::EncodedVideo& encoded, const sr::Edsr& big_model,
                          const VideoSource& original, const PlaybackOptions& opts) {
-  return decode_and_measure(encoded, original, opts,
-                            [&](FrameYUV& f, int) { enhance_reference_frame(f, big_model); });
+  return decode_and_measure(
+      encoded, original, opts,
+      [&](FrameYUV& f, codec::FrameType, std::size_t, int) {
+        enhance_reference_frame(f, big_model);
+      });
 }
 
 PlaybackResult play_nas(const codec::EncodedVideo& encoded, const sr::Edsr& big_model,
@@ -266,7 +269,7 @@ PlaybackResult play_nas(const codec::EncodedVideo& encoded, const sr::Edsr& big_
 
 PlaybackResult play_low(const codec::EncodedVideo& encoded,
                         const VideoSource& original, const PlaybackOptions& opts) {
-  return decode_and_measure(encoded, original, opts, nullptr);
+  return decode_and_measure(encoded, original, opts, {});
 }
 
 AnchorPlaybackResult play_dcsr_anchors(
@@ -274,75 +277,45 @@ AnchorPlaybackResult play_dcsr_anchors(
     const std::vector<std::unique_ptr<sr::Edsr>>& models,
     const VideoSource& original, int anchor_period, const PlaybackOptions& opts) {
   if (labels.size() != encoded.segments.size())
-    throw std::invalid_argument("play_dcsr_anchors: one label per segment required");
+    throw std::invalid_argument("play_dcsr: one label per segment required");
   for (const int l : labels)
     if (l < 0 || static_cast<std::size_t>(l) >= models.size())
-      throw std::invalid_argument("play_dcsr_anchors: label out of range");
+      throw std::invalid_argument("play_dcsr: label out of range");
 
   AnchorPlaybackResult result;
-  MetricsCollector collector(original, opts);
-  codec::Decoder enhanced_decoder(encoded.width, encoded.height, encoded.crf);
+  const bool anchors = anchor_period > 0;
+  // Anchors must be enhanced from the *vanilla* decode: the micro model
+  // was trained on plainly decoded frames, and re-enhancing an
+  // already-enhanced chain compounds the correction until it diverges
+  // (this is why NEMO keeps its anchor inputs on the un-enhanced path).
   codec::Decoder vanilla_decoder(encoded.width, encoded.height, encoded.crf);
-  enhanced_decoder.set_deblock(encoded.deblock);
   vanilla_decoder.set_deblock(encoded.deblock);
-
-  struct SegmentOut {
-    std::vector<FrameRGB> rgb;
-    int inferences = 0;
-  };
-  // Rotating pair of segment outputs, same scheme as decode_and_measure:
-  // the producer refills s%2 while the consumer drains the other, and warm
-  // frame slots are rewritten in place segment after segment.
-  std::array<SegmentOut, 2> seg_bufs;
-  const auto produce = [&](std::size_t s) {
-    SegmentOut& out = seg_bufs[s % 2];
-    out.inferences = 0;
-    const sr::Edsr& model = *models[static_cast<std::size_t>(labels[s])];
-
-    // Anchors must be enhanced from the *vanilla* decode: the micro model
-    // was trained on plainly decoded frames, and re-enhancing an
-    // already-enhanced chain compounds the correction until it diverges
-    // (this is why NEMO keeps its anchor inputs on the un-enhanced path).
-    const auto vanilla = vanilla_decoder.decode_segment(encoded.segments[s]);
-
-    enhanced_decoder.set_reference_hook(
-        [&, s](FrameYUV& f, codec::FrameType type, int display_index) {
-          const int local = display_index - encoded.segments[s].first_frame;
-          guarded_after_warmup(
-              s > 0, "core/client_pipeline.cpp:play_dcsr_anchors(warm)", [&] {
-                if (type == codec::FrameType::kI) {
-                  enhance_reference_frame(f, model);
-                  ++out.inferences;
-                  return;
-                }
+  std::vector<FrameYUV> vanilla;  // display order, segment `vanilla_of`
+  std::size_t vanilla_of = encoded.segments.size();
+  result.playback = decode_and_measure(
+      encoded, original, opts,
+      [&](FrameYUV& f, codec::FrameType type, std::size_t s, int local) {
+        // A segment's first hook call is its leading I frame. The vanilla
+        // decode grows frame slots, so it stays outside the warm guard.
+        if (anchors && vanilla_of != s) {
+          vanilla_decoder.decode_segment_into(encoded.segments[s], vanilla);
+          vanilla_of = s;
+        }
+        guarded_after_warmup(
+            s > 0, "core/client_pipeline.cpp:play_dcsr(warm)", [&] {
+              if (type == codec::FrameType::kP) {
                 // P anchor: replace the drifted reference with the enhanced
                 // vanilla reconstruction — an I-refresh that costs an
                 // inference instead of bits.
-                if (anchor_period > 0 && local % anchor_period == 0) {
-                  f = vanilla[static_cast<std::size_t>(local)];
-                  enhance_reference_frame(f, model);
-                  ++out.inferences;
-                }
-              });
-        },
-        /*include_p_frames=*/anchor_period > 0);
-    convert_segment_into(enhanced_decoder.decode_segment(encoded.segments[s]),
-                         out.rgb);
-    return &out;
-  };
-
-  std::vector<int> frame_base(encoded.segments.size(), 0);
-  for (std::size_t s = 1; s < encoded.segments.size(); ++s)
-    frame_base[s] = frame_base[s - 1] +
-                    static_cast<int>(encoded.segments[s - 1].frames.size());
-
-  pipeline_segments<SegmentOut*>(
-      encoded.segments.size(), produce, [&](SegmentOut* seg, std::size_t s) {
-        result.inferences += seg->inferences;
-        for (std::size_t i = 0; i < seg->rgb.size(); ++i)
-          collector.measure_rgb(seg->rgb[i], frame_base[s] + static_cast<int>(i));
-      });
-  result.playback = collector.finish();
+                if (local % anchor_period != 0) return;
+                f = vanilla[static_cast<std::size_t>(local)];
+              }
+              enhance_reference_frame(
+                  f, *models[static_cast<std::size_t>(labels[s])]);
+              ++result.inferences;
+            });
+      },
+      /*include_p_frames=*/anchors);
   return result;
 }
 

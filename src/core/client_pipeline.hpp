@@ -37,7 +37,8 @@ struct PlaybackResult {
 /// Client-side dcSR (Fig. 6): decode each segment; when its I frame lands in
 /// the DPB, convert YUV->RGB, run the segment's micro model (selected by
 /// cluster label), convert back, resume decoding so P/B frames reference the
-/// enhanced picture. `models[labels[s]]` enhances segment s.
+/// enhanced picture. `models[labels[s]]` enhances segment s. The same loop
+/// as play_dcsr_anchors with anchor_period 0.
 PlaybackResult play_dcsr(const codec::EncodedVideo& encoded,
                          const std::vector<int>& labels,
                          const std::vector<std::unique_ptr<sr::Edsr>>& models,
@@ -68,8 +69,10 @@ PlaybackResult play_low(const codec::EncodedVideo& encoded,
 /// dcSR with NEMO-style anchor frames: besides every I frame, the micro
 /// model also enhances each P-frame *reference* whose display index is a
 /// multiple of `anchor_period` — bounding drift with extra inferences
-/// instead of extra I-frame bits. anchor_period <= 0 disables anchors
-/// (plain dcSR). Returns quality plus the number of inferences spent.
+/// instead of extra I-frame bits. Anchors are enhanced from a second,
+/// un-enhanced decode of the segment, made only when anchor_period > 0;
+/// anchor_period <= 0 is plain dcSR. Returns quality plus the number of
+/// inferences spent.
 struct AnchorPlaybackResult {
   PlaybackResult playback;
   int inferences = 0;

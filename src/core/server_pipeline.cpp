@@ -5,10 +5,7 @@
 
 #include "cluster/global_kmeans.hpp"
 #include "cluster/silhouette.hpp"
-#include "codec/bits.hpp"
-#include "codec/deblock.hpp"
-#include "codec/frame_coding.hpp"
-#include "codec/quant.hpp"
+#include "codec/decoder.hpp"
 #include "features/extractor.hpp"
 #include "image/convert.hpp"
 #include "nn/serialize.hpp"
@@ -29,28 +26,19 @@ std::vector<SegmentIFrames> collect_iframe_pairs(
   if (encoded.segments.size() != segments.size())
     throw std::invalid_argument("collect_iframe_pairs: plan/stream mismatch");
 
+  // Training inputs must be exactly what the client's DPB will hold, so
+  // they come from the client's decoder.
+  codec::Decoder decoder(encoded.width, encoded.height, encoded.crf);
+  decoder.set_deblock(encoded.deblock);
   std::vector<SegmentIFrames> out;
   out.reserve(segments.size());
   for (std::size_t s = 0; s < segments.size(); ++s) {
-    const codec::Quantizer q(encoded.segments[s].crf >= 0
-                                 ? encoded.segments[s].crf
-                                 : encoded.crf);
     SegmentIFrames entry;
     entry.segment_index = static_cast<int>(s);
     for (const auto& ef : encoded.segments[s].frames) {
       if (ef.type != codec::FrameType::kI) continue;
-      FrameYUV lo_yuv;
-      if (ef.sliced()) {
-        lo_yuv = codec::decode_intra_frame_sliced(encoded.width,
-                                                  encoded.height, q, ef);
-      } else {
-        codec::BitReader br(ef.payload);
-        lo_yuv = codec::decode_intra_frame(encoded.width, encoded.height, q, br);
-      }
-      // Training inputs must be exactly what the client's DPB will hold.
-      if (encoded.deblock) codec::deblock_frame(lo_yuv, q.base_step());
       sr::TrainSample pair;
-      pair.lo = yuv420_to_rgb(lo_yuv);
+      pair.lo = yuv420_to_rgb(decoder.decode_intra(encoded.segments[s], ef));
       pair.hi = video.frame(segments[s].first_frame + ef.display_index);
       entry.pairs.push_back(std::move(pair));
     }

@@ -81,8 +81,9 @@ struct ServerResult {
 /// micro EDSR per cluster.
 ServerResult run_server_pipeline(const VideoSource& video, const ServerConfig& cfg);
 
-/// Extracts each segment's I-frame (lo, hi) pairs by decoding the I frames
-/// of the encoded stream and pairing them with the pristine source frames.
+/// Extracts each segment's I-frame (lo, hi) pairs: `lo` is the I frame as
+/// the client's codec::Decoder holds it in its DPB (Decoder::decode_intra),
+/// `hi` the pristine source frame.
 /// Shared by the pipeline, the baselines, and several benches.
 std::vector<SegmentIFrames> collect_iframe_pairs(const VideoSource& video,
                                                  const codec::EncodedVideo& encoded,

@@ -10,7 +10,7 @@ namespace dcsr::nn {
 
 namespace {
 
-// All four activations share the same shape-preserving elementwise pattern;
+// Both activations share the same shape-preserving elementwise pattern;
 // the workspace is unused because the transform needs no scratch at all.
 template <typename F>
 void map_into(const Tensor& x, Tensor& out, F&& f) {
@@ -23,7 +23,7 @@ void map_into(const Tensor& x, Tensor& out, F&& f) {
 
 }  // namespace
 
-// ReLU, Sigmoid and Tanh backward read only the output, so their forward
+// ReLU and Sigmoid backward read only the output, so their forward
 // runs infer_into straight into the output cache (reusing its capacity from
 // the previous step) and hands the caller a copy.
 Tensor ReLU::forward(const Tensor& x) {
@@ -46,27 +46,6 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   return grad;
 }
 
-Tensor LeakyReLU::forward(const Tensor& x) {
-  cached_input_ = x;
-  return infer(x);
-}
-
-void LeakyReLU::infer_into(const Tensor& x, Tensor& out, Workspace& ws) const {
-  (void)ws;
-  const float slope = slope_;
-  map_into(x, out, [slope](float v) { return v < 0.0f ? v * slope : v; });
-  FiniteCheckGuard{*this, out};
-}
-
-Tensor LeakyReLU::backward(const Tensor& grad_out) {
-  if (cached_input_.empty())
-    throw std::logic_error("LeakyReLU::backward before forward");
-  Tensor grad = grad_out;
-  for (std::size_t i = 0; i < grad.size(); ++i)
-    if (cached_input_[i] < 0.0f) grad[i] *= slope_;
-  return grad;
-}
-
 Tensor Sigmoid::forward(const Tensor& x) {
   infer_into(x, cached_output_, Workspace::local());
   return cached_output_;
@@ -85,28 +64,6 @@ Tensor Sigmoid::backward(const Tensor& grad_out) {
   for (std::size_t i = 0; i < grad.size(); ++i) {
     const float y = cached_output_[i];
     grad[i] *= y * (1.0f - y);
-  }
-  return grad;
-}
-
-Tensor Tanh::forward(const Tensor& x) {
-  infer_into(x, cached_output_, Workspace::local());
-  return cached_output_;
-}
-
-void Tanh::infer_into(const Tensor& x, Tensor& out, Workspace& ws) const {
-  (void)ws;
-  map_into(x, out, [](float v) { return std::tanh(v); });
-  FiniteCheckGuard{*this, out};
-}
-
-Tensor Tanh::backward(const Tensor& grad_out) {
-  if (cached_output_.empty())
-    throw std::logic_error("Tanh::backward before forward");
-  Tensor grad = grad_out;
-  for (std::size_t i = 0; i < grad.size(); ++i) {
-    const float y = cached_output_[i];
-    grad[i] *= 1.0f - y * y;
   }
   return grad;
 }

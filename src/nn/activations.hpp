@@ -16,20 +16,6 @@ class ReLU final : public Module {
   Tensor cached_output_;  // y > 0 exactly where x > 0
 };
 
-/// Leaky ReLU with configurable negative slope.
-class LeakyReLU final : public Module {
- public:
-  explicit LeakyReLU(float slope = 0.2f) : slope_(slope) {}
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
-  void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const override;
-  std::string name() const override { return "LeakyReLU"; }
-
- private:
-  float slope_;
-  Tensor cached_input_;
-};
-
 /// Logistic sigmoid, y = 1 / (1 + e^-x). Used at the VAE decoder output so
 /// reconstructions stay in [0,1] like the normalised pixel inputs.
 class Sigmoid final : public Module {
@@ -38,18 +24,6 @@ class Sigmoid final : public Module {
   Tensor backward(const Tensor& grad_out) override;
   void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const override;
   std::string name() const override { return "Sigmoid"; }
-
- private:
-  Tensor cached_output_;
-};
-
-/// Hyperbolic tangent.
-class Tanh final : public Module {
- public:
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
-  void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const override;
-  std::string name() const override { return "Tanh"; }
 
  private:
   Tensor cached_output_;

@@ -4,24 +4,6 @@
 
 namespace dcsr::nn {
 
-Sgd::Sgd(std::vector<Param*> params, double lr, double momentum)
-    : Optimizer(std::move(params)), momentum_(momentum) {
-  lr_ = lr;
-  velocity_.reserve(params_.size());
-  for (Param* p : params_) velocity_.emplace_back(p->value.shape());
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Param& p = *params_[i];
-    Tensor& vel = velocity_[i];
-    for (std::size_t j = 0; j < p.value.size(); ++j) {
-      vel[j] = static_cast<float>(momentum_) * vel[j] - static_cast<float>(lr_) * p.grad[j];
-      p.value[j] += vel[j];
-    }
-  }
-}
-
 Adam::Adam(std::vector<Param*> params, double lr, double beta1, double beta2,
            double eps)
     : Optimizer(std::move(params)), beta1_(beta1), beta2_(beta2), eps_(eps) {

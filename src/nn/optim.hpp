@@ -25,18 +25,6 @@ class Optimizer {
   double lr_ = 1e-3;
 };
 
-/// Plain stochastic gradient descent with optional momentum.
-class Sgd final : public Optimizer {
- public:
-  explicit Sgd(std::vector<Param*> params, double lr = 1e-2,
-               double momentum = 0.0);
-  void step() override;
-
- private:
-  double momentum_;
-  std::vector<Tensor> velocity_;
-};
-
 /// Adam (Kingma & Ba). Defaults match the EDSR training recipe
 /// (lr 1e-4 is typical for full EDSR; micro models tolerate larger).
 /// Optional decoupled weight decay (AdamW-style) and global-norm gradient

@@ -2,15 +2,7 @@
 
 #include <stdexcept>
 
-#include "codec/container.hpp"  // crc32
-#include "stream/errors.hpp"
-
 namespace dcsr::stream {
-
-namespace {
-// Binary manifest magic, versioned like the video container ("dcMF").
-constexpr std::uint32_t kManifestMagic = 0x64634d46;
-}  // namespace
 
 std::uint64_t Manifest::total_video_bytes() const noexcept {
   std::uint64_t n = 0;
@@ -51,80 +43,6 @@ Manifest make_single_model_manifest(const codec::EncodedVideo& video,
 Manifest make_plain_manifest(const codec::EncodedVideo& video) {
   std::vector<int> labels(video.segments.size(), kNoModel);
   return make_manifest(video, labels, {});
-}
-
-void write_manifest(const Manifest& manifest, ByteWriter& out) {
-  ByteWriter body;
-  body.write_u32(kManifestMagic);
-  body.write_u32(static_cast<std::uint32_t>(manifest.model_bytes.size()));
-  for (const auto b : manifest.model_bytes) body.write_u64(b);
-  body.write_u32(static_cast<std::uint32_t>(manifest.segments.size()));
-  for (const auto& seg : manifest.segments) {
-    body.write_u32(static_cast<std::uint32_t>(seg.segment_index));
-    body.write_u32(static_cast<std::uint32_t>(seg.frame_count));
-    body.write_u64(seg.video_bytes);
-    body.write_i32(seg.model_label);
-  }
-  const auto& bytes = body.bytes();
-  for (const auto b : bytes) out.write_u8(b);
-  out.write_u32(codec::crc32(bytes.data(), bytes.size()));
-}
-
-Manifest read_manifest(ByteReader& in) {
-  const std::size_t magic_at = in.position();
-  if (in.read_u32() != kManifestMagic)
-    throw ManifestError("read_manifest: bad magic", magic_at);
-
-  Manifest m;
-  const std::size_t n_models_at = in.position();
-  const std::uint32_t n_models = in.read_u32();
-  if (n_models > 1u << 20)
-    throw ManifestError("read_manifest: implausible model count", n_models_at);
-  m.model_bytes.reserve(n_models);
-  for (std::uint32_t i = 0; i < n_models; ++i)
-    m.model_bytes.push_back(in.read_u64());
-
-  const std::size_t n_segments_at = in.position();
-  const std::uint32_t n_segments = in.read_u32();
-  if (n_segments > 1u << 20)
-    throw ManifestError("read_manifest: implausible segment count",
-                        n_segments_at);
-  m.segments.reserve(n_segments);
-  for (std::uint32_t i = 0; i < n_segments; ++i) {
-    SegmentEntry seg;
-    const std::size_t seg_at = in.position();
-    seg.segment_index = static_cast<int>(in.read_u32());
-    seg.frame_count = static_cast<int>(in.read_u32());
-    seg.video_bytes = in.read_u64();
-    seg.model_label = in.read_i32();
-    if (seg.segment_index != static_cast<int>(i))
-      throw ManifestError("read_manifest: segments must be dense and ordered",
-                          seg_at);
-    if (seg.frame_count < 0)
-      throw ManifestError("read_manifest: negative frame count", seg_at);
-    if (seg.model_label != kNoModel &&
-        (seg.model_label < 0 ||
-         static_cast<std::uint32_t>(seg.model_label) >= n_models))
-      throw ManifestError("read_manifest: segment references unknown model",
-                          seg_at);
-    m.segments.push_back(seg);
-  }
-
-  const std::size_t crc_at = in.position();
-  const std::uint32_t stored_crc = in.read_u32();
-  // Fixed-width fields round-trip exactly, so re-serialise and compare the
-  // recomputed CRC (same scheme as read_container).
-  ByteWriter check;
-  write_manifest(m, check);
-  const std::vector<std::uint8_t>& re = check.bytes();
-  std::uint32_t recomputed = 0;
-  for (int i = 0; i < 4; ++i)
-    recomputed |=
-        static_cast<std::uint32_t>(re[re.size() - 4 + static_cast<std::size_t>(i)])
-        << (8 * i);
-  if (recomputed != stored_crc)
-    throw ManifestError("read_manifest: CRC mismatch", crc_at);
-  return m;
 }
 
 }  // namespace dcsr::stream

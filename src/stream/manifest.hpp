@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "codec/types.hpp"
-#include "util/serialize.hpp"
 
 namespace dcsr::stream {
 
@@ -45,15 +44,5 @@ Manifest make_single_model_manifest(const codec::EncodedVideo& video,
 
 /// Manifest for the LOW baseline: no models at all.
 Manifest make_plain_manifest(const codec::EncodedVideo& video);
-
-/// Binary manifest serialisation ("dcMF"): the compact wire form a server
-/// hands to clients that do not want the text playlist. Little-endian,
-/// CRC-terminated like the video container.
-void write_manifest(const Manifest& manifest, ByteWriter& out);
-
-/// Parses the binary form; throws ManifestError (with the byte offset of the
-/// offending field) on bad magic, implausible counts, dangling model labels,
-/// unordered segments, truncation, or CRC mismatch.
-Manifest read_manifest(ByteReader& in);
 
 }  // namespace dcsr::stream

@@ -16,7 +16,7 @@ SessionResult simulate_session(const Manifest& manifest, const SessionConfig& cf
 
   for (std::size_t i = 0; i < limit; ++i) {
     const SegmentEntry& seg = manifest.segments[i];
-    // make_manifest/read_manifest validate labels, but a directly
+    // make_manifest and parse_playlist validate labels, but a directly
     // constructed Manifest arrives unchecked — indexing model_bytes with a
     // dangling label was a silent out-of-bounds read.
     if (seg.model_label != kNoModel &&

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "codec/container.hpp"
 #include "core/client_pipeline.hpp"
 #include "core/server_pipeline.hpp"
 #include "video/genres.hpp"
@@ -66,6 +70,22 @@ TEST_F(AnchorFixture, AnchorsImproveQualityWithoutExtraBits) {
   const auto anchored = play_dcsr_anchors(server->encoded, server->labels,
                                           server->micro_models, *video, 8);
   EXPECT_GT(anchored.playback.mean_psnr, plain.playback.mean_psnr);
+}
+
+TEST_F(AnchorFixture, Period4PlaybackIsPinned) {
+  // Bit pin of anchored in-loop playback: the CRC-32 of every per-frame
+  // PSNR and SSIM double, plus the inference count. Any change to where the
+  // hook fires, what the anchors are enhanced from, or the metric order
+  // moves these.
+  const auto r = play_dcsr_anchors(server->encoded, server->labels,
+                                   server->micro_models, *video, 4);
+  std::vector<std::uint8_t> bytes;
+  for (const auto* v : {&r.playback.frame_psnr, &r.playback.frame_ssim}) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(v->data());
+    bytes.insert(bytes.end(), p, p + v->size() * sizeof(double));
+  }
+  EXPECT_EQ(codec::crc32(bytes.data(), bytes.size()), 0x65217041u);
+  EXPECT_EQ(r.inferences, 75);
 }
 
 TEST_F(AnchorFixture, ValidatesLabels) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "codec/decoder.hpp"
+#include "codec/encoder.hpp"
 #include "core/baselines.hpp"
 #include "core/client_pipeline.hpp"
 #include "core/server_pipeline.hpp"
@@ -131,6 +135,71 @@ TEST(CollectIFramePairs, PairsMatchSegmentIFrames) {
     EXPECT_GT(q, 10.0);
     EXPECT_LT(q, 60.0);
   }
+}
+
+bool same_bytes(const Plane& a, const Plane& b) {
+  return a.width() == b.width() && a.height() == b.height() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Every training pair's `lo` must be, byte for byte, the RGB view of the
+// frame a client Decoder's reference hook sees for that I frame.
+void expect_lo_frames_are_dpb_frames(const VideoSource& video,
+                                     const codec::EncodedVideo& encoded,
+                                     const std::vector<codec::SegmentPlan>& plan) {
+  std::vector<FrameRGB> dpb;  // hook order = I frames in coding order
+  codec::Decoder dec(encoded.width, encoded.height, encoded.crf);
+  dec.set_deblock(encoded.deblock);
+  dec.set_reference_hook([&](FrameYUV& f, codec::FrameType type, int) {
+    if (type == codec::FrameType::kI) dpb.push_back(yuv420_to_rgb(f));
+  });
+  for (const auto& seg : encoded.segments) (void)dec.decode_segment(seg);
+
+  std::size_t n = 0;
+  for (const auto& seg : collect_iframe_pairs(video, encoded, plan))
+    for (const auto& pair : seg.pairs) {
+      ASSERT_LT(n, dpb.size());
+      const FrameRGB& want = dpb[n++];
+      EXPECT_TRUE(same_bytes(pair.lo.r, want.r) && same_bytes(pair.lo.g, want.g) &&
+                  same_bytes(pair.lo.b, want.b))
+          << "I frame " << n - 1;
+    }
+  EXPECT_EQ(n, dpb.size());
+}
+
+TEST(CollectIFramePairs, LoFramesAreTheClientDpbFrames) {
+  const auto video = make_genre_video(Genre::kNews, 23, 64, 48, 3.0, 15.0);
+  const std::vector<codec::SegmentPlan> plan = {{0, 20}, {20, 25}};
+  for (const int slices : {1, 3}) {
+    for (const bool deblock : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "slices=" << slices
+                                        << " deblock=" << deblock);
+      codec::CodecConfig cfg;
+      cfg.crf = 40;
+      cfg.intra_period = 8;  // several I frames per segment
+      cfg.use_b_frames = true;
+      cfg.slices = slices;
+      cfg.deblock = deblock;
+      expect_lo_frames_are_dpb_frames(
+          *video, codec::Encoder(cfg).encode(*video, plan), plan);
+    }
+  }
+
+  // A legacy (container v2) I frame: one monolithic payload, no slice table.
+  SCOPED_TRACE("legacy v2 I frame");
+  codec::EncodedVideo legacy;
+  legacy.width = video->width();
+  legacy.height = video->height();
+  legacy.crf = 40;
+  codec::EncodedSegment seg;
+  codec::EncodedFrame ef;
+  codec::BitWriter bw;
+  (void)codec::encode_intra_frame(rgb_to_yuv420(video->frame(0)),
+                                  codec::Quantizer(legacy.crf), bw);
+  ef.payload = bw.finish();
+  seg.frames.push_back(std::move(ef));
+  legacy.segments.push_back(std::move(seg));
+  expect_lo_frames_are_dpb_frames(*video, legacy, {{0, 1}});
 }
 
 TEST(Baselines, BigModelTrainsAndEnhances) {

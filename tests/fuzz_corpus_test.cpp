@@ -69,9 +69,8 @@ TEST(FuzzCorpus, ValidBaseInputsParse) {
   // writer; kDecoder encodes its own base inside run().)
   const std::uint64_t kSeed = 7;
   for (const fuzz::Harness h :
-       {fuzz::Harness::kContainer, fuzz::Harness::kManifest,
-        fuzz::Harness::kPlaylist, fuzz::Harness::kBundle,
-        fuzz::Harness::kSlice}) {
+       {fuzz::Harness::kContainer, fuzz::Harness::kPlaylist,
+        fuzz::Harness::kBundle, fuzz::Harness::kSlice}) {
     EXPECT_EQ(fuzz::replay(h, fuzz::valid_input(h, kSeed)),
               fuzz::ReplayOutcome::kParsed)
         << fuzz::harness_name(h);

@@ -47,9 +47,10 @@ EncodedVideo encode_sample(int slices, bool b_frames = true) {
 // ---- Partition geometry -----------------------------------------------------
 
 TEST(SlicePartition, TilesAllRowsContiguously) {
+  std::vector<SliceSpan> spans = {{7, 7}};  // stale entries must be cleared
   for (int rows = 1; rows <= 9; ++rows) {
     for (int slices = 1; slices <= 12; ++slices) {
-      const auto spans = slice_partition(rows, slices);
+      slice_partition(rows, slices, spans);
       ASSERT_FALSE(spans.empty());
       EXPECT_LE(static_cast<int>(spans.size()), rows);  // clamped, never empty
       int next = 0;

@@ -74,8 +74,8 @@ TEST(Manifest, SingleModelAndPlainVariants) {
 }
 
 TEST(Session, DirectlyConstructedManifestWithDanglingLabelThrows) {
-  // make_manifest/read_manifest validate labels, but nothing used to stop a
-  // hand-built Manifest from indexing model_bytes out of bounds.
+  // make_manifest and parse_playlist validate labels, but nothing used to
+  // stop a hand-built Manifest from indexing model_bytes out of bounds.
   Manifest m;
   m.model_bytes = {500};
   m.segments.push_back({0, 30, 1000, 0});  // fine

@@ -4,7 +4,7 @@
 //   dcsr_fuzz --replay FILE [--harness H]
 //   dcsr_fuzz --write-corpus DIR
 //
-// Harnesses: bits, container, decoder, manifest, playlist, bundle.
+// Harnesses: bits, container, decoder, playlist, bundle, slice.
 //
 // No libFuzzer: iteration i seeds its own util/rng generator from (seed, i),
 // so any finding reproduces exactly with `--iters 1 --start i --seed S` —
@@ -79,7 +79,7 @@ int usage() {
       << "usage: dcsr_fuzz <harness|all> [--iters N] [--seed S] [--start I]\n"
          "       dcsr_fuzz --replay FILE [--harness H]\n"
          "       dcsr_fuzz --write-corpus DIR\n"
-         "harnesses: bits container decoder manifest playlist bundle\n";
+         "harnesses: bits container decoder playlist bundle slice\n";
   return 2;
 }
 

@@ -179,11 +179,6 @@ Bytes valid_input(Harness h, std::uint64_t seed) {
     }
     case Harness::kDecoder:
       return {};  // the decoder harness mutates a real encode; see run()
-    case Harness::kManifest: {
-      ByteWriter w;
-      stream::write_manifest(base_manifest(), w);
-      return w.bytes();
-    }
     case Harness::kPlaylist: {
       const std::string text = stream::write_playlist(base_manifest());
       return Bytes(text.begin(), text.end());
@@ -281,8 +276,7 @@ codec::EncodedVideo encode_base_video(std::uint64_t seed) {
 
 std::vector<Harness> all_harnesses() {
   return {Harness::kBits,     Harness::kContainer, Harness::kDecoder,
-          Harness::kManifest, Harness::kPlaylist,  Harness::kBundle,
-          Harness::kSlice};
+          Harness::kPlaylist, Harness::kBundle,    Harness::kSlice};
 }
 
 const char* harness_name(Harness h) {
@@ -290,7 +284,6 @@ const char* harness_name(Harness h) {
     case Harness::kBits: return "bits";
     case Harness::kContainer: return "container";
     case Harness::kDecoder: return "decoder";
-    case Harness::kManifest: return "manifest";
     case Harness::kPlaylist: return "playlist";
     case Harness::kBundle: return "bundle";
     case Harness::kSlice: return "slice";
@@ -351,16 +344,6 @@ ReplayOutcome replay(Harness h, const Bytes& bytes) {
         return ReplayOutcome::kTypedError;
       } catch (const std::invalid_argument&) {
         return ReplayOutcome::kSafeError;  // reference/display-structure guard
-      }
-    case Harness::kManifest:
-      try {
-        ByteReader r(bytes);
-        (void)stream::read_manifest(r);
-        return ReplayOutcome::kParsed;
-      } catch (const stream::ManifestError&) {
-        return ReplayOutcome::kTypedError;
-      } catch (const std::out_of_range&) {
-        return ReplayOutcome::kSafeError;
       }
     case Harness::kPlaylist:
       try {
@@ -570,33 +553,6 @@ std::vector<std::pair<std::string, Bytes>> regression_corpus() {
     bw.put_ue(2);
     bw.put_bits(3, 2);  // intra mode 3 does not exist
     out.emplace_back("slice-bad-mode-after-resync.bin", bw.finish());
-  }
-
-  {  // stream/manifest: wrong magic.
-    ByteWriter w;
-    w.write_u32(0x21212121);
-    out.emplace_back("manifest-bad-magic.bin", w.bytes());
-  }
-  {  // stream/manifest: valid stream with its trailing CRC corrupted.
-    ByteWriter w;
-    stream::Manifest m;
-    m.model_bytes = {123};
-    m.segments.push_back({0, 30, 1000, 0});
-    stream::write_manifest(m, w);
-    Bytes b = w.bytes();
-    b.back() ^= 0xff;
-    out.emplace_back("manifest-crc-mismatch.bin", std::move(b));
-  }
-  {  // stream/manifest: segment referencing a model that is not declared.
-    ByteWriter w;
-    w.write_u32(0x64634d46);  // "dcMF"
-    w.write_u32(0);           // model count
-    w.write_u32(1);           // segment count
-    w.write_u32(0);           // segment index
-    w.write_u32(5);           // frame count
-    w.write_u64(100);         // video bytes
-    w.write_i32(7);           // dangling model label
-    out.emplace_back("manifest-unknown-model.bin", w.bytes());
   }
 
   {  // stream/playlist: unknown directive.

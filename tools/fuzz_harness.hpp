@@ -18,7 +18,6 @@ enum class Harness {
   kBits,       // codec/bits exp-Golomb reader + writer/reader roundtrip
   kContainer,  // codec/container read_container
   kDecoder,    // codec/decoder decode_segment on mutated frame payloads
-  kManifest,   // stream/manifest binary read_manifest
   kPlaylist,   // stream/playlist text parse_playlist
   kBundle,     // stream/model_bundle deserialize
   kSlice,      // codec/decoder sliced (v3) path: resync headers + geometry
@@ -44,7 +43,7 @@ enum class ReplayOutcome {
 ReplayOutcome replay(Harness h, const std::vector<std::uint8_t>& bytes);
 
 /// The valid serialised artefact the fuzz loop mutates — a well-formed
-/// container/manifest/playlist/bundle (or exp-Golomb stream for kBits).
+/// container/playlist/bundle (or exp-Golomb stream for kBits).
 /// Empty for kDecoder, whose base is a real encode done inside run().
 std::vector<std::uint8_t> valid_input(Harness h, std::uint64_t seed);
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Single verification gate for the tree. Runs eleven legs, each test leg in
+# Single verification gate for the tree. Runs ten legs, each test leg in
 # its own build directory so instrumented artifacts never mix:
 #
 #   default     RelWithDebInfo build + full ctest suite (includes the
@@ -11,14 +11,12 @@
 #               finiteness scans and the hot-path heap auditor (the full
 #               suite runs with DCSR_ALLOC_CHECK enforcement live, so any
 #               unsanctioned allocation inside a guarded hot path fails
-#               its test) — including the checked-build negative tests
-#   contain     tier-1 suite in the checked build with the claim-containment
-#               auditor explicitly forced live (DCSR_CLAIM_CONTAIN=1): every
-#               parallel_for_writes region in the tree replays its canonical
-#               decomposition serially with byte-level write auditing, so a
-#               kernel whose actual writes escape its declared claim fails
-#               its test with a ClaimContainmentError — the "claims are
-#               exact: disjoint AND containing" leg
+#               its test) and the claim-containment auditor forced live
+#               (DCSR_CLAIM_CONTAIN=1: every parallel_for_writes region
+#               replays its canonical decomposition serially with byte-level
+#               write auditing, so a kernel whose writes escape its declared
+#               claim fails with a ClaimContainmentError) — including the
+#               checked-build negative tests
 #   asan        AddressSanitizer + UndefinedBehaviorSanitizer, full suite
 #   tsan        ThreadSanitizer, full suite forced to DCSR_THREADS=4 so the
 #               pool, the segment pipeline and the shared-model inference
@@ -66,9 +64,9 @@
 # accretes warnings, while the tier-1 build stays plain -Wall -Wextra.
 #
 # Usage: tools/run_checks.sh [leg...]
-#   e.g. tools/run_checks.sh            # all eleven legs
+#   e.g. tools/run_checks.sh            # all ten legs
 #        tools/run_checks.sh tsan       # just the TSan leg
-#        tools/run_checks.sh default checked contain fuzz-smoke
+#        tools/run_checks.sh default checked fuzz-smoke
 #
 # Prints a per-leg summary and exits nonzero if any leg fails.
 set -uo pipefail
@@ -77,7 +75,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 
 LEGS=("$@")
 if [ ${#LEGS[@]} -eq 0 ]; then
-  LEGS=(default checked contain asan tsan simd bench-smoke fuzz-smoke fleet-smoke decode-smoke tidy)
+  LEGS=(default checked asan tsan simd bench-smoke fuzz-smoke fleet-smoke decode-smoke tidy)
 fi
 
 declare -A STATUS
@@ -92,28 +90,11 @@ run_leg() {
     checked)
       build="${CHECKED_BUILD_DIR:-$ROOT/build-checked}"
       cmake_args+=(-DDCSR_CHECKED=ON)
-      # Enforcement defaults on in a checked build; being explicit here
-      # documents that this leg is the one that runs the whole suite with
-      # the heap auditor throwing.
-      env_prefix=(env DCSR_ALLOC_CHECK=1)
-      ;;
-    contain)
-      # Tier-1 suite with the claim-containment auditor forced live. Shares
-      # the checked leg's build directory (the auditor is compiled in under
-      # -DDCSR_CHECKED=ON and default-on there); forcing DCSR_CLAIM_CONTAIN=1
-      # in the environment documents that THIS leg is the one that holds
-      # every parallel_for_writes kernel to "writes stay inside the claim",
-      # even on hosts whose environment disabled the auditor.
-      build="${CHECKED_BUILD_DIR:-$ROOT/build-checked}"
-      echo
-      echo "=== leg: $leg (build dir: $build) ==="
-      cmake -B "$build" -S "$ROOT" -DDCSR_WERROR=ON -DDCSR_CHECKED=ON || return 1
-      cmake --build "$build" -j || return 1
-      env DCSR_CLAIM_CONTAIN=1 DCSR_ALLOC_CHECK=1 \
-        ctest --test-dir "$build" --output-on-failure -j || return 1
-      echo "contain: full suite green with the containment auditor live" \
-           "(every parallel_for_writes region byte-audited)"
-      return 0
+      # Both auditors default on in a checked build; forcing them here
+      # makes this the leg that runs the whole suite with the heap auditor
+      # throwing and every parallel_for_writes kernel held to "writes stay
+      # inside the claim", even where the environment disabled them.
+      env_prefix=(env DCSR_CLAIM_CONTAIN=1 DCSR_ALLOC_CHECK=1)
       ;;
     asan)
       build="${SAN_BUILD_DIR:-$ROOT/build-san}"
@@ -341,7 +322,7 @@ run_leg() {
       return $rc
       ;;
     *)
-      echo "run_checks.sh: unknown leg '$leg' (default|checked|contain|asan|tsan|simd|bench-smoke|fuzz-smoke|fleet-smoke|decode-smoke|tidy)" >&2
+      echo "run_checks.sh: unknown leg '$leg' (default|checked|asan|tsan|simd|bench-smoke|fuzz-smoke|fleet-smoke|decode-smoke|tidy)" >&2
       return 2
       ;;
   esac
