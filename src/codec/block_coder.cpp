@@ -43,16 +43,9 @@ bool all_zero(const Levels8& levels) noexcept {
   return true;
 }
 
-void write_levels(BitWriter& bw, const Levels8& levels, std::int32_t* dc_pred) {
-  int start = 0;
-  if (dc_pred != nullptr) {
-    const std::int32_t dc = levels[0];
-    bw.put_se(dc - *dc_pred);
-    *dc_pred = dc;
-    start = 1;
-  }
+void write_levels(BitWriter& bw, const Levels8& levels) {
   std::uint32_t run = 0;
-  for (int i = start; i < 64; ++i) {
+  for (int i = 0; i < 64; ++i) {
     const std::int32_t level = levels[static_cast<std::size_t>(kZigzag[static_cast<std::size_t>(i)])];
     if (level == 0) {
       ++run;
@@ -65,15 +58,9 @@ void write_levels(BitWriter& bw, const Levels8& levels, std::int32_t* dc_pred) {
   bw.put_ue(kEob);
 }
 
-Levels8 read_levels(BitReader& br, std::int32_t* dc_pred) {
+Levels8 read_levels(BitReader& br) {
   Levels8 levels{};
   int pos = 0;
-  if (dc_pred != nullptr) {
-    const std::int32_t dc = *dc_pred + br.get_se();
-    levels[0] = dc;
-    *dc_pred = dc;
-    pos = 1;
-  }
   while (true) {
     const std::size_t run_at = br.bits_consumed();
     const std::uint32_t run = br.get_ue();

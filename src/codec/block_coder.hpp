@@ -29,13 +29,11 @@ Block8 reconstruct_block(const Levels8& levels, const Quantizer& q, bool intra) 
 
 bool all_zero(const Levels8& levels) noexcept;
 
-/// Entropy-codes one block of levels. For intra blocks the DC level is coded
-/// as a delta against *dc_pred (then updated), exploiting the smoothness of
-/// natural images; AC levels (and everything for inter blocks) use zig-zag
-/// run-length pairs terminated by an EOB symbol.
-void write_levels(BitWriter& bw, const Levels8& levels, std::int32_t* dc_pred);
+/// Entropy-codes one block of levels as zig-zag run-length pairs
+/// terminated by an EOB symbol.
+void write_levels(BitWriter& bw, const Levels8& levels);
 
 /// Mirror of write_levels.
-Levels8 read_levels(BitReader& br, std::int32_t* dc_pred);
+Levels8 read_levels(BitReader& br);
 
 }  // namespace dcsr::codec

@@ -1,6 +1,7 @@
 #include "codec/container.hpp"
 
 #include <array>
+#include <climits>
 #include <stdexcept>
 
 #include "codec/errors.hpp"
@@ -114,7 +115,8 @@ EncodedVideo read_container(ByteReader& in) {
   video.segments.reserve(n_segments);
   for (std::uint32_t s = 0; s < n_segments; ++s) {
     EncodedSegment seg;
-    seg.first_frame = static_cast<int>(in.read_u32());
+    const std::size_t first_frame_at = in.position();
+    const std::uint32_t first_frame = in.read_u32();
     const std::size_t crf_at = in.position();
     seg.crf = in.read_i32();
     if (seg.crf < -1 || seg.crf > 51)
@@ -124,6 +126,12 @@ EncodedVideo read_container(ByteReader& in) {
     if (n_frames > 1u << 20)
       throw ContainerError("read_container: implausible frame count",
                            n_frames_at);
+    // Display indices run below n_frames, so this keeps every absolute
+    // frame number first_frame + display_index inside int.
+    if (first_frame > static_cast<std::uint32_t>(INT_MAX) - n_frames)
+      throw ContainerError("read_container: first frame out of range",
+                           first_frame_at);
+    seg.first_frame = static_cast<int>(first_frame);
     seg.frames.reserve(n_frames);
     for (std::uint32_t f = 0; f < n_frames; ++f) {
       EncodedFrame frame;

@@ -89,15 +89,14 @@ Block8 predict_intra(const Plane& recon, int bx, int by, IntraMode mode,
 }
 
 // Codes the 8x8 block rows covering pixel rows [y0, y1). `mb_row_px` is the
-// intra-prediction restriction period: when nonzero, the row above is only
-// readable from inside the same macroblock row (`by % mb_row_px != 0`); zero
-// keeps the legacy whole-frame policy (`by > 0`). The restriction is what
+// plane's macroblock-row height: the row above is only readable from inside
+// the same macroblock row (`by % mb_row_px != 0`). The restriction is what
 // makes sliced reconstruction independent of the slice count — prediction
 // never crosses an MB-row boundary, however the rows are grouped.
 void encode_plane_intra_rows(const Plane& src, Plane& recon, const Quantizer& q,
                              BitWriter& bw, int y0, int y1, int mb_row_px) {
   for (int by = y0; by < y1; by += 8) {
-    const bool top = mb_row_px == 0 ? by > 0 : by % mb_row_px != 0;
+    const bool top = by % mb_row_px != 0;
     for (int bx = 0; bx < src.width(); bx += 8) {
       const bool left = bx > 0;
       const Block8 block = extract_block(src, bx, by);
@@ -127,7 +126,7 @@ void encode_plane_intra_rows(const Plane& src, Plane& recon, const Quantizer& q,
       const Levels8 levels = forward_block(residual, q, /*intra=*/true);
 
       bw.put_bits(static_cast<std::uint32_t>(best_mode), 2);
-      write_levels(bw, levels, nullptr);
+      write_levels(bw, levels);
 
       Block8 rec = reconstruct_block(levels, q, /*intra=*/true);
       for (int i = 0; i < 64; ++i) {
@@ -139,6 +138,9 @@ void encode_plane_intra_rows(const Plane& src, Plane& recon, const Quantizer& q,
   }
 }
 
+// Decodes what encode_plane_intra_rows codes. `mb_row_px` zero is the legacy
+// (container v2) whole-frame policy: the row above is readable whenever
+// `by > 0`.
 void decode_plane_intra_rows(Plane& out, const Quantizer& q, BitReader& br,
                              int y0, int y1, int mb_row_px) {
   for (int by = y0; by < y1; by += 8) {
@@ -163,7 +165,7 @@ void decode_plane_intra_rows(Plane& out, const Quantizer& q, BitReader& br,
             "decode: intra mode references a missing neighbour", mode_at);
       }
       const Block8 pred = predict_intra(out, bx, by, mode, top, left);
-      const Levels8 levels = read_levels(br, nullptr);
+      const Levels8 levels = read_levels(br);
       Block8 rec = reconstruct_block(levels, q, /*intra=*/true);
       for (int i = 0; i < 64; ++i) {
         rec[static_cast<std::size_t>(i)] += pred[static_cast<std::size_t>(i)];
@@ -254,12 +256,12 @@ MbLevels quantize_mb(const FrameYUV& src, const MbPred& pred, int mbx, int mby,
 }
 
 void write_mb_levels(BitWriter& bw, const MbLevels& lv) {
-  for (const auto& b : lv.blocks) write_levels(bw, b, nullptr);
+  for (const auto& b : lv.blocks) write_levels(bw, b);
 }
 
 MbLevels read_mb_levels(BitReader& br) {
   MbLevels lv;
-  for (auto& b : lv.blocks) b = read_levels(br, nullptr);
+  for (auto& b : lv.blocks) b = read_levels(br);
   return lv;
 }
 
@@ -366,15 +368,6 @@ void slice_partition(int mb_rows, int slices, std::vector<SliceSpan>& out) {
 
 // ---- Intra frame -----------------------------------------------------------
 
-FrameYUV encode_intra_frame(const FrameYUV& src, const Quantizer& q, BitWriter& bw) {
-  require_mb_aligned(src);
-  FrameYUV recon(src.width(), src.height());
-  encode_plane_intra_rows(src.y, recon.y, q, bw, 0, src.height(), 0);
-  encode_plane_intra_rows(src.u, recon.u, q, bw, 0, src.height() / 2, 0);
-  encode_plane_intra_rows(src.v, recon.v, q, bw, 0, src.height() / 2, 0);
-  return recon;
-}
-
 FrameYUV decode_intra_frame(int width, int height, const Quantizer& q, BitReader& br) {
   FrameYUV out(width, height);
   decode_plane_intra_rows(out.y, q, br, 0, height, 0);
@@ -417,8 +410,8 @@ void decode_intra_slice(FrameYUV& out, const Quantizer& q,
 namespace {
 
 // Codes macroblock rows [r0, r1) of a P frame. The MV predictor resets at
-// every MB row (decoder mirrors it), so row ranges are self-contained and a
-// sliced stream's rows code to exactly the same bits as the legacy frame's.
+// every MB row (decoder mirrors it), so row ranges are self-contained and
+// the legacy sliceless frame's rows decode with the same loop.
 void encode_p_rows(const FrameYUV& src, const FrameYUV& ref, FrameYUV& recon,
                    const Quantizer& q, int search_range, int r0, int r1,
                    BitWriter& bw) {
@@ -473,17 +466,6 @@ void decode_p_rows(FrameYUV& out, const FrameYUV& ref, const Quantizer& q,
 }
 
 }  // namespace
-
-FrameYUV encode_p_frame(const FrameYUV& src, const FrameYUV& ref,
-                        const Quantizer& q, int search_range, BitWriter& bw) {
-  require_mb_aligned(src);
-  FrameYUV recon(src.width(), src.height());
-  encode_p_rows(src, ref, recon, q, search_range, 0, src.height() / 16, bw);
-  recon.y.clamp01();
-  recon.u.clamp01();
-  recon.v.clamp01();
-  return recon;
-}
 
 FrameYUV decode_p_frame(const FrameYUV& ref, const Quantizer& q, BitReader& br) {
   FrameYUV out(ref.width(), ref.height());
@@ -642,19 +624,6 @@ void decode_b_rows(FrameYUV& out, const FrameYUV& ref_past,
 }
 
 }  // namespace
-
-FrameYUV encode_b_frame(const FrameYUV& src, const FrameYUV& ref_past,
-                        const FrameYUV& ref_future, const Quantizer& q,
-                        int search_range, BitWriter& bw) {
-  require_mb_aligned(src);
-  FrameYUV recon(src.width(), src.height());
-  encode_b_rows(src, ref_past, ref_future, recon, q, search_range, 0,
-                src.height() / 16, bw);
-  recon.y.clamp01();
-  recon.u.clamp01();
-  recon.v.clamp01();
-  return recon;
-}
 
 FrameYUV decode_b_frame(const FrameYUV& ref_past, const FrameYUV& ref_future,
                         const Quantizer& q, BitReader& br) {

@@ -17,24 +17,22 @@ namespace dcsr::codec {
 ///
 /// Luma dimensions must be multiples of 16 (one macroblock); chroma is 4:2:0.
 
-/// Codes a frame in intra mode: all planes in raster 8x8 blocks with
-/// DC-delta prediction. Samples are biased by -0.5 before the transform so
-/// levels are signed around zero.
-FrameYUV encode_intra_frame(const FrameYUV& src, const Quantizer& q, BitWriter& bw);
+// ---- Legacy sliceless frames (container v2 streams) ------------------------
+//
+// Decoders for the frames container v2 wrote: one bitstream per frame, no
+// slice table. The encoder writes only sliced frames; these remain so v2
+// files still play.
+
+/// Intra frame: all planes in raster 8x8 blocks, each with a spatial
+/// prediction mode (DC, vertical, horizontal) that may read any in-frame
+/// neighbour.
 FrameYUV decode_intra_frame(int width, int height, const Quantizer& q, BitReader& br);
 
-/// Codes a P frame against one reference: per-16x16-macroblock motion search
-/// (three-step), MV-delta coding against the left neighbour, per-MB skip
-/// flag, and 8x8 residual transform coding.
-FrameYUV encode_p_frame(const FrameYUV& src, const FrameYUV& ref,
-                        const Quantizer& q, int search_range, BitWriter& bw);
+/// P frame: per-16x16-macroblock skip flag, half-pel MV delta against the
+/// left neighbour, and 8x8 residual transform coding.
 FrameYUV decode_p_frame(const FrameYUV& ref, const Quantizer& q, BitReader& br);
 
-/// Codes a B frame against past/future references; per MB the encoder picks
-/// forward, backward, or bidirectional prediction.
-FrameYUV encode_b_frame(const FrameYUV& src, const FrameYUV& ref_past,
-                        const FrameYUV& ref_future, const Quantizer& q,
-                        int search_range, BitWriter& bw);
+/// B frame: per macroblock, forward, backward or bidirectional prediction.
 FrameYUV decode_b_frame(const FrameYUV& ref_past, const FrameYUV& ref_future,
                         const Quantizer& q, BitReader& br);
 
@@ -64,8 +62,9 @@ void slice_partition(int mb_rows, int slices, std::vector<SliceSpan>& out);
 /// resets per MB row — so the reconstruction is bit-identical for *every*
 /// slice count, and the decoder may run slices concurrently. The encoders
 /// append substreams to `frame.payload`, record lengths in
-/// `frame.slice_sizes`, and return the reconstruction like their sliceless
-/// counterparts.
+/// `frame.slice_sizes`, and return the reconstruction. The P encoder runs a
+/// three-step motion search refined to half pel; the B encoder picks
+/// forward, backward or bidirectional prediction per macroblock.
 FrameYUV encode_intra_frame_sliced(const FrameYUV& src, const Quantizer& q,
                                    int slices, EncodedFrame& frame);
 FrameYUV encode_p_frame_sliced(const FrameYUV& src, const FrameYUV& ref,

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "simd/dispatch.hpp"
-
 namespace dcsr::codec {
 
 float sample_halfpel(const Plane& p, int x2, int y2) noexcept {
@@ -96,42 +94,6 @@ MotionVector motion_search(const Plane& cur, const Plane& ref, int bx, int by,
     }
   }
   return best;
-}
-
-void motion_compensate(const Plane& ref, Plane& dst, int bx, int by, int size,
-                       MotionVector mv) noexcept {
-  // Fast path: prediction between same-geometry planes (the only case the
-  // codec produces) goes through the SIMD block kernel.
-  if (ref.width() == dst.width() && ref.height() == dst.height()) {
-    simd::active().mc_copy_block(ref.data(), dst.data(), dst.width(),
-                                 dst.height(), bx, by, size, mv.x, mv.y);
-    return;
-  }
-  for (int y = 0; y < size; ++y)
-    for (int x = 0; x < size; ++x) {
-      const int px = bx + x, py = by + y;
-      if (px < dst.width() && py < dst.height())
-        dst.at(px, py) = ref.at_clamped(px + mv.x, py + mv.y);
-    }
-}
-
-void motion_compensate_bi(const Plane& ref0, MotionVector mv0,
-                          const Plane& ref1, MotionVector mv1, Plane& dst,
-                          int bx, int by, int size) noexcept {
-  if (ref0.width() == dst.width() && ref0.height() == dst.height() &&
-      ref1.width() == dst.width() && ref1.height() == dst.height()) {
-    simd::active().mc_bi_block(ref0.data(), mv0.x, mv0.y, ref1.data(), mv1.x,
-                               mv1.y, dst.data(), dst.width(), dst.height(),
-                               bx, by, size);
-    return;
-  }
-  for (int y = 0; y < size; ++y)
-    for (int x = 0; x < size; ++x) {
-      const int px = bx + x, py = by + y;
-      if (px < dst.width() && py < dst.height())
-        dst.at(px, py) = 0.5f * (ref0.at_clamped(px + mv0.x, py + mv0.y) +
-                                 ref1.at_clamped(px + mv1.x, py + mv1.y));
-    }
 }
 
 }  // namespace dcsr::codec

@@ -38,14 +38,4 @@ MotionVector refine_halfpel(const Plane& cur, const Plane& ref, int bx, int by,
 float block_sad_halfpel(const Plane& cur, const Plane& ref, int bx, int by,
                         int size, MotionVector mv_halfpel) noexcept;
 
-/// Copies the motion-compensated prediction block from `ref` into `dst` at
-/// (bx, by), edge-clamped.
-void motion_compensate(const Plane& ref, Plane& dst, int bx, int by, int size,
-                       MotionVector mv) noexcept;
-
-/// Bidirectional prediction: averages the two displaced reference blocks.
-void motion_compensate_bi(const Plane& ref0, MotionVector mv0,
-                          const Plane& ref1, MotionVector mv1, Plane& dst,
-                          int bx, int by, int size) noexcept;
-
 }  // namespace dcsr::codec

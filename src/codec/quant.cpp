@@ -36,10 +36,6 @@ Quantizer::Quantizer(int crf)
   }
 }
 
-float Quantizer::step_at(int idx, bool intra) const noexcept {
-  return steps(intra)[idx];
-}
-
 std::array<std::int32_t, 64> Quantizer::quantize(const Block8& coeffs,
                                                  bool intra) const noexcept {
   std::array<std::int32_t, 64> levels{};

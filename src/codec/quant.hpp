@@ -44,8 +44,6 @@ class Quantizer {
   }
 
  private:
-  float step_at(int idx, bool intra) const noexcept;
-
   int crf_;
   float base_step_;
   std::array<std::array<float, 64>, 2> steps_{};

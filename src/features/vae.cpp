@@ -64,8 +64,8 @@ std::vector<nn::Param*> Vae::params() {
   return ps;
 }
 
-Vae::StepStats Vae::train_step(const Tensor& batch, nn::Optimizer& opt,
-                               Rng& rng, float beta) {
+Vae::StepStats Vae::train_step(const Tensor& batch, nn::Adam& opt, Rng& rng,
+                               float beta) {
   for (nn::Param* p : params()) p->grad.zero();
 
   const Heads heads = encode_heads(batch);

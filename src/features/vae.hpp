@@ -37,7 +37,7 @@ class Vae {
     double recon_mse = 0.0;
     double kl = 0.0;
   };
-  StepStats train_step(const Tensor& batch, nn::Optimizer& opt, Rng& rng,
+  StepStats train_step(const Tensor& batch, nn::Adam& opt, Rng& rng,
                        float beta = 1e-3f);
 
   /// Latent mean vectors, one row per batch item (N x latent_dim). The

@@ -21,23 +21,6 @@ LossResult mse_loss(const Tensor& pred, const Tensor& target) {
   return r;
 }
 
-LossResult l1_loss(const Tensor& pred, const Tensor& target) {
-  if (!pred.same_shape(target))
-    throw std::invalid_argument("l1_loss: shape mismatch");
-  LossResult r;
-  r.grad = Tensor(pred.shape());
-  const auto n = static_cast<double>(pred.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < pred.size(); ++i) {
-    const float d = pred[i] - target[i];
-    acc += std::abs(static_cast<double>(d));
-    r.grad[i] = (d > 0.0f ? 1.0f : (d < 0.0f ? -1.0f : 0.0f)) /
-                static_cast<float>(n);
-  }
-  r.value = acc / n;
-  return r;
-}
-
 KlResult kl_divergence(const Tensor& mu, const Tensor& logvar) {
   if (!mu.same_shape(logvar))
     throw std::invalid_argument("kl_divergence: shape mismatch");

@@ -14,10 +14,6 @@ struct LossResult {
 /// reconstruction term. grad = 2*(pred - target)/N.
 LossResult mse_loss(const Tensor& pred, const Tensor& target);
 
-/// L1 (mean absolute error) loss, which the original EDSR paper found to
-/// converge better than L2 for SR. Kept as an option for ablations.
-LossResult l1_loss(const Tensor& pred, const Tensor& target);
-
 /// Analytic KL divergence between N(mu, exp(logvar)) and N(0, 1), summed over
 /// latent dimensions and averaged over the batch — the VAE regulariser from
 /// Eq. (1) of the paper. Returns the loss plus gradients w.r.t. mu and logvar.

@@ -6,8 +6,8 @@ namespace dcsr::nn {
 
 Adam::Adam(std::vector<Param*> params, double lr, double beta1, double beta2,
            double eps)
-    : Optimizer(std::move(params)), beta1_(beta1), beta2_(beta2), eps_(eps) {
-  lr_ = lr;
+    : params_(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2),
+      eps_(eps) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (Param* p : params_) {
@@ -18,17 +18,6 @@ Adam::Adam(std::vector<Param*> params, double lr, double beta1, double beta2,
 
 void Adam::step() {
   ++t_;
-
-  // Global-norm clipping (applied as a scale factor, preserving direction).
-  double scale = 1.0;
-  double norm2 = 0.0;
-  for (Param* p : params_)
-    for (std::size_t j = 0; j < p->grad.size(); ++j)
-      norm2 += static_cast<double>(p->grad[j]) * static_cast<double>(p->grad[j]);
-  last_grad_norm_ = std::sqrt(norm2);
-  if (grad_clip_ > 0.0 && last_grad_norm_ > grad_clip_)
-    scale = grad_clip_ / last_grad_norm_;
-
   const double bc1 = 1.0 - std::pow(beta1_, t_);
   const double bc2 = 1.0 - std::pow(beta2_, t_);
   for (std::size_t i = 0; i < params_.size(); ++i) {
@@ -36,13 +25,11 @@ void Adam::step() {
     Tensor& m = m_[i];
     Tensor& v = v_[i];
     for (std::size_t j = 0; j < p.value.size(); ++j) {
-      const double g = p.grad[j] * scale;
+      const double g = p.grad[j];
       m[j] = static_cast<float>(beta1_ * m[j] + (1.0 - beta1_) * g);
       v[j] = static_cast<float>(beta2_ * v[j] + (1.0 - beta2_) * g * g);
       const double mhat = m[j] / bc1;
       const double vhat = v[j] / bc2;
-      if (weight_decay_ > 0.0)
-        p.value[j] -= static_cast<float>(lr_ * weight_decay_ * p.value[j]);
       p.value[j] -= static_cast<float>(lr_ * mhat / (std::sqrt(vhat) + eps_));
     }
   }

@@ -79,7 +79,6 @@ const char* family_name(int family) noexcept {
     case kFamIm2col: return "im2col";
     case kFamYuvToRgb: return "yuv2rgb";
     case kFamRgbToYuv: return "rgb2yuv";
-    case kFamMc: return "mc";
     default: return "?";
   }
 }

@@ -28,7 +28,6 @@ enum Family : int {
   kFamIm2col,
   kFamYuvToRgb,
   kFamRgbToYuv,
-  kFamMc,
   kNumFamilies,
 };
 const char* family_name(int family) noexcept;
@@ -97,16 +96,6 @@ struct KernelTable {
   // w even) into one cw = w/2 row: out[x] = 0.25 * (f0[2x] + f0[2x+1] +
   // f1[2x] + f1[2x+1]) in the scalar oracle's association order.
   void (*chroma_box_row)(const float* f0, const float* f1, int w, float* out);
-
-  // Motion compensation: copy (or average, for bidirectional) a size x size
-  // block from reference plane(s) of extent w x h at displaced, edge-clamped
-  // coordinates into the same-extent dst plane at (bx, by). Blocks may
-  // overhang the right/bottom frame edge; writes are clipped to the plane.
-  void (*mc_copy_block)(const float* ref, float* dst, int w, int h, int bx,
-                        int by, int size, int mvx, int mvy);
-  void (*mc_bi_block)(const float* ref0, int mv0x, int mv0y, const float* ref1,
-                      int mv1x, int mv1y, float* dst, int w, int h, int bx,
-                      int by, int size);
 
   /// Backend this table dispatches as.
   Backend id;

@@ -10,7 +10,7 @@
 //     block row / C-tile columns / pixels of a row), never across an
 //     accumulation. With contraction off, every _mm256_mul_ps rounds exactly
 //     where the oracle's plain multiply does.
-//   - quant/dequant/im2col/mc: exact math (division + exact lround
+//   - quant/dequant/im2col: exact math (division + exact lround
 //     emulation, single multiplies, copies).
 // Edge pixels and tail lanes reuse the kernels_inline.hpp helpers — the
 // same inlined code the scalar oracle runs.
@@ -438,66 +438,6 @@ void chroma_box_row_avx2(const float* f0, const float* f1, int w, float* out) {
     out[x] = 0.25f * (f0[2 * x] + f0[2 * x + 1] + f1[2 * x] + f1[2 * x + 1]);
 }
 
-// --- Motion compensation ----------------------------------------------------
-
-struct McRowSpan {
-  int left;
-  int interior;
-  int right;
-};
-
-inline McRowSpan mc_row_span(int bx, int xn, int mvx, int w) {
-  const int sx0 = bx + mvx;
-  const int left = std::min(xn, std::max(0, -sx0));
-  const int interior = std::min(xn, std::max(0, w - sx0)) - left;
-  return {left, interior, xn - left - interior};
-}
-
-void mc_copy_block_avx2(const float* ref, float* dst, int w, int h, int bx,
-                        int by, int size, int mvx, int mvy) {
-  const int xn = std::min(size, w - bx);
-  const int yn = std::min(size, h - by);
-  if (xn <= 0) return;
-  const McRowSpan sp = mc_row_span(bx, xn, mvx, w);
-  for (int y = 0; y < yn; ++y) {
-    const int py = by + y;
-    const float* s = ref + clamp_idx(py + mvy, h) * w;
-    float* d = dst + py * w + bx;
-    for (int x = 0; x < sp.left; ++x) d[x] = s[0];
-    copy_row(s + bx + sp.left + mvx, d + sp.left, sp.interior);
-    for (int x = 0; x < sp.right; ++x) d[sp.left + sp.interior + x] = s[w - 1];
-  }
-}
-
-void mc_bi_block_avx2(const float* ref0, int mv0x, int mv0y, const float* ref1,
-                      int mv1x, int mv1y, float* dst, int w, int h, int bx,
-                      int by, int size) {
-  const int xn = std::min(size, w - bx);
-  const int yn = std::min(size, h - by);
-  if (xn <= 0) return;
-  const __m256 half = _mm256_set1_ps(0.5f);
-  for (int y = 0; y < yn; ++y) {
-    const int py = by + y;
-    const float* s0 = ref0 + clamp_idx(py + mv0y, h) * w;
-    const float* s1 = ref1 + clamp_idx(py + mv1y, h) * w;
-    float* d = dst + py * w + bx;
-    const int sx0 = bx + mv0x, sx1 = bx + mv1x;
-    if (sx0 >= 0 && sx0 + xn <= w && sx1 >= 0 && sx1 + xn <= w) {
-      int x = 0;
-      for (; x + 8 <= xn; x += 8) {
-        const __m256 a = _mm256_loadu_ps(s0 + sx0 + x);
-        const __m256 b = _mm256_loadu_ps(s1 + sx1 + x);
-        _mm256_storeu_ps(d + x, _mm256_mul_ps(half, _mm256_add_ps(a, b)));
-      }
-      for (; x < xn; ++x) d[x] = 0.5f * (s0[sx0 + x] + s1[sx1 + x]);
-    } else {
-      for (int x = 0; x < xn; ++x)
-        d[x] = 0.5f * (s0[clamp_idx(bx + x + mv0x, w)] +
-                       s1[clamp_idx(bx + x + mv1x, w)]);
-    }
-  }
-}
-
 }  // namespace
 
 bool populate_avx2(KernelTable& t) noexcept {
@@ -512,8 +452,6 @@ bool populate_avx2(KernelTable& t) noexcept {
   t.yuv_to_rgb_row = &yuv_to_rgb_row_avx2;
   t.rgb_to_yuv_row = &rgb_to_yuv_row_avx2;
   t.chroma_box_row = &chroma_box_row_avx2;
-  t.mc_copy_block = &mc_copy_block_avx2;
-  t.mc_bi_block = &mc_bi_block_avx2;
   for (int f = 0; f < kNumFamilies; ++f) t.origin[f] = Backend::kAvx2;
   return true;
 }

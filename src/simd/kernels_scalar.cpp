@@ -1,8 +1,8 @@
 // Scalar reference kernels: the bit-exact oracle every SIMD backend is
 // pinned against. These are the historical inner loops of dct.cpp,
-// quant.cpp, motion.cpp, convert.cpp and tensor/ops.cpp, with raw-pointer
-// arguments replacing the wrapper types, so the dispatch table has a scalar
-// entry for every family. Every fused multiply-add is a written std::fma and
+// quant.cpp, convert.cpp and tensor/ops.cpp, with raw-pointer arguments
+// replacing the wrapper types, so the dispatch table has a scalar entry for
+// every family. Every fused multiply-add is a written std::fma and
 // the tree compiles with -ffp-contract=off (root CMakeLists.txt), so the
 // arithmetic below is the oracle's definition whatever -march or build type
 // compiles it.
@@ -148,30 +148,6 @@ void chroma_box_row_scalar(const float* f0, const float* f1, int w,
     out[x] = 0.25f * (f0[2 * x] + f0[2 * x + 1] + f1[2 * x] + f1[2 * x + 1]);
 }
 
-void mc_copy_block_scalar(const float* ref, float* dst, int w, int h, int bx,
-                          int by, int size, int mvx, int mvy) {
-  for (int y = 0; y < size; ++y)
-    for (int x = 0; x < size; ++x) {
-      const int px = bx + x, py = by + y;
-      if (px < w && py < h)
-        dst[py * w + px] =
-            ref[clamp_idx(py + mvy, h) * w + clamp_idx(px + mvx, w)];
-    }
-}
-
-void mc_bi_block_scalar(const float* ref0, int mv0x, int mv0y,
-                        const float* ref1, int mv1x, int mv1y, float* dst,
-                        int w, int h, int bx, int by, int size) {
-  for (int y = 0; y < size; ++y)
-    for (int x = 0; x < size; ++x) {
-      const int px = bx + x, py = by + y;
-      if (px < w && py < h)
-        dst[py * w + px] =
-            0.5f * (ref0[clamp_idx(py + mv0y, h) * w + clamp_idx(px + mv0x, w)] +
-                    ref1[clamp_idx(py + mv1y, h) * w + clamp_idx(px + mv1x, w)]);
-    }
-}
-
 KernelTable make_scalar_table() noexcept {
   KernelTable t{};
   t.dct8x8 = &dct8x8_scalar;
@@ -184,8 +160,6 @@ KernelTable make_scalar_table() noexcept {
   t.yuv_to_rgb_row = &yuv_to_rgb_row_scalar;
   t.rgb_to_yuv_row = &rgb_to_yuv_row_scalar;
   t.chroma_box_row = &chroma_box_row_scalar;
-  t.mc_copy_block = &mc_copy_block_scalar;
-  t.mc_bi_block = &mc_bi_block_scalar;
   t.id = Backend::kScalar;
   for (int f = 0; f < kNumFamilies; ++f) t.origin[f] = Backend::kScalar;
   return t;

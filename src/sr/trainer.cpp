@@ -11,38 +11,19 @@ namespace dcsr::sr {
 
 namespace {
 
-// Maps patch coordinates through one of the 8 dihedral transforms (identity,
-// three rotations, and their mirrored versions). `size` is the patch edge.
-void dihedral_map(int op, int size, int x, int y, int& ox, int& oy) noexcept {
-  const int m = size - 1;
-  switch (op & 3) {
-    case 0: ox = x; oy = y; break;
-    case 1: ox = m - y; oy = x; break;      // rot90
-    case 2: ox = m - x; oy = m - y; break;  // rot180
-    default: ox = y; oy = m - x; break;     // rot270
-  }
-  if (op & 4) ox = m - ox;  // horizontal mirror
-}
-
-// Copies an aligned (lo, hi) patch pair into batch tensors at row b,
-// applying the same dihedral transform to both resolutions.
+// Copies an aligned (lo, hi) patch pair into batch tensors at row b.
 void fill_patch(const TrainSample& s, int scale, int patch, int b, int x0,
-                int y0, int op, Tensor& lo_batch, Tensor& hi_batch) {
+                int y0, Tensor& lo_batch, Tensor& hi_batch) {
   const Plane* lo_planes[3] = {&s.lo.r, &s.lo.g, &s.lo.b};
   const Plane* hi_planes[3] = {&s.hi.r, &s.hi.g, &s.hi.b};
-  int ox = 0, oy = 0;
   for (int c = 0; c < 3; ++c) {
     for (int y = 0; y < patch; ++y)
-      for (int x = 0; x < patch; ++x) {
-        dihedral_map(op, patch, x, y, ox, oy);
-        lo_batch.at(b, c, oy, ox) = lo_planes[c]->at(x0 + x, y0 + y);
-      }
+      for (int x = 0; x < patch; ++x)
+        lo_batch.at(b, c, y, x) = lo_planes[c]->at(x0 + x, y0 + y);
     const int hp = patch * scale;
     for (int y = 0; y < hp; ++y)
-      for (int x = 0; x < hp; ++x) {
-        dihedral_map(op, hp, x, y, ox, oy);
-        hi_batch.at(b, c, oy, ox) = hi_planes[c]->at(x0 * scale + x, y0 * scale + y);
-      }
+      for (int x = 0; x < hp; ++x)
+        hi_batch.at(b, c, y, x) = hi_planes[c]->at(x0 * scale + x, y0 * scale + y);
   }
 }
 
@@ -70,22 +51,16 @@ TrainStats train_sr_model(Edsr& model, const std::vector<TrainSample>& samples,
   Tensor hi_batch({opts.batch_size, 3, patch * scale, patch * scale});
 
   for (int it = 0; it < opts.iterations; ++it) {
-    if (opts.lr_decay) {
-      const double frac = static_cast<double>(it) / opts.iterations;
-      opt.set_lr(opts.lr * (frac < 0.6 ? 1.0 : (frac < 0.85 ? 0.3 : 0.09)));
-    }
     for (int b = 0; b < opts.batch_size; ++b) {
       const auto& s = samples[static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(samples.size()) - 1))];
       const int x0 = static_cast<int>(rng.uniform_int(0, s.lo.width() - patch));
       const int y0 = static_cast<int>(rng.uniform_int(0, s.lo.height() - patch));
-      const int op = opts.augment ? static_cast<int>(rng.uniform_int(0, 7)) : 0;
-      fill_patch(s, scale, patch, b, x0, y0, op, lo_batch, hi_batch);
+      fill_patch(s, scale, patch, b, x0, y0, lo_batch, hi_batch);
     }
     model.zero_grad();
     const Tensor pred = model.forward(lo_batch);
-    const nn::LossResult loss =
-        opts.use_l1 ? nn::l1_loss(pred, hi_batch) : nn::mse_loss(pred, hi_batch);
+    const nn::LossResult loss = nn::mse_loss(pred, hi_batch);
     model.backward(loss.grad);
     opt.step();
     stats.loss_curve.push_back(loss.value);

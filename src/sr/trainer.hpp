@@ -16,24 +16,14 @@ struct TrainSample {
   FrameRGB hi;
 };
 
+/// Plain MSE on random aligned crops at a flat learning rate: a micro model is
+/// meant to memorise its cluster's I frames (§3.1.3, Fig. 11), so the
+/// trainer has no regularisers (L1, lr decay, augmentation) to generalise.
 struct TrainOptions {
   int iterations = 200;
   int patch_size = 32;   // lo-res patch edge; hi patch is patch_size * scale
   int batch_size = 4;
   double lr = 2e-3;
-  bool use_l1 = false;   // EDSR's paper prefers L1; MSE matches dcSR's Fig. 11
-
-  /// Step decay: lr x0.3 at 60% and 85% of the iteration budget (the usual
-  /// EDSR-style staircase, rescaled to micro budgets). Off by default: at
-  /// micro iteration budgets the loss is still descending when the decay
-  /// would kick in, so flat lr trains further.
-  bool lr_decay = false;
-
-  /// Dihedral-group patch augmentation (flips + 90-degree rotations, applied
-  /// consistently to lo and hi), the standard SR trick. Off by default:
-  /// dcSR *wants* to overfit its exact frames (§A.1), and augmentation
-  /// trades memorisation for generalisation — exposed for the ablation.
-  bool augment = false;
 };
 
 struct TrainStats {

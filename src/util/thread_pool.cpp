@@ -631,12 +631,12 @@ void set_default_pool_threads(int threads) {
 
 int thread_count_from_env() {
   // env_int already rejects — never partially accepts — trailing garbage
-  // ("4abc"), empty strings and values that overflow long long; values that
-  // fit long long but not int are rejected here for the same hardware
+  // ("4abc"), empty strings and values that overflow long long; values below
+  // INT_MIN or above kMaxEnvThreads are rejected here for the same hardware
   // fallback. A fully-parsed value below 1 clamps to 1 (the documented
   // pure-serial escape hatch).
   if (const auto v = env_int("DCSR_THREADS")) {
-    if (*v >= INT_MIN && *v <= INT_MAX)
+    if (*v >= INT_MIN && *v <= kMaxEnvThreads)
       return std::max(1, static_cast<int>(*v));
   }
   const unsigned hw = std::thread::hardware_concurrency();

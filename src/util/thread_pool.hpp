@@ -214,13 +214,19 @@ void set_default_pool_threads(int threads);
 /// beyond reading the environment).
 int default_thread_count();
 
+/// Largest `DCSR_THREADS` value accepted. The pool spawns one worker per
+/// thread and sizes its task ring to twice that, so an unbounded value would
+/// ask the OS for billions of threads on the first parallel region.
+inline constexpr int kMaxEnvThreads = 256;
+
 /// Parses `DCSR_THREADS` and falls back to hardware_concurrency(). The value
-/// must parse *completely* as an integer that fits in int — trailing garbage
-/// ("4abc"), overflow ("999999999999") and non-numeric strings are rejected
-/// outright (hardware fallback), never partially accepted. A fully-parsed
-/// value below 1 clamps to 1 (pure serial execution — handy for debugging).
-/// This is what sizes the default pool on first use; exposed so the policy
-/// is testable.
+/// must parse *completely* as an integer no greater than kMaxEnvThreads —
+/// trailing garbage ("4abc"), overflow ("999999999999"), values above the
+/// bound ("100000") and non-numeric strings are rejected outright (hardware
+/// fallback), never partially accepted or clamped. A fully-parsed value
+/// below 1 clamps to 1 (pure serial execution — handy for debugging). This
+/// is what sizes the default pool on first use; exposed so the policy is
+/// testable.
 int thread_count_from_env();
 
 /// `default_pool().parallel_for(...)` convenience wrapper.

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "codec/bits.hpp"
 #include "codec/frame_coding.hpp"
 #include "codec/motion.hpp"
 #include "codec/quant.hpp"
@@ -88,13 +87,13 @@ TEST(HalfPel, SubPelMotionCodesCheaperThanResidual) {
   cur.v.fill(0.5f);
 
   const Quantizer q(28);
-  BitWriter bw_ref, bw_p, bw_i;
-  const FrameYUV ref_recon = encode_intra_frame(ref, q, bw_ref);
-  encode_p_frame(cur, ref_recon, q, 8, bw_p);
-  encode_intra_frame(cur, q, bw_i);
+  EncodedFrame ef_ref, ef_p, ef_i;
+  const FrameYUV ref_recon = encode_intra_frame_sliced(ref, q, 1, ef_ref);
+  encode_p_frame_sliced(cur, ref_recon, q, 8, 1, ef_p);
+  encode_intra_frame_sliced(cur, q, 1, ef_i);
   // The reference is itself quantised, so the sub-pel prediction is not
   // perfect — but the P frame must still be a small fraction of intra cost.
-  EXPECT_LT(bw_p.bit_count() * 2, bw_i.bit_count());
+  EXPECT_LT(ef_p.payload.size() * 2, ef_i.payload.size());
 }
 
 // ---- intra prediction -----------------------------------------------------------
@@ -110,12 +109,12 @@ TEST(IntraPrediction, VerticallyUniformFrameCodesVeryCompactly) {
   f.v.fill(0.5f);
 
   const Quantizer q(23);
-  BitWriter bw;
-  const FrameYUV recon = encode_intra_frame(f, q, bw);
+  EncodedFrame ef;
+  const FrameYUV recon = encode_intra_frame_sliced(f, q, 1, ef);
   EXPECT_GT(psnr(f.y, recon.y), 37.0);
   // 48 luma + 24 chroma blocks; compact means only a few bits per block
   // beyond the mode signalling.
-  EXPECT_LT(bw.bit_count(), 72u * 40u);
+  EXPECT_LT(ef.payload.size() * 8, 72u * 40u);
 }
 
 TEST(IntraPrediction, HorizontallyUniformFrameCodesVeryCompactly) {
@@ -127,39 +126,35 @@ TEST(IntraPrediction, HorizontallyUniformFrameCodesVeryCompactly) {
   f.v.fill(0.5f);
 
   const Quantizer q(23);
-  BitWriter bw;
-  const FrameYUV recon = encode_intra_frame(f, q, bw);
+  EncodedFrame ef;
+  const FrameYUV recon = encode_intra_frame_sliced(f, q, 1, ef);
   EXPECT_GT(psnr(f.y, recon.y), 37.0);
-  EXPECT_LT(bw.bit_count(), 72u * 40u);
+  EXPECT_LT(ef.payload.size() * 8, 72u * 40u);
 }
 
 TEST(IntraPrediction, DirectionalContentBeatsFlatDcAssumption) {
-  // A frame of vertical stripes: vertical prediction reconstructs rows below
-  // the first block row for free, so total bits must be well below the bits
-  // of the first block row scaled to the whole frame.
-  FrameYUV f(64, 48);
-  for (int y = 0; y < 48; ++y)
-    for (int x = 0; x < 64; ++x)
-      f.y.at(x, y) = (x / 4) % 2 ? 0.8f : 0.2f;
-  f.u.fill(0.5f);
-  f.v.fill(0.5f);
+  // A frame of vertical stripes: vertical prediction reconstructs the second
+  // block row of every macroblock row for free (intra prediction never
+  // crosses an MB-row boundary), so the frame must cost well below the same
+  // stripes with every other block row inverted, which no mode predicts.
+  auto stripes = [](bool invert_odd_block_rows) {
+    FrameYUV f(64, 48);
+    for (int y = 0; y < 48; ++y)
+      for (int x = 0; x < 64; ++x) {
+        const bool on = ((x / 4) % 2 != 0) != (invert_odd_block_rows && (y / 8) % 2 != 0);
+        f.y.at(x, y) = on ? 0.8f : 0.2f;
+      }
+    f.u.fill(0.5f);
+    f.v.fill(0.5f);
+    return f;
+  };
 
   const Quantizer q(23);
-  BitWriter bw;
-  encode_intra_frame(f, q, bw);
-
-  // First block row alone, as its own tiny frame.
-  FrameYUV strip(64, 16);
-  for (int y = 0; y < 16; ++y)
-    for (int x = 0; x < 64; ++x) strip.y.at(x, y) = f.y.at(x, y);
-  strip.u.fill(0.5f);
-  strip.v.fill(0.5f);
-  BitWriter bw_strip;
-  encode_intra_frame(strip, q, bw_strip);
-
-  // Whole frame is 3x the strip's rows; with vertical prediction it should
-  // cost much less than 3x the strip.
-  EXPECT_LT(bw.bit_count(), bw_strip.bit_count() * 2);
+  EncodedFrame ef, ef_inverted;
+  encode_intra_frame_sliced(stripes(false), q, 1, ef);
+  encode_intra_frame_sliced(stripes(true), q, 1, ef_inverted);
+  // Half the block rows come free, so the ratio sits near 1/2.
+  EXPECT_LT(ef.payload.size() * 4, ef_inverted.payload.size() * 3);
 }
 
 TEST(IntraPrediction, RoundTripStillBitExact) {
@@ -175,11 +170,10 @@ TEST(IntraPrediction, RoundTripStillBitExact) {
       f.v.at(x, y) = static_cast<float>(rng.uniform());
     }
   const Quantizer q(30);
-  BitWriter bw;
-  const FrameYUV enc = encode_intra_frame(f, q, bw);
-  const auto payload = bw.finish();
-  BitReader br(payload);
-  const FrameYUV dec = decode_intra_frame(48, 32, q, br);
+  EncodedFrame ef;
+  const FrameYUV enc = encode_intra_frame_sliced(f, q, 1, ef);
+  FrameYUV dec(48, 32);
+  decode_intra_slice(dec, q, ef.payload.data(), ef.payload.size(), {0, 2});
   EXPECT_DOUBLE_EQ(psnr(enc.y, dec.y), 100.0);
   EXPECT_DOUBLE_EQ(psnr(enc.u, dec.u), 100.0);
   EXPECT_DOUBLE_EQ(psnr(enc.v, dec.v), 100.0);

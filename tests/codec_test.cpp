@@ -177,21 +177,6 @@ TEST(Motion, StaticBlockYieldsZeroVector) {
   EXPECT_EQ(mv.y, 0);
 }
 
-TEST(Motion, CompensationCopiesDisplacedBlock) {
-  Plane ref(32, 32), dst(32, 32);
-  ref.at(10, 12) = 0.9f;
-  motion_compensate(ref, dst, 8, 8, 8, {2, 4});
-  EXPECT_FLOAT_EQ(dst.at(8, 8), ref.at(10, 12));
-}
-
-TEST(Motion, BiPredictionAverages) {
-  Plane a(16, 16), b(16, 16), dst(16, 16);
-  a.fill(0.2f);
-  b.fill(0.6f);
-  motion_compensate_bi(a, {0, 0}, b, {0, 0}, dst, 0, 0, 16);
-  EXPECT_FLOAT_EQ(dst.at(5, 5), 0.4f);
-}
-
 // ---- Block coder ---------------------------------------------------------------
 
 TEST(BlockCoder, LevelsRoundTripInter) {
@@ -199,34 +184,17 @@ TEST(BlockCoder, LevelsRoundTripInter) {
   Levels8 levels{};
   for (auto& v : levels) v = static_cast<std::int32_t>(rng.uniform_int(-20, 20));
   BitWriter w;
-  write_levels(w, levels, nullptr);
+  write_levels(w, levels);
   const auto bytes = w.finish();
   BitReader r(bytes);
-  const Levels8 rec = read_levels(r, nullptr);
+  const Levels8 rec = read_levels(r);
   EXPECT_EQ(levels, rec);
-}
-
-TEST(BlockCoder, LevelsRoundTripIntraDcPrediction) {
-  Rng rng(8);
-  std::int32_t dc_w = 0, dc_r = 0;
-  BitWriter w;
-  std::vector<Levels8> blocks;
-  for (int b = 0; b < 10; ++b) {
-    Levels8 levels{};
-    for (auto& v : levels) v = static_cast<std::int32_t>(rng.uniform_int(-5, 5));
-    blocks.push_back(levels);
-    write_levels(w, levels, &dc_w);
-  }
-  const auto bytes = w.finish();
-  BitReader r(bytes);
-  for (const auto& expected : blocks)
-    EXPECT_EQ(read_levels(r, &dc_r), expected);
 }
 
 TEST(BlockCoder, SparseBlockCodesCompactly) {
   Levels8 zero{};
   BitWriter w;
-  write_levels(w, zero, nullptr);
+  write_levels(w, zero);
   // All-zero inter block = single EOB symbol = 13 bits.
   EXPECT_LE(w.bit_count(), 13u);
 }
@@ -238,14 +206,19 @@ FrameYUV test_frame(int w, int h, std::uint64_t seed, double t = 0.0) {
   return rgb_to_yuv420(video->frame(static_cast<int>(t * 30.0)));
 }
 
+// Frames below are coded as one slice, whose substream covers every MB row.
+SliceSpan whole_frame(const FrameYUV& f) { return {0, f.height() / 16}; }
+
+std::size_t payload_bits(const EncodedFrame& ef) { return ef.payload.size() * 8; }
+
 TEST(FrameCoding, IntraRoundTripMatchesEncoderRecon) {
   const FrameYUV src = test_frame(64, 48, 11);
   const Quantizer q(23);
-  BitWriter bw;
-  const FrameYUV enc_recon = encode_intra_frame(src, q, bw);
-  const auto payload = bw.finish();
-  BitReader br(payload);
-  const FrameYUV dec = decode_intra_frame(64, 48, q, br);
+  EncodedFrame ef;
+  const FrameYUV enc_recon = encode_intra_frame_sliced(src, q, 1, ef);
+  FrameYUV dec(64, 48);
+  decode_intra_slice(dec, q, ef.payload.data(), ef.payload.size(),
+                     whole_frame(src));
   // Decoder must reproduce the encoder's reconstruction *exactly* — the
   // closed-loop property that keeps P/B prediction drift-free.
   EXPECT_DOUBLE_EQ(psnr(enc_recon.y, dec.y), 100.0);
@@ -257,8 +230,8 @@ TEST(FrameCoding, IntraQualityTracksCrf) {
   const FrameYUV src = test_frame(64, 48, 12);
   auto quality_at = [&](int crf) {
     const Quantizer q(crf);
-    BitWriter bw;
-    const FrameYUV recon = encode_intra_frame(src, q, bw);
+    EncodedFrame ef;
+    const FrameYUV recon = encode_intra_frame_sliced(src, q, 1, ef);
     return psnr(src.y, recon.y);
   };
   const double q10 = quality_at(10);
@@ -274,9 +247,9 @@ TEST(FrameCoding, IntraBitsTrackCrf) {
   const FrameYUV src = test_frame(64, 48, 13);
   auto bits_at = [&](int crf) {
     const Quantizer q(crf);
-    BitWriter bw;
-    encode_intra_frame(src, q, bw);
-    return bw.bit_count();
+    EncodedFrame ef;
+    encode_intra_frame_sliced(src, q, 1, ef);
+    return payload_bits(ef);
   };
   EXPECT_GT(bits_at(10), bits_at(30));
   EXPECT_GT(bits_at(30), bits_at(51));
@@ -286,13 +259,12 @@ TEST(FrameCoding, PFrameRoundTripBitExact) {
   const FrameYUV f0 = test_frame(64, 48, 14, 0.0);
   const FrameYUV f1 = test_frame(64, 48, 14, 0.2);
   const Quantizer q(28);
-  BitWriter bw_i;
-  const FrameYUV ref = encode_intra_frame(f0, q, bw_i);
-  BitWriter bw_p;
-  const FrameYUV enc_recon = encode_p_frame(f1, ref, q, 8, bw_p);
-  const auto payload = bw_p.finish();
-  BitReader br(payload);
-  const FrameYUV dec = decode_p_frame(ref, q, br);
+  EncodedFrame ef_i, ef_p;
+  const FrameYUV ref = encode_intra_frame_sliced(f0, q, 1, ef_i);
+  const FrameYUV enc_recon = encode_p_frame_sliced(f1, ref, q, 8, 1, ef_p);
+  FrameYUV dec(64, 48);
+  decode_p_slice(dec, ref, q, ef_p.payload.data(), ef_p.payload.size(),
+                 whole_frame(f1));
   EXPECT_DOUBLE_EQ(psnr(enc_recon.y, dec.y), 100.0);
   EXPECT_DOUBLE_EQ(psnr(enc_recon.u, dec.u), 100.0);
 }
@@ -301,25 +273,22 @@ TEST(FrameCoding, PFrameSmallerThanIFrame) {
   const FrameYUV f0 = test_frame(64, 48, 15, 0.0);
   const FrameYUV f1 = test_frame(64, 48, 15, 1.0 / 30.0);
   const Quantizer q(28);
-  BitWriter bw_i;
-  const FrameYUV ref = encode_intra_frame(f0, q, bw_i);
-  BitWriter bw_i1;
-  encode_intra_frame(f1, q, bw_i1);
-  BitWriter bw_p;
-  encode_p_frame(f1, ref, q, 8, bw_p);
+  EncodedFrame ef_i, ef_i1, ef_p;
+  const FrameYUV ref = encode_intra_frame_sliced(f0, q, 1, ef_i);
+  encode_intra_frame_sliced(f1, q, 1, ef_i1);
+  encode_p_frame_sliced(f1, ref, q, 8, 1, ef_p);
   // The GOP premise: consecutive-frame P coding is much cheaper than intra.
-  EXPECT_LT(bw_p.bit_count() * 3, bw_i1.bit_count());
+  EXPECT_LT(payload_bits(ef_p) * 3, payload_bits(ef_i1));
 }
 
 TEST(FrameCoding, StaticPFrameIsNearlyAllSkip) {
   const FrameYUV f = test_frame(64, 48, 16);
   const Quantizer q(28);
-  BitWriter bw_i;
-  const FrameYUV ref = encode_intra_frame(f, q, bw_i);
-  BitWriter bw_p;
-  encode_p_frame(f, ref, q, 8, bw_p);
+  EncodedFrame ef_i, ef_p;
+  const FrameYUV ref = encode_intra_frame_sliced(f, q, 1, ef_i);
+  encode_p_frame_sliced(f, ref, q, 8, 1, ef_p);
   // 12 MBs; all should skip (1 bit each), so the frame fits in a few bytes.
-  EXPECT_LE(bw_p.bit_count(), 12u * 4u);
+  EXPECT_LE(payload_bits(ef_p), 12u * 4u);
 }
 
 TEST(FrameCoding, BFrameRoundTripBitExact) {
@@ -327,21 +296,21 @@ TEST(FrameCoding, BFrameRoundTripBitExact) {
   const FrameYUV f1 = test_frame(64, 48, 17, 0.1);
   const FrameYUV f2 = test_frame(64, 48, 17, 0.2);
   const Quantizer q(28);
-  BitWriter bw0, bw2, bwb;
-  const FrameYUV r0 = encode_intra_frame(f0, q, bw0);
-  const FrameYUV r2 = encode_p_frame(f2, r0, q, 8, bw2);
-  const FrameYUV enc_recon = encode_b_frame(f1, r0, r2, q, 8, bwb);
-  const auto payload = bwb.finish();
-  BitReader br(payload);
-  const FrameYUV dec = decode_b_frame(r0, r2, q, br);
+  EncodedFrame ef0, ef2, efb;
+  const FrameYUV r0 = encode_intra_frame_sliced(f0, q, 1, ef0);
+  const FrameYUV r2 = encode_p_frame_sliced(f2, r0, q, 8, 1, ef2);
+  const FrameYUV enc_recon = encode_b_frame_sliced(f1, r0, r2, q, 8, 1, efb);
+  FrameYUV dec(64, 48);
+  decode_b_slice(dec, r0, r2, q, efb.payload.data(), efb.payload.size(),
+                 whole_frame(f1));
   EXPECT_DOUBLE_EQ(psnr(enc_recon.y, dec.y), 100.0);
 }
 
 TEST(FrameCoding, RejectsUnalignedDimensions) {
   const FrameYUV src(60, 44);  // not multiples of 16
   const Quantizer q(28);
-  BitWriter bw;
-  EXPECT_THROW(encode_intra_frame(src, q, bw), std::invalid_argument);
+  EncodedFrame ef;
+  EXPECT_THROW(encode_intra_frame_sliced(src, q, 1, ef), std::invalid_argument);
 }
 
 // ---- Encoder / Decoder ------------------------------------------------------------

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include "codec/container.hpp"
 #include "codec/decoder.hpp"
+#include "codec/errors.hpp"
 #include "codec/encoder.hpp"
 #include "image/convert.hpp"
 #include "image/metrics.hpp"
@@ -165,6 +168,25 @@ TEST(Container, RejectsOutOfRangeSegmentCrf) {
   write_container(original, w);
   ByteReader r(w.bytes());
   EXPECT_THROW(read_container(r), std::invalid_argument);
+}
+
+TEST(Container, RejectsFirstFrameThatOverflowsFrameNumbers) {
+  // The decoder's reference hook numbers frames first_frame + display_index;
+  // a crafted first_frame near INT_MAX would overflow that sum. The CRC is
+  // valid here, so only the range check can reject the file.
+  EncodedVideo original = sample_stream();
+  original.segments[0].first_frame = INT_MAX;
+  ByteWriter w;
+  write_container(original, w);
+  ByteReader r(w.bytes());
+  try {
+    (void)read_container(r);
+    FAIL() << "first_frame = INT_MAX was accepted";
+  } catch (const ContainerError& e) {
+    // magic, width, height (u32 each), fps (f64), crf (u32), deblock (u8)
+    // and the segment count (u32) precede segment 0's first_frame.
+    EXPECT_EQ(e.byte_offset(), 29u);
+  }
 }
 
 TEST(DecoderRobustness, CorruptPayloadThrowsNotCrashes) {

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "codec/container.hpp"
 #include "codec/decoder.hpp"
 #include "codec/encoder.hpp"
 #include "core/baselines.hpp"
@@ -11,6 +12,8 @@
 #include "image/convert.hpp"
 #include "image/metrics.hpp"
 #include "stream/session.hpp"
+#include "util/file.hpp"
+#include "util/serialize.hpp"
 #include "util/thread_pool.hpp"
 #include "video/genres.hpp"
 
@@ -185,21 +188,17 @@ TEST(CollectIFramePairs, LoFramesAreTheClientDpbFrames) {
     }
   }
 
-  // A legacy (container v2) I frame: one monolithic payload, no slice table.
-  SCOPED_TRACE("legacy v2 I frame");
-  codec::EncodedVideo legacy;
-  legacy.width = video->width();
-  legacy.height = video->height();
-  legacy.crf = 40;
-  codec::EncodedSegment seg;
-  codec::EncodedFrame ef;
-  codec::BitWriter bw;
-  (void)codec::encode_intra_frame(rgb_to_yuv420(video->frame(0)),
-                                  codec::Quantizer(legacy.crf), bw);
-  ef.payload = bw.finish();
-  seg.frames.push_back(std::move(ef));
-  legacy.segments.push_back(std::move(seg));
-  expect_lo_frames_are_dpb_frames(*video, legacy, {{0, 1}});
+  // Legacy (container v2) I frames: monolithic payloads without a slice
+  // table, as the checked-in pre-slice fixture holds them (kSports seed 42,
+  // 64x48, 2.0 s, deblocking on).
+  SCOPED_TRACE("legacy v2 fixture");
+  ByteReader r(read_file(std::string(DCSR_DATA_DIR) + "/pre-slice-v2.dcv"));
+  const codec::EncodedVideo legacy = codec::read_container(r);
+  std::vector<codec::SegmentPlan> legacy_plan;
+  for (const auto& seg : legacy.segments)
+    legacy_plan.push_back({seg.first_frame, static_cast<int>(seg.frames.size())});
+  const auto legacy_video = make_genre_video(Genre::kSports, 42, 64, 48, 2.0);
+  expect_lo_frames_are_dpb_frames(*legacy_video, legacy, legacy_plan);
 }
 
 TEST(Baselines, BigModelTrainsAndEnhances) {

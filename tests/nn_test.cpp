@@ -274,14 +274,6 @@ TEST(Loss, MseMatchesDefinitionAndGrad) {
     EXPECT_FLOAT_EQ(r.grad[i], 2.0f / 4.0f);
 }
 
-TEST(Loss, L1MatchesDefinition) {
-  Tensor pred = Tensor::full({4}, -2.0f);
-  Tensor target = Tensor::full({4}, 1.0f);
-  const LossResult r = l1_loss(pred, target);
-  EXPECT_DOUBLE_EQ(r.value, 3.0);
-  EXPECT_FLOAT_EQ(r.grad[0], -0.25f);
-}
-
 TEST(Loss, KlZeroForStandardNormal) {
   const Tensor mu({2, 3});
   const Tensor logvar({2, 3});  // zeros => unit variance
@@ -331,47 +323,6 @@ TEST(Optim, AdamDescendsQuadratic) {
   }
   for (std::size_t i = 0; i < w.value.size(); ++i)
     EXPECT_NEAR(w.value[i], -1.0f, 1e-2f);
-}
-
-TEST(Optim, WeightDecayShrinksWeightsWithZeroGrads) {
-  Param w(Tensor::full({4}, 2.0f));
-  Adam opt({&w}, 0.1);
-  opt.set_weight_decay(0.1);
-  for (int it = 0; it < 50; ++it) {
-    w.grad.zero();
-    opt.step();
-  }
-  for (std::size_t i = 0; i < w.value.size(); ++i) {
-    EXPECT_LT(w.value[i], 2.0f);
-    EXPECT_GT(w.value[i], 0.0f);
-  }
-}
-
-TEST(Optim, GradClipBoundsTheUpdateDirectionally) {
-  // With a gigantic gradient on one coordinate, clipping preserves direction
-  // but reports the raw norm.
-  Param w(Tensor::full({2}, 0.0f));
-  Adam opt({&w}, 0.1);
-  opt.set_grad_clip(1.0);
-  w.grad[0] = 1e6f;
-  w.grad[1] = 0.0f;
-  opt.step();
-  EXPECT_NEAR(opt.last_grad_norm(), 1e6, 1.0);
-  EXPECT_LT(w.value[0], 0.0f);      // moved against the gradient
-  EXPECT_FLOAT_EQ(w.value[1], 0.0f);  // untouched coordinate
-}
-
-TEST(Optim, ClippedAdamStillConverges) {
-  Param w(Tensor::full({4}, 10.0f));
-  Adam opt({&w}, 0.5);
-  opt.set_grad_clip(0.5);
-  for (int it = 0; it < 400; ++it) {
-    for (std::size_t i = 0; i < w.value.size(); ++i)
-      w.grad[i] = 2.0f * (w.value[i] + 1.0f);
-    opt.step();
-  }
-  for (std::size_t i = 0; i < w.value.size(); ++i)
-    EXPECT_NEAR(w.value[i], -1.0f, 5e-2f);
 }
 
 TEST(Optim, TrainsTinyConvToIdentity) {

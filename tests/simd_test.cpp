@@ -20,7 +20,6 @@
 #include "codec/block_coder.hpp"
 #include "codec/container.hpp"
 #include "codec/dct.hpp"
-#include "codec/motion.hpp"
 #include "codec/quant.hpp"
 #include "image/convert.hpp"
 #include "image/frame.hpp"
@@ -117,7 +116,7 @@ TEST(Simd, ReportNamesActiveBackendAndEveryFamily) {
   const std::string r = simd::report();
   EXPECT_NE(r.find("dcsr-simd: backend="), std::string::npos) << r;
   for (const char* fam : {"dct=", "idct=", "dequant_idct=", "quant=",
-                          "gemm=", "im2col=", "yuv2rgb=", "mc="})
+                          "gemm=", "im2col=", "yuv2rgb="})
     EXPECT_NE(r.find(fam), std::string::npos) << r;
 }
 
@@ -497,45 +496,6 @@ TEST(Simd, YuvRowsWidthSweepBitwise) {
   }
 }
 
-// --- motion compensation: edge clamps and partial blocks --------------------
-
-TEST(Simd, McBlocksEdgeClampsBitwise) {
-  const auto& sc = simd::scalar_table();
-  std::mt19937 rng(29);
-  std::uniform_real_distribution<float> dist(0.0f, 1.0f);
-  for (int it = 0; it < 200; ++it) {
-    const int W = 5 + static_cast<int>(rng() % 40);
-    const int H = 5 + static_cast<int>(rng() % 40);
-    std::vector<float> ref0(static_cast<std::size_t>(W) * H);
-    std::vector<float> ref1(ref0.size());
-    for (auto& v : ref0) v = dist(rng);
-    for (auto& v : ref1) v = dist(rng);
-    const int size = 4 + static_cast<int>(rng() % 13);
-    // Blocks deliberately straddle the right/bottom border, and vectors
-    // reach far outside the plane so every clamp path fires.
-    const int bx = static_cast<int>(rng() % W);
-    const int by = static_cast<int>(rng() % H);
-    const int mvx = static_cast<int>(rng() % (2 * W + 21)) - (W + 10);
-    const int mvy = static_cast<int>(rng() % (2 * H + 21)) - (H + 10);
-    std::vector<float> d0(ref0.size(), 0.0f);
-    sc.mc_copy_block(ref0.data(), d0.data(), W, H, bx, by, size, mvx, mvy);
-    std::vector<float> e0(ref0.size(), 0.0f);
-    sc.mc_bi_block(ref0.data(), mvx, mvy, ref1.data(), -mvx, -mvy, e0.data(),
-                   W, H, bx, by, size);
-    for (Backend b : simd_backends()) {
-      const simd::KernelTable* t = simd::table_for(b);
-      std::vector<float> d1(ref0.size(), 0.0f);
-      t->mc_copy_block(ref0.data(), d1.data(), W, H, bx, by, size, mvx, mvy);
-      ASSERT_TRUE(
-          BitsEq(d0.data(), d1.data(), d0.size(), "mc_copy_block", b));
-      std::vector<float> e1(ref0.size(), 0.0f);
-      t->mc_bi_block(ref0.data(), mvx, mvy, ref1.data(), -mvx, -mvy, e1.data(),
-                     W, H, bx, by, size);
-      ASSERT_TRUE(BitsEq(e0.data(), e1.data(), e0.size(), "mc_bi_block", b));
-    }
-  }
-}
-
 // --- end-to-end: public API under a scoped backend swap ---------------------
 
 TEST(Simd, ConvertRoundTripIdenticalAcrossBackends) {
@@ -595,40 +555,6 @@ TEST(Simd, CodecBlockPathIdenticalAcrossBackends) {
       const codec::Block8 rec = codec::reconstruct_block(lv, q, intra);
       ASSERT_TRUE(
           BitsEq(rec.data(), rec_ref.data(), 64, "reconstruct_block", b));
-    }
-  }
-}
-
-TEST(Simd, MotionCompensateIdenticalAcrossBackends) {
-  std::mt19937 rng(41);
-  std::uniform_real_distribution<float> dist(0.0f, 1.0f);
-  Plane ref(37, 23), ref2(37, 23);
-  for (int y = 0; y < 23; ++y)
-    for (int x = 0; x < 37; ++x) {
-      ref.at(x, y) = dist(rng);
-      ref2.at(x, y) = dist(rng);
-    }
-  for (int it = 0; it < 100; ++it) {
-    const int size = 4 + static_cast<int>(rng() % 13);
-    const int bx = static_cast<int>(rng() % 37);
-    const int by = static_cast<int>(rng() % 23);
-    const codec::MotionVector mv{static_cast<int>(rng() % 31) - 15,
-                                 static_cast<int>(rng() % 31) - 15};
-    Plane d_ref(37, 23);
-    {
-      simd::ScopedBackendForTest guard(Backend::kScalar);
-      codec::motion_compensate(ref, d_ref, bx, by, size, mv);
-      codec::motion_compensate_bi(ref, mv, ref2, {-mv.x, -mv.y}, d_ref, bx,
-                                  by, size);
-    }
-    for (Backend b : simd_backends()) {
-      simd::ScopedBackendForTest guard(b);
-      Plane d(37, 23);
-      codec::motion_compensate(ref, d, bx, by, size, mv);
-      codec::motion_compensate_bi(ref, mv, ref2, {-mv.x, -mv.y}, d, bx, by,
-                                  size);
-      ASSERT_TRUE(
-          BitsEq(d.data(), d_ref.data(), d.size(), "motion_compensate", b));
     }
   }
 }

@@ -222,14 +222,27 @@ TEST(Slice, PreSliceFixtureDecodesUnchanged) {
   // tests/data/pre-slice-v2.dcv was written and decoded by the build
   // *before* slices existed; the pinned CRC is over every decoded sample of
   // all 60 frames. The sliced decoder must keep reading the v2 format and
-  // reproduce the old reconstruction bit-for-bit.
+  // reproduce the old reconstruction bit-for-bit. The encoder writes only
+  // sliced frames, so this fixture is the only input that drives all three
+  // v2 frame decoders (decode_intra/p/b_frame) and deblocks their output:
+  // its frame-type mix is pinned so it cannot silently stop doing so.
   const auto bytes = read_file(std::string(DCSR_DATA_DIR) + "/pre-slice-v2.dcv");
   ByteReader r(bytes);
   const EncodedVideo ev = read_container(r);
   EXPECT_EQ(ev.width, 64);
   EXPECT_EQ(ev.height, 48);
+  EXPECT_TRUE(ev.deblock);
+  int n_i = 0, n_p = 0, n_b = 0;
   for (const auto& seg : ev.segments)
-    for (const auto& ef : seg.frames) EXPECT_FALSE(ef.sliced());
+    for (const auto& ef : seg.frames) {
+      EXPECT_FALSE(ef.sliced());
+      n_i += ef.type == FrameType::kI;
+      n_p += ef.type == FrameType::kP;
+      n_b += ef.type == FrameType::kB;
+    }
+  EXPECT_EQ(n_i, 6);
+  EXPECT_EQ(n_p, 30);
+  EXPECT_EQ(n_b, 24);
 
   Decoder dec(ev.width, ev.height, ev.crf);
   const auto frames = dec.decode_video(ev);

@@ -242,6 +242,18 @@ TEST(ThreadPool, EnvRejectsPartialAndOverflowValues) {
   ASSERT_EQ(setenv("DCSR_THREADS", "2147483648", 1), 0);  // INT_MAX + 1
   EXPECT_EQ(thread_count_from_env(), fallback);
 
+  // Values that fit int but exceed kMaxEnvThreads are rejected too: the
+  // first parallel region would spawn that many workers. Only the parser
+  // runs here; no pool is ever built from these values.
+  ASSERT_EQ(setenv("DCSR_THREADS", "100000", 1), 0);
+  EXPECT_EQ(thread_count_from_env(), fallback);
+  ASSERT_EQ(setenv("DCSR_THREADS", "2147483647", 1), 0);  // INT_MAX
+  EXPECT_EQ(thread_count_from_env(), fallback);
+  ASSERT_EQ(setenv("DCSR_THREADS", "257", 1), 0);
+  EXPECT_EQ(thread_count_from_env(), fallback);
+  ASSERT_EQ(setenv("DCSR_THREADS", "256", 1), 0);
+  EXPECT_EQ(thread_count_from_env(), kMaxEnvThreads);
+
   // A fully-parsed negative value is valid input and clamps to the
   // documented serial floor of 1, exactly like "0".
   ASSERT_EQ(setenv("DCSR_THREADS", "-7", 1), 0);

@@ -4,7 +4,9 @@
 #
 #   default     RelWithDebInfo build + full ctest suite (includes the
 #               Lint.SelfTest / Lint.SrcTree invariant checks and the
-#               Fuzz.*Smoke / FuzzCorpus.* deterministic-fuzz gates)
+#               Fuzz.*Smoke / FuzzCorpus.* deterministic-fuzz gates), then
+#               fails if any "<N> tests" count in README.md differs from
+#               ctest -N's total
 #   checked     -DDCSR_CHECKED=ON: every runtime invariant checker on —
 #               the parallel_for write-claim race detector, bounds-checked
 #               tensor access, workspace NaN poisoning, per-layer
@@ -79,6 +81,25 @@ if [ ${#LEGS[@]} -eq 0 ]; then
 fi
 
 declare -A STATUS
+
+# Fails if a test count README.md states ("<N> tests") differs from the
+# suite's own total in `ctest -N`, so the documented count cannot go stale.
+check_readme_test_count() {
+  local build="$1" total stated bad=0
+  total="$(ctest --test-dir "$build" -N | sed -n 's/^Total Tests: *//p')"
+  if [ -z "$total" ]; then
+    echo "readme-count: ctest -N printed no 'Total Tests:' line"
+    return 1
+  fi
+  while read -r stated; do
+    if [ "$stated" != "$total" ]; then
+      echo "readme-count: README.md states $stated tests, ctest -N has $total"
+      bad=1
+    fi
+  done < <(grep -oE '\b[0-9]+ tests\b' "$ROOT/README.md" | cut -d' ' -f1)
+  [ "$bad" -eq 0 ] && echo "readme-count: README.md matches ctest -N ($total tests)"
+  return "$bad"
+}
 
 run_leg() {
   local leg="$1" build cmake_args=() env_prefix=()
@@ -332,6 +353,9 @@ run_leg() {
   cmake -B "$build" -S "$ROOT" -DDCSR_WERROR=ON "${cmake_args[@]}" || return 1
   cmake --build "$build" -j || return 1
   "${env_prefix[@]}" ctest --test-dir "$build" --output-on-failure -j || return 1
+  if [ "$leg" = default ]; then
+    check_readme_test_count "$build" || return 1
+  fi
 }
 
 FAILED=0
