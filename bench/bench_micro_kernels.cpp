@@ -25,6 +25,7 @@
 #include "simd/dispatch.hpp"
 #include "split/segmenter.hpp"
 #include "sr/edsr.hpp"
+#include "sr/model_zoo.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/workspace.hpp"
 #include "tests/matmul_naive.hpp"
@@ -161,6 +162,33 @@ void BM_Conv2dForward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dForward)->Arg(8)->Arg(16)->Arg(32);
 
+// One c -> c 3x3 conv on a 320x192 frame (the client_playback frame size)
+// through the inference path on a warm workspace: the direct conv3x3 kernel.
+// gflop_per_s counts 2 flops per multiply-add of the 9c-term dot products.
+void BM_Conv2dInfer(benchmark::State& state) {
+  const int c = static_cast<int>(state.range(0));
+  constexpr int kH = 192, kW = 320;
+  Rng rng(5);
+  const nn::Conv2d conv(c, c, 3, rng);
+  const Tensor x = Tensor::randn({1, c, kH, kW}, rng);
+  Tensor out;
+  Workspace& ws = Workspace::local();
+  conv.infer_into(x, out, ws);  // warm the workspace
+  for (auto _ : state) {
+    conv.infer_into(x, out, ws);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["gflop_per_s"] = benchmark::Counter(
+      2e-9 * c * 9.0 * c * kH * kW,
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_Conv2dInfer)
+    ->Arg(8)
+    ->Arg(16)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 // Backward pass on a batch: the im2col matrices built by forward are reused,
 // so backward pays only for the three GEMMs and the col2im scatter.
 void BM_Conv2dBackward(benchmark::State& state) {
@@ -263,6 +291,32 @@ void BM_EdsrEnhanceThreads(benchmark::State& state) {
                           static_cast<std::int64_t>(frames.size()));
 }
 BENCHMARK(BM_EdsrEnhanceThreads)->Arg(1)->Arg(sweep_threads());
+
+// Paper scale: dcSR-1 (16 filters, 4 ResBlocks, Table 1) enhancing one
+// 1280x720 I frame on a warm workspace, the client's in-loop cost per I
+// frame, across pool sizes. Compare with bench_fig8_inference's analytic
+// Jetson figure.
+void BM_Dcsr1Enhance720p(benchmark::State& state) {
+  const int dflt = base_threads();
+  Rng rng(6);
+  const sr::Edsr model(sr::dcsr1_config(), rng);
+  const auto video = make_genre_video(Genre::kNews, 12, 1280, 720, 1.0, 30.0);
+  const FrameRGB frame = video->frame(0);
+  FrameRGB out;
+  set_default_pool_threads(static_cast<int>(state.range(0)));
+  model.enhance_into(frame, out);  // warm up
+  for (auto _ : state) {
+    model.enhance_into(frame, out);
+    benchmark::DoNotOptimize(out);
+    benchmark::ClobberMemory();
+  }
+  set_default_pool_threads(dflt);
+}
+BENCHMARK(BM_Dcsr1Enhance720p)
+    ->Arg(1)
+    ->Arg(sweep_threads())
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // End-to-end NAS playback (decode + concurrent out-of-loop SR + metrics) on
 // a quickstart-sized workload, across pool sizes.

@@ -92,19 +92,32 @@ void Conv2d::infer_into(const Tensor& x, Tensor& out, Workspace& ws,
   const int oh = conv_out_size_checked(x.dim(2), kernel_, stride_, pad_, "Conv2d");
   const int ow = conv_out_size_checked(x.dim(3), kernel_, stride_, pad_, "Conv2d");
   out.reset({N, out_channels_, oh, ow});
-  // im2col then one GEMM per item, the GEMM writing each item's plane block
-  // in place with the bias (and optional ReLU) folded into its epilogue.
+  const std::size_t item_floats =
+      static_cast<std::size_t>(out_channels_) * oh * ow;
   // All scratch comes from the caller's workspace, so a warm workspace makes
-  // the whole call allocation-free.
-  // Inference batches are almost always size 1, so the parallelism comes
-  // from inside im2col_into and the GEMM rather than from the batch axis.
-  WorkspaceTensor cols = ws.acquire({in_channels_ * kernel_ * kernel_, oh * ow});
-  for (int n = 0; n < N; ++n) {
-    im2col_into(x, n, kernel_, stride_, pad_, *cols);
-    float* dst =
-        out.data() + static_cast<std::size_t>(n) * out_channels_ * oh * ow;
-    matmul_bias_into(weight_.value, *cols, bias_.value.data(),
-                     MutMat(dst, out_channels_, oh * ow), fuse_relu);
+  // the whole call allocation-free. Inference batches are almost always
+  // size 1, so items run one after another.
+  if (kernel_ == 3 && stride_ == 1 && pad_ == 1) {
+    // The SR models' convs: the direct kernel reads a zero-bordered copy of
+    // the item instead of a 9x column matrix, bit-identical to the GEMM path
+    // below (see conv3x3_into). It runs each item on the calling thread.
+    WorkspaceTensor padded = ws.acquire({in_channels_, oh + 2, ow + 2});
+    for (int n = 0; n < N; ++n)
+      conv3x3_into(x, n, weight_.value, bias_.value.data(), fuse_relu,
+                   *padded, out.data() + n * item_floats);
+  } else {
+    // im2col then one GEMM per item, the GEMM writing each item's plane
+    // block in place with the bias (and optional ReLU) folded into its
+    // epilogue; the parallelism comes from inside im2col_into and the GEMM.
+    WorkspaceTensor cols =
+        ws.acquire({in_channels_ * kernel_ * kernel_, oh * ow});
+    for (int n = 0; n < N; ++n) {
+      im2col_into(x, n, kernel_, stride_, pad_, *cols);
+      matmul_bias_into(weight_.value, *cols, bias_.value.data(),
+                       MutMat(out.data() + n * item_floats, out_channels_,
+                              oh * ow),
+                       fuse_relu);
+    }
   }
   FiniteCheckGuard{*this, out};
 }

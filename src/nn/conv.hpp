@@ -5,7 +5,15 @@
 
 namespace dcsr::nn {
 
-/// 2-D convolution over NCHW tensors via im2col + GEMM.
+/// 2-D convolution over NCHW tensors.
+///
+/// Training (forward/backward) always runs im2col + GEMM: backward needs the
+/// column matrix for dW anyway, so forward builds it once per step and keeps
+/// it. Inference (infer_into) runs the direct 3x3 kernel (conv3x3_into) when
+/// kernel = 3, stride = 1 and pad = 1, the geometry of every SR-model conv,
+/// and im2col + GEMM for any other geometry (the VAE's stride-2 convs, for
+/// example). Both paths perform the same float ops per output element, so
+/// infer_into is bit-identical to forward (Infer.MatchesForwardBitwisePerLayer).
 ///
 /// Weight layout is (out_channels) x (in_channels * k * k), i.e. the GEMM
 /// left operand; bias is one scalar per output channel. He-normal init.
@@ -17,7 +25,7 @@ class Conv2d final : public Module {
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   void infer_into(const Tensor& x, Tensor& out, Workspace& ws) const override;
-  /// infer_into with the GEMM's fused epilogue extended to clamp at zero —
+  /// infer_into with the fused bias epilogue extended to clamp at zero —
   /// lets ResBlock fold its inner ReLU into conv1's bias pass. Bit-identical
   /// to infer_into followed by a separate ReLU layer.
   void infer_into(const Tensor& x, Tensor& out, Workspace& ws,

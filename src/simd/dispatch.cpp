@@ -77,8 +77,10 @@ const char* family_name(int family) noexcept {
     case kFamDequant: return "dequant";
     case kFamGemm: return "gemm";
     case kFamIm2col: return "im2col";
+    case kFamConv3x3: return "conv3x3";
     case kFamYuvToRgb: return "yuv2rgb";
     case kFamRgbToYuv: return "rgb2yuv";
+    case kFamChromaBox: return "chroma_box";
     default: return "?";
   }
 }

@@ -26,8 +26,10 @@ enum Family : int {
   kFamDequant,
   kFamGemm,
   kFamIm2col,
+  kFamConv3x3,
   kFamYuvToRgb,
   kFamRgbToYuv,
+  kFamChromaBox,
   kNumFamilies,
 };
 const char* family_name(int family) noexcept;
@@ -40,7 +42,7 @@ const char* family_name(int family) noexcept;
 /// Bit-exactness contract per family (enforced by tests/simd_test.cpp):
 /// every entry must produce byte-identical output to the scalar oracle for
 /// all finite inputs in the documented domain. For the float-accumulating
-/// families (dct/idct/dequant_idct/gemm/yuv) the oracle is written as
+/// families (dct/idct/dequant_idct/gemm/conv3x3/yuv) the oracle is written as
 /// explicit std::fma chains in ascending index order and compiled without
 /// contraction, so overriding backends must use FMA intrinsics at the same
 /// steps and in the same order, and round every other multiply.
@@ -79,6 +81,22 @@ struct KernelTable {
   // oh*ow floats.
   void (*im2col_row)(const float* src, int h, int w, int oh, int ow,
                      int stride, int pad, int ky, int kx, float* dst);
+
+  // Direct 3x3, stride-1, pad-1 convolution of one image, the inference
+  // path of nn::Conv2d for that geometry. `in` holds c zero-bordered
+  // planes of (h+2) rows x in_rs floats (in_rs >= w+2, plane stride
+  // (h+2)*in_rs): padded row r, column s is input pixel (r-1, s-1), and the
+  // border rows and columns are zero. `wt` is o rows of 9c weights in
+  // (c, ky, kx) order, the im2col row order; `bias` has o floats. Writes
+  // rows [y0, y1) (0 <= y0 <= y1 <= h) of each of the o output planes of
+  // `out` (h x w floats each, contiguous) and nothing else. Each output
+  // starts at +0, takes one fma per (c, ky, kx) term in ascending order,
+  // border taps included, then adds its bias and, if relu, becomes
+  // v > 0 ? v : 0. That is the float-op sequence of im2col_row + gemm_tile
+  // + matmul_bias_into's epilogue, so the two paths agree bitwise.
+  void (*conv3x3)(const float* in, std::size_t in_rs, int c, int h, int w,
+                  const float* wt, const float* bias, int o, bool relu,
+                  int y0, int y1, float* out);
 
   // One output row of YUV420 -> RGB with bilinear chroma upsampling.
   // yrow: w lumas; u0/u1 (v0/v1): the two vertically-neighbouring chroma

@@ -131,6 +131,43 @@ void im2col_row_scalar(const float* src, int H, int W, int oh, int ow,
   }
 }
 
+// Each output is one accumulator from +0 with one fma per (c, ky, kx) term
+// in ascending order, border taps included, then + bias, then the clamp:
+// the im2col + gemm_tile + epilogue sequence. Pixels go in runs of kRun so
+// the chains of neighbouring pixels interleave; the order within each chain
+// does not change.
+void conv3x3_scalar(const float* in, std::size_t in_rs, int c, int h, int w,
+                    const float* wt, const float* bias, int o, bool relu,
+                    int y0, int y1, float* out) {
+  constexpr int kRun = 16;
+  const std::size_t in_ps = static_cast<std::size_t>(h + 2) * in_rs;
+  const std::size_t out_ps = static_cast<std::size_t>(h) * w;
+  const std::size_t w_rs = static_cast<std::size_t>(9) * c;
+  for (int k = 0; k < o; ++k)
+    for (int y = y0; y < y1; ++y)
+      for (int x0 = 0; x0 < w; x0 += kRun) {
+        const int n = std::min(kRun, w - x0);
+        float acc[kRun];
+        for (int j = 0; j < n; ++j) acc[j] = 0.0f;
+        for (int ci = 0; ci < c; ++ci)
+          for (int ky = 0; ky < 3; ++ky) {
+            const float* row = in + ci * in_ps +
+                               static_cast<std::size_t>(y + ky) * in_rs + x0;
+            for (int kx = 0; kx < 3; ++kx) {
+              const float wv = wt[k * w_rs + static_cast<std::size_t>(ci) * 9 +
+                                  static_cast<std::size_t>(ky) * 3 + kx];
+              for (int j = 0; j < n; ++j)
+                acc[j] = std::fma(wv, row[j + kx], acc[j]);
+            }
+          }
+        float* dst = out + k * out_ps + static_cast<std::size_t>(y) * w + x0;
+        for (int j = 0; j < n; ++j) {
+          const float v = acc[j] + bias[k];
+          dst[j] = relu ? (v > 0.0f ? v : 0.0f) : v;
+        }
+      }
+}
+
 void yuv_to_rgb_row_scalar(const float* yrow, const float* u0, const float* u1,
                            const float* v0, const float* v1, float fy, int W,
                            int cw, float* r, float* g, float* b) {
@@ -157,6 +194,7 @@ KernelTable make_scalar_table() noexcept {
   t.dequantize_block = &dequantize_block_scalar;
   t.gemm_tile = &gemm_tile_scalar;
   t.im2col_row = &im2col_row_scalar;
+  t.conv3x3 = &conv3x3_scalar;
   t.yuv_to_rgb_row = &yuv_to_rgb_row_scalar;
   t.rgb_to_yuv_row = &rgb_to_yuv_row_scalar;
   t.chroma_box_row = &chroma_box_row_scalar;

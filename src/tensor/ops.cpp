@@ -331,6 +331,41 @@ void im2col_into(const Tensor& input, int n, int kernel, int stride, int pad,
   }, "tensor/ops.cpp:im2col_into");
 }
 
+void conv3x3_into(const Tensor& input, int n, ConstMat weight,
+                  const float* bias, bool relu, Tensor& padded, float* out) {
+  if (input.rank() != 4) {
+    AllocAllowScope allow;  // error path may run under a hot-path guard
+    throw std::invalid_argument("conv3x3_into: expected NCHW input");
+  }
+  require_item(input, n, "conv3x3_into");
+  const int C = input.dim(1), H = input.dim(2), W = input.dim(3);
+  if (weight.cols != 9 * C) {
+    AllocAllowScope allow;
+    throw std::invalid_argument("conv3x3_into: weight has " +
+                                std::to_string(weight.cols) +
+                                " columns, expected 9 x " + std::to_string(C));
+  }
+  const simd::KernelTable& kt = simd::active();
+  HotPathGuard alloc_guard("tensor/ops.cpp:conv3x3_into");
+  padded.reset({C, H + 2, W + 2});
+  const std::size_t pw = static_cast<std::size_t>(W) + 2;
+  const float* src = input.data() + static_cast<std::size_t>(n) * C * H * W;
+  float* p = padded.data();
+  for (int c = 0; c < C; ++c) {
+    std::fill(p, p + pw, 0.0f);
+    p += pw;
+    for (int y = 0; y < H; ++y, p += pw, src += W) {
+      p[0] = 0.0f;
+      std::copy(src, src + W, p + 1);
+      p[W + 1] = 0.0f;
+    }
+    std::fill(p, p + pw, 0.0f);
+    p += pw;
+  }
+  kt.conv3x3(padded.data(), pw, C, H, W, weight.data, bias, weight.rows, relu,
+             0, H, out);
+}
+
 void col2im_add(const Tensor& cols, Tensor& out, int n, int kernel, int stride,
                 int pad) {
   if (out.rank() != 4) {

@@ -83,6 +83,20 @@ void matmul_bias_into(ConstMat a, ConstMat b, const float* row_bias, MutMat out,
 void im2col_into(const Tensor& input, int n, int kernel, int stride, int pad,
                  Tensor& cols);
 
+/// Direct 3x3, stride-1, pad-1 convolution of the n-th item of an NCHW
+/// tensor (C x H x W) into caller memory: `out` receives weight.rows planes
+/// of H x W floats, out = weight * im2col(item) + bias, clamped at zero if
+/// `relu`. `weight` is out_channels x 9C in im2col row order and `bias` has
+/// out_channels floats. Bit-identical to im2col_into followed by
+/// matmul_bias_into(weight, cols, bias, out, relu), without the 9x column
+/// matrix: `padded` is caller scratch (typically a Workspace checkout),
+/// reshaped in place to C x (H+2) x (W+2) and filled with the item inside a
+/// zero border; the simd conv3x3 kernel then reads it. Runs on the calling
+/// thread. Throws std::invalid_argument unless `input` is NCHW,
+/// 0 <= n < N and `weight` has 9C columns.
+void conv3x3_into(const Tensor& input, int n, ConstMat weight,
+                  const float* bias, bool relu, Tensor& padded, float* out);
+
 /// Adjoint of im2col: scatter-adds columns back into a C x H x W gradient
 /// image (written into the n-th item of `out`, which must be pre-shaped).
 /// Adds row by row in (c, ky, kx, y, x) order, so each output element sums

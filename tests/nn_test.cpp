@@ -625,6 +625,68 @@ TEST(Conv2d, ColumnCacheReuseLeaksNoStaleColumns) {
       << "bias gradient";
 }
 
+TEST(Conv2d, DirectPathMatchesIm2colGemmBitwise) {
+  // infer_into runs 3x3/stride-1/pad-1 convs through the direct conv3x3
+  // kernel. It must write exactly the floats of the im2col + GEMM sequence
+  // it replaced, fused ReLU or not, for every batch item. Odd widths and
+  // channel counts reach the kernel's partial blocks and masked tails.
+  Rng rng(40);
+  struct Geo {
+    int c, o, h, w;
+  };
+  for (const Geo g : {Geo{3, 8, 7, 13}, Geo{8, 8, 6, 24}, Geo{5, 3, 9, 37}})
+    for (const int N : {1, 3}) {
+      Conv2d conv(g.c, g.o, 3, rng);
+      const Tensor x = Tensor::randn({N, g.c, g.h, g.w}, rng);
+      Tensor cols({g.c * 9, g.h * g.w});
+      for (const bool relu : {false, true}) {
+        Tensor got;
+        conv.infer_into(x, got, Workspace::local(), relu);
+        Tensor want({N, g.o, g.h, g.w});
+        const std::size_t item = static_cast<std::size_t>(g.o) * g.h * g.w;
+        for (int n = 0; n < N; ++n) {
+          im2col_into(x, n, 3, 1, 1, cols);
+          matmul_bias_into(conv.weight().value, cols,
+                           conv.bias().value.data(),
+                           MutMat(want.data() + n * item, g.o, g.h * g.w),
+                           relu);
+        }
+        ASSERT_EQ(got.shape(), want.shape());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << "c=" << g.c << " o=" << g.o << " w=" << g.w << " N=" << N
+            << " relu=" << relu;
+      }
+    }
+}
+
+TEST(Conv2d, DirectPathRejectsWrongChannelsBeforeCheckout) {
+  // A wrong channel count is a std::invalid_argument raised before the
+  // direct path checks out its padded buffer, also inside a hot-path guard
+  // (where building the message must not trip the allocation audit).
+  Rng rng(41);
+  const Conv2d conv(4, 5, 3, rng);
+  const Tensor bad = Tensor::randn({1, 3, 6, 6}, rng);
+  Workspace ws;
+  Tensor out;
+  {
+    HotPathGuard guard("nn_test:DirectPathRejectsWrongChannels");
+    EXPECT_THROW(conv.infer_into(bad, out, ws), std::invalid_argument);
+  }
+  const Workspace::Stats st = ws.stats();
+  EXPECT_EQ(st.hits + st.misses, 0u);
+  EXPECT_EQ(st.outstanding, 0u);
+  // The kernel helper checks the weight against the input on its own.
+  Tensor padded;
+  std::vector<float> dst(5 * 36);
+  const Tensor weight = Tensor::randn({5, 4 * 9}, rng);
+  const Tensor bias({5, 1});
+  EXPECT_THROW(conv3x3_into(bad, 0, weight, bias.data(), false, padded,
+                            dst.data()),
+               std::invalid_argument);
+}
+
 #if DCSR_ALLOC_CHECK
 TEST(CheckedAlloc, ContainerShapeErrorsSurfaceAsInvalidArgument) {
   // Sequential sizes its intermediates with out_shape inside its hot-path

@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <cstring>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "codec/block_coder.hpp"
@@ -115,9 +117,10 @@ TEST(Simd, ScopedSwapChangesAndRestoresActiveBackend) {
 TEST(Simd, ReportNamesActiveBackendAndEveryFamily) {
   const std::string r = simd::report();
   EXPECT_NE(r.find("dcsr-simd: backend="), std::string::npos) << r;
-  for (const char* fam : {"dct=", "idct=", "dequant_idct=", "quant=",
-                          "gemm=", "im2col=", "yuv2rgb="})
-    EXPECT_NE(r.find(fam), std::string::npos) << r;
+  for (int f = 0; f < simd::kNumFamilies; ++f)
+    EXPECT_NE(r.find(std::string(" ") + simd::family_name(f) + "="),
+              std::string::npos)
+        << r;
 }
 
 TEST(Simd, EveryFamilyOriginIsInstalled) {
@@ -241,6 +244,43 @@ TEST(Simd, ScalarOracleGoldenCrc) {
     }
   }
 
+  // conv3x3 draws from its own generator, so its inputs left the other
+  // families' alone. Its CRC was recorded from im2col_into +
+  // matmul_bias_into on the same inputs before the family existed: the
+  // direct kernel is that arithmetic. c = 40 crosses the AVX2 kernel's
+  // input-channel chunk.
+  std::vector<std::uint8_t> conv;
+  {
+    Rng crng(0xc3c3c3ULL);
+    const auto cuni = [&crng](double lo, double hi) {
+      const auto q = crng.uniform_int(std::llround(std::ldexp(lo, 22)),
+                                      std::llround(std::ldexp(hi, 22)));
+      return std::ldexp(static_cast<float>(q), -22);
+    };
+    struct Geo {
+      int c, o, h, w;
+      bool relu;
+    };
+    for (const Geo g : {Geo{3, 8, 5, 37, false}, Geo{8, 8, 4, 24, true},
+                        Geo{16, 3, 3, 17, false}, Geo{40, 5, 2, 9, true}}) {
+      const std::size_t rs = static_cast<std::size_t>(g.w) + 2;
+      std::vector<float> in(static_cast<std::size_t>(g.c) * (g.h + 2) * rs);
+      for (int c = 0; c < g.c; ++c)
+        for (int y = 0; y < g.h; ++y)
+          for (int x = 0; x < g.w; ++x)
+            in[(static_cast<std::size_t>(c) * (g.h + 2) + y + 1) * rs + x + 1] =
+                cuni(-2.0, 2.0);
+      std::vector<float> wt(static_cast<std::size_t>(g.o) * 9 * g.c);
+      std::vector<float> bias(static_cast<std::size_t>(g.o));
+      for (auto& v : wt) v = cuni(-2.0, 2.0);
+      for (auto& v : bias) v = cuni(-1.0, 1.0);
+      std::vector<float> out(static_cast<std::size_t>(g.o) * g.h * g.w);
+      sc.conv3x3(in.data(), rs, g.c, g.h, g.w, wt.data(), bias.data(), g.o,
+                 g.relu, 0, g.h, out.data());
+      append_bytes(conv, out.data(), out.size());
+    }
+  }
+
   EXPECT_EQ(crc_of(dct), 0x5abb88cdu) << "dct";
   EXPECT_EQ(crc_of(idct), 0x3cb76327u) << "idct";
   EXPECT_EQ(crc_of(dequant_idct), 0xac54e690u) << "dequant_idct";
@@ -248,6 +288,7 @@ TEST(Simd, ScalarOracleGoldenCrc) {
   EXPECT_EQ(crc_of(yuv2rgb), 0xe8573542u) << "yuv2rgb";
   EXPECT_EQ(crc_of(rgb2yuv), 0xc2c486f7u) << "rgb2yuv";
   EXPECT_EQ(crc_of(box), 0x36f51ba9u) << "chroma_box";
+  EXPECT_EQ(crc_of(conv), 0xa3b9eb97u) << "conv3x3";
 }
 
 // --- 8x8 transforms: exhaustive impulses + random sweeps --------------------
@@ -448,6 +489,66 @@ TEST(Simd, Im2colRowOddSizesBitwise) {
                 }
               }
           }
+}
+
+// --- direct 3x3 conv: channel, width and row-range sweep -------------------
+
+TEST(Simd, Conv3x3MatchesScalarOracleBitwise) {
+  const auto& sc = simd::scalar_table();
+  std::mt19937 rng(29);
+  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
+  constexpr float kCanary = -12345.0f;
+  // c = 40 crosses the AVX2 kernel's 32-channel chunk; o covers full and
+  // partial 4-channel blocks; w covers tiles, single vectors and masked
+  // tails; a wider row stride than w + 2 checks in_rs is honoured.
+  for (int C : {1, 3, 8, 16, 40})
+    for (int O : {1, 3, 7, 8, 9, 16, 24})
+      for (int W : {1, 2, 7, 8, 9, 15, 16, 17, 24, 37, 320}) {
+        if (C == 40 && W == 320) continue;
+        for (int H : {1, 2, 5}) {
+          const std::size_t rs = static_cast<std::size_t>(W) + 2 + (W % 3);
+          std::vector<float> in(static_cast<std::size_t>(C) * (H + 2) * rs,
+                                0.0f);
+          for (int c = 0; c < C; ++c)
+            for (int y = 0; y < H; ++y)
+              for (int x = 0; x < W; ++x)
+                in[(static_cast<std::size_t>(c) * (H + 2) + y + 1) * rs + x +
+                   1] = dist(rng);
+          std::vector<float> wt(static_cast<std::size_t>(O) * 9 * C);
+          std::vector<float> bias(static_cast<std::size_t>(O));
+          for (auto& v : wt) v = dist(rng);
+          for (auto& v : bias) v = dist(rng);
+          // The output planes plus a trailing guard, all canary.
+          const std::size_t plane = static_cast<std::size_t>(H) * W;
+          const std::size_t n = static_cast<std::size_t>(O) * plane + 8;
+          std::vector<std::pair<int, int>> ranges{{0, H}};
+          if (H == 5) ranges.insert(ranges.end(), {{1, 4}, {2, 2}, {4, 5}});
+          for (const auto& [y0, y1] : ranges)
+            for (bool relu : {false, true}) {
+              std::vector<float> ref(n, kCanary);
+              sc.conv3x3(in.data(), rs, C, H, W, wt.data(), bias.data(), O,
+                         relu, y0, y1, ref.data());
+              for (std::size_t i = 0; i < n; ++i) {
+                const int y = static_cast<int>((i % plane) / W);
+                const bool written = i < n - 8 && y >= y0 && y < y1;
+                if (!written) {
+                  ASSERT_EQ(ref[i], kCanary) << "scalar wrote element " << i;
+                } else if (relu) {
+                  ASSERT_GE(ref[i], 0.0f);
+                }
+              }
+              for (Backend b : simd_backends()) {
+                std::vector<float> got(n, kCanary);
+                simd::table_for(b)->conv3x3(in.data(), rs, C, H, W, wt.data(),
+                                            bias.data(), O, relu, y0, y1,
+                                            got.data());
+                ASSERT_TRUE(BitsEq(ref.data(), got.data(), n, "conv3x3", b))
+                    << "C=" << C << " O=" << O << " W=" << W << " H=" << H
+                    << " rows=[" << y0 << "," << y1 << ") relu=" << relu;
+              }
+            }
+        }
+      }
 }
 
 // --- YUV rows: width sweep including tails ----------------------------------

@@ -29,7 +29,7 @@ BUILD="${BUILD_DIR:-$ROOT/build}"
 
 if [ ! -x "$BUILD/bench/bench_micro_kernels" ]; then
   cmake -B "$BUILD" -S "$ROOT"
-  cmake --build "$BUILD" -j --target bench_micro_kernels
+  cmake --build "$BUILD" -j "$(nproc)" --target bench_micro_kernels
 fi
 
 build_type=""
@@ -60,7 +60,7 @@ esac
 echo "wrote $ROOT/BENCH_kernels.json"
 
 if [ ! -x "$BUILD/tools/dcsr_fleet" ]; then
-  cmake --build "$BUILD" -j --target dcsr_fleet
+  cmake --build "$BUILD" -j "$(nproc)" --target dcsr_fleet
 fi
 "$BUILD/tools/dcsr_fleet" \
   --sessions 100000,1000000 \

@@ -139,7 +139,7 @@ run_leg() {
       echo
       echo "=== leg: $leg (build dir: $build) ==="
       cmake -B "$build" -S "$ROOT" -DDCSR_WERROR=ON || return 1
-      cmake --build "$build" -j || return 1
+      cmake --build "$build" -j "$(nproc)" || return 1
       local probe="$build/bench/bench_micro_kernels"
       if env DCSR_SIMD=definitely-not-a-backend \
           "$probe" --benchmark_list_tests=true >/dev/null 2>&1; then
@@ -168,7 +168,7 @@ run_leg() {
       echo "--- simd leg: full suite in a Release build ($rel) ---"
       cmake -B "$rel" -S "$ROOT" -DDCSR_WERROR=ON \
         -DCMAKE_BUILD_TYPE=Release || return 1
-      cmake --build "$rel" -j || return 1
+      cmake --build "$rel" -j "$(nproc)" || return 1
       ctest --test-dir "$rel" --output-on-failure -j || return 1
       echo "--- simd leg: default and Release builds write the same bytes ---"
       local d o f
@@ -218,7 +218,7 @@ run_leg() {
       echo
       echo "=== leg: $leg (build dir: $build) ==="
       cmake -B "$build" -S "$ROOT" -DDCSR_WERROR=ON || return 1
-      cmake --build "$build" -j --target bench_micro_kernels || return 1
+      cmake --build "$build" -j "$(nproc)" --target bench_micro_kernels || return 1
       "$build/bench/bench_micro_kernels" --benchmark_min_time=0 || return 1
       return 0
       ;;
@@ -232,7 +232,7 @@ run_leg() {
       echo
       echo "=== leg: $leg (build dir: $build) ==="
       cmake -B "$build" -S "$ROOT" -DDCSR_WERROR=ON -DDCSR_SANITIZE=address,undefined || return 1
-      cmake --build "$build" -j --target dcsr_fuzz || return 1
+      cmake --build "$build" -j "$(nproc)" --target dcsr_fuzz || return 1
       "$build/tools/dcsr_fuzz" all --iters 10000 --seed 1 || return 1
       return 0
       ;;
@@ -247,7 +247,7 @@ run_leg() {
       echo
       echo "=== leg: $leg (build dir: $build) ==="
       cmake -B "$build" -S "$ROOT" -DDCSR_WERROR=ON -DDCSR_CHECKED=ON || return 1
-      cmake --build "$build" -j --target dcsr_fleet || return 1
+      cmake --build "$build" -j "$(nproc)" --target dcsr_fleet || return 1
       local fa="$build/fleet-smoke-t1.json" fb="$build/fleet-smoke-t4.json"
       env DCSR_THREADS=1 "$build/tools/dcsr_fleet" \
         --sessions 5000 --videos 200 --sweep-skew "0.4,1.2" \
@@ -276,7 +276,7 @@ run_leg() {
       echo
       echo "=== leg: $leg (build dir: $build) ==="
       cmake -B "$build" -S "$ROOT" -DDCSR_WERROR=ON -DDCSR_CHECKED=ON || return 1
-      cmake --build "$build" -j --target dcsr_cli || return 1
+      cmake --build "$build" -j "$(nproc)" --target dcsr_cli || return 1
       local cli="$build/tools/dcsr_cli" s t ref=""
       # Encoder determinism: closed GOPs encode concurrently, so the
       # container bytes must not depend on the thread count.
@@ -351,7 +351,7 @@ run_leg() {
   echo
   echo "=== leg: $leg (build dir: $build) ==="
   cmake -B "$build" -S "$ROOT" -DDCSR_WERROR=ON "${cmake_args[@]}" || return 1
-  cmake --build "$build" -j || return 1
+  cmake --build "$build" -j "$(nproc)" || return 1
   "${env_prefix[@]}" ctest --test-dir "$build" --output-on-failure -j || return 1
   if [ "$leg" = default ]; then
     check_readme_test_count "$build" || return 1
