@@ -26,6 +26,7 @@
 #include "split/segmenter.hpp"
 #include "sr/edsr.hpp"
 #include "sr/model_zoo.hpp"
+#include "sr/trainer.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/workspace.hpp"
 #include "tests/matmul_naive.hpp"
@@ -202,24 +203,37 @@ void BM_Conv2dBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dBackward)->Arg(8)->Arg(16)->Arg(32);
 
-// One full training step (forward + backward) across thread counts; batch
-// items are the parallel axis.
-void BM_Conv2dTrainStepThreads(benchmark::State& state) {
+// Lockstep training of k = 2 quickstart micro models (8 filters, 2
+// ResBlocks, patch 24, batch 4) for 20 steps, across thread counts: each
+// step is one parallel region over the 2 x 4 (model, batch item) units.
+void BM_TrainSrModelsThreads(benchmark::State& state) {
   const int dflt = base_threads();
-  const int c = 16;
-  Rng rng(5);
-  nn::Conv2d conv(c, c, 3, rng);
-  const Tensor x = Tensor::randn({4, c, 48, 48}, rng);
-  const Tensor y = conv.forward(x);
-  Tensor go = Tensor::randn(y.shape(), rng);
-  set_default_pool_threads(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(conv.forward(x));
-    benchmark::DoNotOptimize(conv.backward(go));
+  const auto video = make_genre_video(Genre::kNews, 5, 96, 64, 2.0, 10.0);
+  std::vector<std::vector<sr::TrainSample>> data(2);
+  for (int i = 0; i < 12; ++i) {
+    const FrameRGB hi = video->frame(i);
+    const FrameRGB small = resize(hi, hi.width() / 2, hi.height() / 2);
+    data[static_cast<std::size_t>(i % 2)].push_back(
+        {resize(small, hi.width(), hi.height()), hi});
   }
+  Rng rngs[2] = {Rng(1), Rng(2)};
+  const sr::EdsrConfig cfg{.n_filters = 8, .n_resblocks = 2, .scale = 1};
+  sr::Edsr m0(cfg, rngs[0]), m1(cfg, rngs[1]);
+  const std::vector<sr::TrainJob> jobs = {{m0, data[0], rngs[0]},
+                                          {m1, data[1], rngs[1]}};
+  const sr::TrainOptions opts{.iterations = 20, .patch_size = 24,
+                              .batch_size = 4, .lr = 3e-3};
+  set_default_pool_threads(static_cast<int>(state.range(0)));
+  for (auto _ : state) benchmark::DoNotOptimize(sr::train_sr_models(jobs, opts));
   set_default_pool_threads(dflt);
+  state.SetItemsProcessed(state.iterations() * 2 * opts.iterations *
+                          opts.batch_size);
 }
-BENCHMARK(BM_Conv2dTrainStepThreads)->Arg(1)->Arg(sweep_threads());
+BENCHMARK(BM_TrainSrModelsThreads)
+    ->Arg(1)
+    ->Arg(sweep_threads())
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_EdsrInference(benchmark::State& state) {
   Rng rng(6);

@@ -11,7 +11,6 @@
 #include "nn/serialize.hpp"
 #include "sr/min_model.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dcsr::core {
 
@@ -104,48 +103,28 @@ ServerResult run_server_pipeline(const VideoSource& video, const ServerConfig& c
   }
 
   // 7. One micro model per cluster, trained on that cluster's I frames only
-  //    (§3.1.3). Per-cluster training is embarrassingly parallel — the
-  //    paper's server-side pitch — so the clusters train concurrently. Each
-  //    cluster's Rng is forked from the parent stream serially, in cluster
-  //    order, before any task runs: every cluster sees the exact stream it
-  //    saw under serial execution, so the trained weights are bit-identical
-  //    regardless of thread count.
-  struct ClusterJob {
-    std::vector<sr::TrainSample> data;
-    Rng rng{0};
-    std::unique_ptr<sr::Edsr> model;
-    sr::TrainStats stats;
-  };
-  std::vector<ClusterJob> jobs(static_cast<std::size_t>(result.k));
+  //    (§3.1.3). Each cluster's Rng is forked from the parent stream in
+  //    cluster order and builds the cluster's model before training draws
+  //    its patches; train_sr_models then trains all clusters in lockstep,
+  //    so every model's weights are bit-identical at any thread count.
+  std::vector<std::vector<sr::TrainSample>> data(static_cast<std::size_t>(result.k));
+  std::vector<Rng> rngs;
+  std::vector<sr::TrainJob> jobs;
+  rngs.reserve(data.size());
+  result.micro_models.reserve(data.size());
   for (int c = 0; c < result.k; ++c) {
-    ClusterJob& job = jobs[static_cast<std::size_t>(c)];
+    auto& cluster = data[static_cast<std::size_t>(c)];
     for (std::size_t s = 0; s < iframes.size(); ++s)
       if (result.labels[s] == c)
-        for (const auto& p : iframes[s].pairs) job.data.push_back(p);
-    if (job.data.empty())
+        for (const auto& p : iframes[s].pairs) cluster.push_back(p);
+    if (cluster.empty())
       throw std::logic_error("run_server_pipeline: empty cluster");
-    job.rng = rng.fork();
+    rngs.push_back(rng.fork());
+    result.micro_models.push_back(std::make_unique<sr::Edsr>(cfg.micro, rngs.back()));
+    jobs.push_back({*result.micro_models.back(), cluster, rngs.back()});
   }
-  // Each chunk owns the ClusterJob slots [lo, hi) — model, stats and the
-  // pre-forked Rng it advances all live inside the claimed records.
-  parallel_for_writes(
-      0, result.k, 1,
-      [&](std::int64_t lo, std::int64_t hi) {
-        return span_of(jobs.data() + lo, static_cast<std::size_t>(hi - lo));
-      },
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t c = lo; c < hi; ++c) {
-          ClusterJob& job = jobs[static_cast<std::size_t>(c)];
-          job.model = std::make_unique<sr::Edsr>(cfg.micro, job.rng);
-          job.stats = sr::train_sr_model(*job.model, job.data, cfg.training, job.rng);
-        }
-      },
-      "core/server_pipeline.cpp:run_server_pipeline(train clusters)");
-  result.micro_models.reserve(static_cast<std::size_t>(result.k));
-  for (auto& job : jobs) {
-    result.train_flops += job.stats.train_flops;
-    result.micro_models.push_back(std::move(job.model));
-  }
+  for (const sr::TrainStats& stats : sr::train_sr_models(jobs, cfg.training))
+    result.train_flops += stats.train_flops;
   result.micro_model_bytes = sr::edsr_model_bytes(cfg.micro);
   return result;
 }

@@ -7,7 +7,6 @@
 #include "tensor/ops.hpp"
 #include "tensor/workspace.hpp"
 #include "util/alloc_check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dcsr::nn {
 
@@ -53,26 +52,16 @@ Tensor Conv2d::forward(const Tensor& x) {
   // The kernels of infer_into — im2col_into, then one GEMM with the bias
   // folded into its epilogue, written straight into the item's output
   // planes — so the outputs are bit-identical. The columns land in the
-  // item's cache slot for backward instead of a workspace checkout. Batch
-  // items are independent and write disjoint output slices; each chunk
-  // claims the NCHW output planes of its items [lo, hi). (The per-item
-  // cached_cols_ slots are distinct Tensor objects, also indexed by n.)
+  // item's cache slot for backward instead of a workspace checkout.
   const std::size_t item_floats =
       static_cast<std::size_t>(out_channels_) * oh * ow;
-  const auto claim = [&, item_floats](std::int64_t lo, std::int64_t hi) {
-    return span_of(out.data() + static_cast<std::size_t>(lo) * item_floats,
-                   static_cast<std::size_t>(hi - lo) * item_floats);
-  };
-  parallel_for_writes(0, N, 1, claim, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t n = lo; n < hi; ++n) {
-      Tensor& cols = cached_cols_[static_cast<std::size_t>(n)];
-      cols.reset({in_channels_ * kernel_ * kernel_, oh * ow});
-      im2col_into(x, static_cast<int>(n), kernel_, stride_, pad_, cols);
-      matmul_bias_into(weight_.value, cols, bias_.value.data(),
-                       MutMat(out.data() + static_cast<std::size_t>(n) * item_floats,
-                              out_channels_, oh * ow));
-    }
-  }, "nn/conv.cpp:Conv2d::forward");
+  for (int n = 0; n < N; ++n) {
+    Tensor& cols = cached_cols_[static_cast<std::size_t>(n)];
+    cols.reset({in_channels_ * kernel_ * kernel_, oh * ow});
+    im2col_into(x, n, kernel_, stride_, pad_, cols);
+    matmul_bias_into(weight_.value, cols, bias_.value.data(),
+                     MutMat(out.data() + n * item_floats, out_channels_, oh * ow));
+  }
   FiniteCheckGuard{*this, out};
   return out;
 }
@@ -135,50 +124,27 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
                                 grad_out.shape_str() + " does not match " +
                                 "cached forward output");
   Tensor grad_in(x);
-  // Per-item weight/bias partials, reduced in index order after the parallel
-  // section: float accumulation order must not depend on the thread count.
-  std::vector<Tensor> dw(static_cast<std::size_t>(N));
-  std::vector<Tensor> db(static_cast<std::size_t>(N));
-  // Each chunk owns its items' grad_in planes (col2im_add only touches item
-  // n's slice) plus the per-item dw/db slots reduced serially afterwards.
-  const std::size_t in_floats = static_cast<std::size_t>(x[1]) *
-                                static_cast<std::size_t>(x[2]) *
-                                static_cast<std::size_t>(x[3]);
-  const auto claim = [&, in_floats](std::int64_t lo, std::int64_t hi) {
-    return span_of(grad_in.data() + static_cast<std::size_t>(lo) * in_floats,
-                   static_cast<std::size_t>(hi - lo) * in_floats);
-  };
-  parallel_for_writes(0, N, 1, claim, [&](std::int64_t lo, std::int64_t hi) {
-    // Column gradient, consumed by col2im before the next item needs it: one
-    // buffer per chunk, reset in place from item to item.
-    Tensor dcols;
-    for (std::int64_t item = lo; item < hi; ++item) {
-      const int n = static_cast<int>(item);
-      // This item's slice of grad_out is already a contiguous
-      // (outC) x (oh*ow) matrix, so view it in place instead of copying.
-      const float* src = grad_out.data() +
-                         static_cast<std::size_t>(n) * out_channels_ * oh * ow;
-      const ConstMat go(src, out_channels_, oh * ow);
-
-      const Tensor& cols = cached_cols_[static_cast<std::size_t>(n)];
-
-      // dW_n = dY * cols^T ; db_n = rowsum(dY) ; dX_n = col2im(W^T * dY).
-      matmul_nt_into(go, cols, dw[static_cast<std::size_t>(n)]);
-      Tensor dbn({out_channels_, 1});
-      for (int c = 0; c < out_channels_; ++c) {
-        float acc = 0.0f;
-        const float* row = src + static_cast<std::size_t>(c) * oh * ow;
-        for (int i = 0; i < oh * ow; ++i) acc += row[i];
-        dbn[static_cast<std::size_t>(c)] = acc;
-      }
-      db[static_cast<std::size_t>(n)] = std::move(dbn);
-      matmul_tn_into(weight_.value, go, dcols);
-      col2im_add(dcols, grad_in, n, kernel_, stride_, pad_);
-    }
-  }, "nn/conv.cpp:Conv2d::backward");
+  // Weight and bias gradients accumulate item by item, in item order; the
+  // column gradient is consumed by col2im before the next item needs it.
+  Tensor dw, dcols;
   for (int n = 0; n < N; ++n) {
-    weight_.grad.add_(dw[static_cast<std::size_t>(n)]);
-    bias_.grad.add_(db[static_cast<std::size_t>(n)]);
+    // This item's slice of grad_out is already a contiguous
+    // (outC) x (oh*ow) matrix, so view it in place instead of copying.
+    const float* src = grad_out.data() +
+                       static_cast<std::size_t>(n) * out_channels_ * oh * ow;
+    const ConstMat go(src, out_channels_, oh * ow);
+
+    // dW += dY * cols^T ; db += rowsum(dY) ; dX_n = col2im(W^T * dY).
+    matmul_nt_into(go, cached_cols_[static_cast<std::size_t>(n)], dw);
+    weight_.grad.add_(dw);
+    for (int c = 0; c < out_channels_; ++c) {
+      float acc = 0.0f;
+      const float* row = src + static_cast<std::size_t>(c) * oh * ow;
+      for (int i = 0; i < oh * ow; ++i) acc += row[i];
+      bias_.grad[static_cast<std::size_t>(c)] += acc;
+    }
+    matmul_tn_into(weight_.value, go, dcols);
+    col2im_add(dcols, grad_in, n, kernel_, stride_, pad_);
   }
   return grad_in;
 }

@@ -32,9 +32,32 @@ struct TrainStats {
   std::uint64_t train_flops = 0;   // total forward+backward FLOPs spent
 };
 
-/// Trains an SR model on the given pairs by sampling random aligned patches.
-/// This is the micro-model training loop of §3.1.3 — the same code trains
-/// the big NAS/NEMO baseline models, just with more data and a larger config.
+/// One model to train: its pairs and the Rng stream its patches come from.
+struct TrainJob {
+  Edsr& model;
+  const std::vector<TrainSample>& samples;
+  Rng& rng;
+};
+
+/// Trains every job's model on its own pairs by sampling random aligned
+/// patches — the micro-model training loop of §3.1.3, which also trains the
+/// big NAS/NEMO baseline models with more data and a larger config.
+///
+/// The jobs run in lockstep, one step at a time. Each step draws every job's
+/// patches serially from that job's Rng, then runs one parallel region over
+/// all jobs x batch_size (job, item) units: each unit runs the whole
+/// network's forward and backward for one item on a private replica of its
+/// job's model. The replicas' gradients are summed into the model in item
+/// order, and the loss in batch order, so a job trains to the same bits
+/// alone or beside others, at any thread count.
+///
+/// Every option and every job is validated before any model is touched; a
+/// bad one throws std::invalid_argument naming it. Returns one TrainStats
+/// per job, in job order.
+std::vector<TrainStats> train_sr_models(const std::vector<TrainJob>& jobs,
+                                        const TrainOptions& opts);
+
+/// train_sr_models for a single model.
 TrainStats train_sr_model(Edsr& model, const std::vector<TrainSample>& samples,
                           const TrainOptions& opts, Rng& rng);
 

@@ -91,8 +91,8 @@ void set_claim_contain_enabled(bool enabled) noexcept;
 
 /// Persistent worker pool behind `parallel_for`.
 ///
-/// Everything compute-bound in the library (GEMM row blocks, per-item conv
-/// batches, per-cluster training) is expressed as a static-chunked
+/// Everything compute-bound in the library (GEMM row blocks, encoder GOPs,
+/// training units) is expressed as a static-chunked
 /// `parallel_for` over an index range. Determinism is a hard contract: the
 /// kernels only ever parallelise over *disjoint outputs* and reduce any
 /// shared accumulators in index order, so results are bit-identical no

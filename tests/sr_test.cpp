@@ -1,4 +1,8 @@
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -223,12 +227,13 @@ TEST(Trainer, LossCurveHasRequestedLength) {
 
 TEST(Trainer, BitIdenticalAcrossThreadCounts) {
   // The deterministic-reduction contract: training must produce the exact
-  // same floats no matter how many threads the pool runs. Conv batch items
-  // parallelise over disjoint outputs and weight/bias gradients reduce in
-  // item order, so DCSR_THREADS=1 and DCSR_THREADS=4 may differ only in
-  // wall-clock, never in results. The trained model's fp32 parameter bytes
-  // are pinned too, so a change to the training arithmetic (or to the build
-  // flags that define it) cannot pass unnoticed.
+  // same floats no matter how many threads the pool runs. Each batch item
+  // trains on its own model replica in one parallel region per step, and
+  // the replicas' weight/bias gradients and the loss reduce in item order,
+  // so DCSR_THREADS=1 and DCSR_THREADS=4 may differ only in wall-clock,
+  // never in results. The trained model's fp32 parameter bytes are pinned
+  // too, so a change to the training arithmetic (or to the build flags that
+  // define it) cannot pass unnoticed.
   const int saved_threads = default_thread_count();
   struct Trained {
     TrainStats stats;
@@ -261,6 +266,128 @@ TEST(Trainer, BitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.params, threaded.params);
   EXPECT_EQ(codec::crc32(serial.params.data(), serial.params.size()),
             0x83382af3u);
+}
+
+std::vector<std::uint8_t> param_bytes(Edsr& model) {
+  ByteWriter w;
+  nn::save_params(model, w);
+  return w.bytes();
+}
+
+// Three models with their own configs (the third at scale 2), pairs and Rng
+// seeds: the lockstep trainer's jobs.
+struct LockstepCase {
+  std::vector<std::vector<TrainSample>> data;
+  std::vector<Rng> rngs;
+  std::vector<std::unique_ptr<Edsr>> models;
+
+  std::vector<TrainJob> jobs() {
+    std::vector<TrainJob> out;
+    for (std::size_t j = 0; j < models.size(); ++j)
+      out.push_back({*models[j], data[j], rngs[j]});
+    return out;
+  }
+};
+
+LockstepCase make_lockstep_case() {
+  const EdsrConfig configs[3] = {{.n_filters = 4, .n_resblocks = 1, .scale = 1},
+                                 {.n_filters = 6, .n_resblocks = 2, .scale = 1},
+                                 {.n_filters = 4, .n_resblocks = 1, .scale = 2}};
+  LockstepCase c;
+  for (int j = 0; j < 3; ++j) {
+    std::vector<TrainSample> pairs;
+    for (int f = 0; f <= j; ++f) {
+      const FrameRGB hi = textured_frame(32, 32, 200 + 10 * j + f);
+      if (configs[j].scale == 1)
+        pairs.push_back(degraded_pair(hi));
+      else
+        pairs.push_back({resize(hi, 16, 16), hi});
+    }
+    c.data.push_back(std::move(pairs));
+    c.rngs.emplace_back(300 + j);
+  }
+  for (int j = 0; j < 3; ++j)
+    c.models.push_back(std::make_unique<Edsr>(configs[j], c.rngs[j]));
+  return c;
+}
+
+TEST(Trainer, LockstepMatchesPerModelBitwise) {
+  // train_sr_models runs every job's batch items in one parallel region per
+  // step; a job must still train to the bits it gets alone. Three jobs are
+  // trained together and one by one, at 1 and 4 threads. The CRCs were
+  // recorded with the trainer that predates lockstep training (batch items
+  // fanned out inside each conv), so they pin its arithmetic as well.
+  const std::uint32_t kCrc[3] = {0x342fc77du, 0xb2b610cau, 0x30ede5c5u};
+  const TrainOptions opts{.iterations = 12, .patch_size = 12, .batch_size = 3,
+                          .lr = 3e-3};
+  const int saved_threads = default_thread_count();
+  for (const int threads : {1, 4}) {
+    set_default_pool_threads(threads);
+    LockstepCase together = make_lockstep_case();
+    const std::vector<TrainStats> lockstep = train_sr_models(together.jobs(), opts);
+    ASSERT_EQ(lockstep.size(), 3u);
+    LockstepCase alone = make_lockstep_case();
+    for (std::size_t j = 0; j < 3; ++j) {
+      const TrainStats single =
+          train_sr_model(*alone.models[j], alone.data[j], opts, alone.rngs[j]);
+      EXPECT_EQ(lockstep[j].loss_curve, single.loss_curve)
+          << "threads=" << threads << " job " << j;
+      EXPECT_EQ(lockstep[j].final_loss, single.final_loss);
+      EXPECT_EQ(lockstep[j].train_flops, single.train_flops);
+      const std::vector<std::uint8_t> bytes = param_bytes(*together.models[j]);
+      EXPECT_EQ(bytes, param_bytes(*alone.models[j]))
+          << "threads=" << threads << " job " << j;
+      EXPECT_EQ(codec::crc32(bytes.data(), bytes.size()), kCrc[j])
+          << "threads=" << threads << " job " << j;
+    }
+  }
+  set_default_pool_threads(saved_threads);
+}
+
+// Trains a small model with `opts` and expects std::invalid_argument whose
+// message names `field`.
+void expect_rejected(const TrainOptions& opts, const std::string& field) {
+  Rng rng(15);
+  const TrainSample pair = degraded_pair(textured_frame(32, 32, 16));
+  Edsr model({.n_filters = 4, .n_resblocks = 1}, rng);
+  try {
+    train_sr_model(model, {pair}, opts, rng);
+    ADD_FAILURE() << "accepted a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+TEST(Trainer, RejectsNegativeIterations) {
+  expect_rejected({.iterations = -1, .patch_size = 16}, "iterations");
+}
+
+TEST(Trainer, RejectsNonPositivePatchSize) {
+  expect_rejected({.iterations = 2, .patch_size = 0}, "patch_size");
+  expect_rejected({.iterations = 2, .patch_size = -4}, "patch_size");
+}
+
+TEST(Trainer, RejectsNonPositiveBatchSize) {
+  expect_rejected({.iterations = 2, .patch_size = 16, .batch_size = 0}, "batch_size");
+}
+
+TEST(Trainer, RejectsNonFiniteOrNonPositiveLr) {
+  for (const double lr : {std::nan(""), std::numeric_limits<double>::infinity(),
+                          0.0, -1e-3})
+    expect_rejected({.iterations = 2, .patch_size = 16, .lr = lr}, "lr");
+}
+
+TEST(Trainer, EmptyJobLeavesEveryModelUntouched) {
+  // Validation covers every job before any model is touched: a job without
+  // samples among good ones throws, and no model has taken a step.
+  LockstepCase c = make_lockstep_case();
+  c.data[1].clear();
+  std::vector<std::vector<std::uint8_t>> before;
+  for (auto& m : c.models) before.push_back(param_bytes(*m));
+  EXPECT_THROW(train_sr_models(c.jobs(), {.iterations = 3, .patch_size = 12}),
+               std::invalid_argument);
+  for (std::size_t j = 0; j < c.models.size(); ++j)
+    EXPECT_EQ(param_bytes(*c.models[j]), before[j]) << "model " << j;
 }
 
 TEST(Edsr, InferMatchesForwardBitwise) {

@@ -55,7 +55,9 @@
 #               byte-compares the two containers (the encoder's closed GOPs
 #               run concurrently, replayed by the containment auditor), and
 #               decodes the committed pre-slice (v2, sliceless) fixture to
-#               pin backward compatibility through the CLI.
+#               pin backward compatibility through the CLI. Last, deploys the
+#               news video under DCSR_THREADS=1 and =4 and byte-compares the
+#               two models.bin (lockstep micro-model training).
 #   tidy        clang-tidy over every translation unit in src/ against the
 #               checked-in .clang-tidy, driven by the default build's
 #               compile_commands.json; any diagnostic fails the leg. If
@@ -311,6 +313,21 @@ run_leg() {
       env DCSR_THREADS=4 "$cli" decode "$ROOT/tests/data/pre-slice-v2.dcv" \
         "$build/decode-smoke-preslice.yuv" >/dev/null || return 1
       echo "decode-smoke: pre-slice v2 fixture decodes"
+      # Server training determinism: deploy trains every cluster's micro
+      # model in lockstep, one parallel region per step over all (cluster,
+      # batch item) units, so the models must not depend on the thread count.
+      for t in 1 4; do
+        rm -rf "$build/decode-smoke-deploy-t$t"
+        env DCSR_THREADS="$t" "$cli" deploy "$build/decode-smoke-deploy-t$t" \
+          news 5 60 >/dev/null || return 1
+      done
+      if ! cmp -s "$build/decode-smoke-deploy-t1/models.bin" \
+                  "$build/decode-smoke-deploy-t4/models.bin"; then
+        echo "decode-smoke: deployed micro models differ between" \
+             "DCSR_THREADS=1 and =4" >&2
+        return 1
+      fi
+      echo "decode-smoke: deployed micro models bit-identical across threads {1,4}"
       return 0
       ;;
     tidy)
