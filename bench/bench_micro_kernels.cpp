@@ -125,7 +125,12 @@ void BM_Matmul(benchmark::State& state) {
   Rng rng(4);
   const Tensor a = Tensor::randn({n, n}, rng);
   const Tensor b = Tensor::randn({n, n}, rng);
-  for (auto _ : state) benchmark::DoNotOptimize(matmul(a, b));
+  Tensor c;
+  for (auto _ : state) {
+    matmul_into(a, b, c);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
   state.SetItemsProcessed(state.iterations() * 2LL * n * n * n);
 }
 BENCHMARK(BM_Matmul)->Arg(64)->Arg(128)->Arg(256);
@@ -147,8 +152,13 @@ void BM_MatmulThreads(benchmark::State& state) {
   Rng rng(4);
   const Tensor a = Tensor::randn({n, n}, rng);
   const Tensor b = Tensor::randn({n, n}, rng);
+  Tensor c;
   set_default_pool_threads(static_cast<int>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(matmul(a, b));
+  for (auto _ : state) {
+    matmul_into(a, b, c);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
   set_default_pool_threads(dflt);
   state.SetItemsProcessed(state.iterations() * 2LL * n * n * n);
 }

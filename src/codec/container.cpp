@@ -3,6 +3,7 @@
 #include <array>
 #include <climits>
 #include <stdexcept>
+#include <string>
 
 #include "codec/errors.hpp"
 
@@ -11,12 +12,10 @@ namespace dcsr::codec {
 namespace {
 
 // Bumped whenever the layout changes (v2 added per-segment CRF and the
-// loop-filter flag; v3 added per-frame macroblock-row slice tables). Old
-// v2 files still parse — the reader dispatches on the magic — but a v1 file
-// fails at the magic check with a clear error instead of a confusing CRC
-// mismatch downstream.
-constexpr std::uint32_t kMagicV2 = 0x64635632;  // "dcV2" — sliceless frames
-constexpr std::uint32_t kMagicV3 = 0x64635633;  // "dcV3" — sliced frames
+// loop-filter flag; v3 added per-frame macroblock-row slice tables). Older
+// files fail at the magic check with an error that names their version,
+// instead of a confusing CRC mismatch downstream.
+constexpr std::uint32_t kMagic = 0x64635633;  // "dcV3"
 
 // A frame can't have more slices than a 16384-pixel-tall frame has MB rows.
 constexpr std::uint32_t kMaxSlices = 16384 / 16;
@@ -31,17 +30,6 @@ std::array<std::uint32_t, 256> make_crc_table() noexcept {
   return table;
 }
 
-// True when any frame carries a slice table, which forces the v3 layout.
-// A video with only monolithic payloads round-trips as v2, byte-identical
-// to what this writer always produced — pre-slice readers keep working on
-// streams that never used the new feature.
-bool needs_v3(const EncodedVideo& video) noexcept {
-  for (const auto& seg : video.segments)
-    for (const auto& f : seg.frames)
-      if (f.sliced()) return true;
-  return false;
-}
-
 }  // namespace
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) noexcept {
@@ -53,9 +41,8 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t size) noexcept {
 }
 
 void write_container(const EncodedVideo& video, ByteWriter& out) {
-  const bool v3 = needs_v3(video);
   ByteWriter body;
-  body.write_u32(v3 ? kMagicV3 : kMagicV2);
+  body.write_u32(kMagic);
   body.write_u32(static_cast<std::uint32_t>(video.width));
   body.write_u32(static_cast<std::uint32_t>(video.height));
   body.write_f64(video.fps);
@@ -69,12 +56,9 @@ void write_container(const EncodedVideo& video, ByteWriter& out) {
     for (const auto& f : seg.frames) {
       body.write_u8(static_cast<std::uint8_t>(f.type));
       body.write_u32(static_cast<std::uint32_t>(f.display_index));
-      if (v3) {
-        // Slice table first, then the concatenated substream bytes. A
-        // monolithic frame inside a v3 stream writes a zero-entry table.
-        body.write_u32(static_cast<std::uint32_t>(f.slice_sizes.size()));
-        for (const auto s : f.slice_sizes) body.write_u32(s);
-      }
+      // Slice table first, then the concatenated substream bytes.
+      body.write_u32(static_cast<std::uint32_t>(f.slice_sizes.size()));
+      for (const auto s : f.slice_sizes) body.write_u32(s);
       body.write_u32(static_cast<std::uint32_t>(f.payload.size()));
       for (const auto b : f.payload) body.write_u8(b);
     }
@@ -88,13 +72,14 @@ void write_container(const EncodedVideo& video, ByteWriter& out) {
 EncodedVideo read_container(ByteReader& in) {
   const std::size_t magic_at = in.position();
   const std::uint32_t magic = in.read_u32();
-  if (magic == 0x64635631)
-    throw ContainerError(
-        "read_container: v1 container (this build reads v2/v3; re-encode)",
-        magic_at);
-  if (magic != kMagicV2 && magic != kMagicV3)
+  if (magic == 0x64635631 || magic == 0x64635632) {  // "dcV1", "dcV2"
+    const char version = static_cast<char>(magic & 0xffu);
+    throw ContainerError(std::string("read_container: v") + version +
+                             " container (this build reads v3 only; re-encode)",
+                         magic_at);
+  }
+  if (magic != kMagic)
     throw ContainerError("read_container: bad magic", magic_at);
-  const bool v3 = magic == kMagicV3;
 
   EncodedVideo video;
   const std::size_t dims_at = in.position();
@@ -141,25 +126,26 @@ EncodedVideo read_container(ByteReader& in) {
         throw ContainerError("read_container: bad frame type", type_at);
       frame.type = static_cast<FrameType>(type);
       frame.display_index = static_cast<int>(in.read_u32());
+      const std::size_t slices_at = in.position();
+      const std::uint32_t n_slices = in.read_u32();
+      if (n_slices == 0)
+        throw ContainerError("read_container: frame without slices",
+                             slices_at);
+      if (n_slices > kMaxSlices)
+        throw ContainerError("read_container: implausible slice count",
+                             slices_at);
       std::uint64_t slice_total = 0;
-      if (v3) {
-        const std::size_t slices_at = in.position();
-        const std::uint32_t n_slices = in.read_u32();
-        if (n_slices > kMaxSlices)
-          throw ContainerError("read_container: implausible slice count",
-                               slices_at);
-        frame.slice_sizes.reserve(n_slices);
-        for (std::uint32_t i = 0; i < n_slices; ++i) {
-          const std::uint32_t sz = in.read_u32();
-          frame.slice_sizes.push_back(sz);
-          slice_total += sz;
-        }
+      frame.slice_sizes.reserve(n_slices);
+      for (std::uint32_t i = 0; i < n_slices; ++i) {
+        const std::uint32_t sz = in.read_u32();
+        frame.slice_sizes.push_back(sz);
+        slice_total += sz;
       }
       const std::size_t size_at = in.position();
       const std::uint32_t size = in.read_u32();
       if (size > in.remaining())
         throw ContainerError("read_container: truncated payload", size_at);
-      if (v3 && !frame.slice_sizes.empty() && slice_total != size)
+      if (slice_total != size)
         throw ContainerError(
             "read_container: slice sizes disagree with payload size", size_at);
       frame.payload.resize(size);
@@ -170,9 +156,7 @@ EncodedVideo read_container(ByteReader& in) {
   }
 
   // The CRC covers every byte before it; checksum exactly the bytes consumed
-  // from the reader's buffer rather than re-serialising the parsed structure
-  // (which would re-encode a v2 stream under whichever version this writer
-  // prefers and never match).
+  // from the reader's buffer rather than re-serialising the parsed structure.
   const std::size_t crc_at = in.position();
   const std::uint32_t stored_crc = in.read_u32();
   const std::uint32_t recomputed =

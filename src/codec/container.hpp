@@ -11,17 +11,16 @@ namespace dcsr::codec {
 /// length-prefixed and versioned; a CRC-32 over the payload catches
 /// truncation and corruption at load time.
 ///
-///   magic "dcV2"/"dcV3" | width | height | fps | crf | deblock | segment count
+///   magic "dcV3" | width | height | fps | crf | deblock | segment count
 ///   per segment: first_frame | crf | frame count
 ///     per frame: type | display_index
-///                | (v3 only) slice count | slice sizes
+///                | slice count (>= 1) | slice sizes
 ///                | payload size | payload bytes
 ///   crc32 of everything above
 ///
-/// v3 adds the per-frame slice table (macroblock-row slices that decode
-/// concurrently). The writer emits v2 when no frame is sliced — byte-
-/// identical to the pre-slice writer — and v3 otherwise; the reader accepts
-/// both, so pre-slice streams keep decoding unchanged.
+/// Every frame carries its macroblock-row slice table (slices decode
+/// concurrently). The reader rejects older versions (v1, and v2's sliceless
+/// frames) by name, and a frame whose slice table is empty.
 void write_container(const EncodedVideo& video, ByteWriter& out);
 
 /// Parses a container; throws std::invalid_argument on bad magic, version,

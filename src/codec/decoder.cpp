@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "codec/bits.hpp"
 #include "codec/deblock.hpp"
 #include "codec/errors.hpp"
 #include "codec/frame_coding.hpp"
@@ -45,35 +44,16 @@ Decoder::Decoder(int width, int height, int crf)
 
 void Decoder::decode_frame(const EncodedFrame& ef, const Quantizer& q,
                            FrameYUV& out) {
-  if (ef.sliced()) {
-    decode_frame_sliced(ef, q, out);
-  } else {
-    // Legacy (container v2) monolithic payload: the pre-slice decode path,
-    // kept bit-exact for old streams. It builds fresh frames, so its traffic
-    // is sanctioned rather than silent.
-    AllocAllowScope allow;
-    BitReader br(ef.payload);
-    switch (ef.type) {
-      case FrameType::kI:
-        out = decode_intra_frame(width_, height_, q, br);
-        break;
-      case FrameType::kP:
-        out = decode_p_frame(ref_last_, q, br);
-        break;
-      case FrameType::kB:
-        out = decode_b_frame(ref_past_, ref_last_, q, br);
-        break;
-    }
-  }
-  if (deblock_) deblock_frame(out, q.base_step());
-}
-
-void Decoder::decode_frame_sliced(const EncodedFrame& ef, const Quantizer& q,
-                                  FrameYUV& out) {
   const auto n = static_cast<int>(ef.slice_sizes.size());
+  if (n == 0) {
+    // With no slices every loop below would be skipped and `out` would keep
+    // whatever its warm planes held.
+    AllocAllowScope allow;
+    throw BitstreamError("decode: frame without slices", 0);
+  }
   if (width_ % 16 != 0 || height_ % 16 != 0) {
     AllocAllowScope allow;
-    throw BitstreamError("decode: sliced frame in a non-MB-aligned stream", 0);
+    throw BitstreamError("decode: frame in a non-MB-aligned stream", 0);
   }
   const int mb_rows = height_ / 16;
   if (n > mb_rows) {
@@ -133,7 +113,7 @@ void Decoder::decode_frame_sliced(const EncodedFrame& ef, const Quantizer& q,
               break;
             case FrameType::kP:
               // P predicts from the most recent reference; B from (past,
-              // future) = (older, most recent), as in the legacy path.
+              // future) = (older, most recent).
               decode_p_slice(out, ref_last_, q, data, size, span);
               break;
             case FrameType::kB:
@@ -142,7 +122,8 @@ void Decoder::decode_frame_sliced(const EncodedFrame& ef, const Quantizer& q,
           }
         }
       },
-      "codec/decoder.cpp:decode_frame_sliced");
+      "codec/decoder.cpp:decode_frame");
+  if (deblock_) deblock_frame(out, q.base_step());
 }
 
 std::vector<FrameYUV> Decoder::decode_segment(const EncodedSegment& seg) {

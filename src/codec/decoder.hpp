@@ -42,11 +42,11 @@ class Decoder {
   std::vector<FrameYUV> decode_segment(const EncodedSegment& seg);
 
   /// Warm in-place variant: decodes into `display` (display order), reusing
-  /// its frames' heap blocks across calls. Sliced frames decode their slices
+  /// its frames' heap blocks across calls. Each frame decodes its slices
   /// concurrently (each slice claims its disjoint plane rows under
   /// `parallel_for_writes`) and the steady state is heap-silent under the
-  /// hot-path allocation contract; a frame without slice data takes the
-  /// legacy pre-slice path, bit-identical to what it always decoded to.
+  /// hot-path allocation contract. A frame with an empty slice table throws
+  /// BitstreamError.
   void decode_segment_into(const EncodedSegment& seg,
                            std::vector<FrameYUV>& display);
 
@@ -61,12 +61,10 @@ class Decoder {
   FrameYUV decode_intra(const EncodedSegment& seg, const EncodedFrame& ef);
 
  private:
-  // The one step from bytes to pixels: decodes `ef` (its slices, or a
-  // legacy v2 payload) into `out` against the reference buffer, then
-  // deblocks it when the stream does.
+  // The one step from bytes to pixels: decodes the slices of `ef` into
+  // `out` against the reference buffer, then deblocks it when the stream
+  // does.
   void decode_frame(const EncodedFrame& ef, const Quantizer& q, FrameYUV& out);
-  void decode_frame_sliced(const EncodedFrame& ef, const Quantizer& q,
-                           FrameYUV& out);
 
   int width_, height_, crf_;
   bool deblock_ = false;

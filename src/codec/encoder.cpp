@@ -67,10 +67,9 @@ std::vector<EncodedFrame> encode_gop(const CodecConfig& cfg, const Quantizer& q,
   FrameYUV prev_ref;  // reconstruction of the previous reference, display order
   std::vector<int> pending_b;
 
-  // Every frame is coded in the sliced format (container v3) — even
-  // `slices = 1` — so reconstruction is bit-identical for any slice count
-  // and the decoder can always run slices concurrently. Pre-slice (v2)
-  // streams remain decodable; this encoder just no longer produces them.
+  // Every frame is coded in the sliced format — even `slices = 1` — so
+  // reconstruction is bit-identical for any slice count and the decoder can
+  // always run slices concurrently.
   auto emit = [&](int d, FrameType type, const FrameYUV* past,
                   const FrameYUV* future) -> FrameYUV {
     EncodedFrame ef;

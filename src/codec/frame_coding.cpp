@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "codec/bits.hpp"
 #include "codec/block_coder.hpp"
 #include "codec/errors.hpp"
 #include "codec/motion.hpp"
@@ -49,9 +50,8 @@ MotionVector chroma_mv(MotionVector mv) noexcept {
 
 enum class IntraMode : std::uint8_t { kDc = 0, kVertical = 1, kHorizontal = 2 };
 
-// Neighbour availability is the caller's policy: the legacy (pre-slice)
-// format admits any in-frame neighbour, the sliced format restricts `top` to
-// the block's own macroblock row so reconstruction cannot depend on how rows
+// Neighbour availability is the caller's policy: `top` is restricted to the
+// block's own macroblock row so reconstruction cannot depend on how rows
 // were grouped into slices.
 Block8 predict_intra(const Plane& recon, int bx, int by, IntraMode mode,
                      bool top, bool left) {
@@ -138,13 +138,11 @@ void encode_plane_intra_rows(const Plane& src, Plane& recon, const Quantizer& q,
   }
 }
 
-// Decodes what encode_plane_intra_rows codes. `mb_row_px` zero is the legacy
-// (container v2) whole-frame policy: the row above is readable whenever
-// `by > 0`.
+// Decodes what encode_plane_intra_rows codes.
 void decode_plane_intra_rows(Plane& out, const Quantizer& q, BitReader& br,
                              int y0, int y1, int mb_row_px) {
   for (int by = y0; by < y1; by += 8) {
-    const bool top = mb_row_px == 0 ? by > 0 : by % mb_row_px != 0;
+    const bool top = by % mb_row_px != 0;
     for (int bx = 0; bx < out.width(); bx += 8) {
       const bool left = bx > 0;
       const std::size_t mode_at = br.bits_consumed();
@@ -368,14 +366,6 @@ void slice_partition(int mb_rows, int slices, std::vector<SliceSpan>& out) {
 
 // ---- Intra frame -----------------------------------------------------------
 
-FrameYUV decode_intra_frame(int width, int height, const Quantizer& q, BitReader& br) {
-  FrameYUV out(width, height);
-  decode_plane_intra_rows(out.y, q, br, 0, height, 0);
-  decode_plane_intra_rows(out.u, q, br, 0, height / 2, 0);
-  decode_plane_intra_rows(out.v, q, br, 0, height / 2, 0);
-  return out;
-}
-
 FrameYUV encode_intra_frame_sliced(const FrameYUV& src, const Quantizer& q,
                                    int slices, EncodedFrame& frame) {
   require_mb_aligned(src);
@@ -410,8 +400,7 @@ void decode_intra_slice(FrameYUV& out, const Quantizer& q,
 namespace {
 
 // Codes macroblock rows [r0, r1) of a P frame. The MV predictor resets at
-// every MB row (decoder mirrors it), so row ranges are self-contained and
-// the legacy sliceless frame's rows decode with the same loop.
+// every MB row (decoder mirrors it), so row ranges are self-contained.
 void encode_p_rows(const FrameYUV& src, const FrameYUV& ref, FrameYUV& recon,
                    const Quantizer& q, int search_range, int r0, int r1,
                    BitWriter& bw) {
@@ -466,15 +455,6 @@ void decode_p_rows(FrameYUV& out, const FrameYUV& ref, const Quantizer& q,
 }
 
 }  // namespace
-
-FrameYUV decode_p_frame(const FrameYUV& ref, const Quantizer& q, BitReader& br) {
-  FrameYUV out(ref.width(), ref.height());
-  decode_p_rows(out, ref, q, 0, out.height() / 16, br);
-  out.y.clamp01();
-  out.u.clamp01();
-  out.v.clamp01();
-  return out;
-}
 
 FrameYUV encode_p_frame_sliced(const FrameYUV& src, const FrameYUV& ref,
                                const Quantizer& q, int search_range, int slices,
@@ -624,16 +604,6 @@ void decode_b_rows(FrameYUV& out, const FrameYUV& ref_past,
 }
 
 }  // namespace
-
-FrameYUV decode_b_frame(const FrameYUV& ref_past, const FrameYUV& ref_future,
-                        const Quantizer& q, BitReader& br) {
-  FrameYUV out(ref_past.width(), ref_past.height());
-  decode_b_rows(out, ref_past, ref_future, q, 0, out.height() / 16, br);
-  out.y.clamp01();
-  out.u.clamp01();
-  out.v.clamp01();
-  return out;
-}
 
 FrameYUV encode_b_frame_sliced(const FrameYUV& src, const FrameYUV& ref_past,
                                const FrameYUV& ref_future, const Quantizer& q,

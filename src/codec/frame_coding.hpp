@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "codec/bits.hpp"
 #include "codec/quant.hpp"
 #include "codec/types.hpp"
 #include "image/frame.hpp"
@@ -17,26 +16,7 @@ namespace dcsr::codec {
 ///
 /// Luma dimensions must be multiples of 16 (one macroblock); chroma is 4:2:0.
 
-// ---- Legacy sliceless frames (container v2 streams) ------------------------
-//
-// Decoders for the frames container v2 wrote: one bitstream per frame, no
-// slice table. The encoder writes only sliced frames; these remain so v2
-// files still play.
-
-/// Intra frame: all planes in raster 8x8 blocks, each with a spatial
-/// prediction mode (DC, vertical, horizontal) that may read any in-frame
-/// neighbour.
-FrameYUV decode_intra_frame(int width, int height, const Quantizer& q, BitReader& br);
-
-/// P frame: per-16x16-macroblock skip flag, half-pel MV delta against the
-/// left neighbour, and 8x8 residual transform coding.
-FrameYUV decode_p_frame(const FrameYUV& ref, const Quantizer& q, BitReader& br);
-
-/// B frame: per macroblock, forward, backward or bidirectional prediction.
-FrameYUV decode_b_frame(const FrameYUV& ref_past, const FrameYUV& ref_future,
-                        const Quantizer& q, BitReader& br);
-
-// ---- Macroblock-row slices (container v3 streams) --------------------------
+// ---- Macroblock-row slices --------------------------------------------------
 
 /// One slice: macroblock rows [first_mb_row, first_mb_row + mb_row_count).
 /// Slices are full-width bands of whole MB rows, so a frame's slices tile its

@@ -26,12 +26,10 @@ struct EncodedFrame {
   std::vector<std::uint8_t> payload;
 
   /// Byte length of each macroblock-row slice inside `payload`, in slice
-  /// order; the sizes sum to payload.size(). Empty for pre-slice (container
-  /// v2) streams, which carry one monolithic entropy-coded payload — the
-  /// decoder dispatches on this to keep old streams decoding bit-identically.
+  /// order; the sizes sum to payload.size(). A decodable frame has at least
+  /// one slice: the container and the decoder reject an empty table.
   std::vector<std::uint32_t> slice_sizes;
 
-  bool sliced() const noexcept { return !slice_sizes.empty(); }
   std::size_t size_bytes() const noexcept { return payload.size(); }
 };
 

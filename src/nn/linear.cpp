@@ -49,12 +49,16 @@ Tensor Linear::backward(const Tensor& grad_out) {
   const Tensor& x = cached_input_;
   if (x.empty()) throw std::logic_error("Linear::backward before forward");
   // dW = dY^T * X ; db = colsum(dY) ; dX = dY * W.
-  weight_.grad.add_(matmul_tn(grad_out, x));
+  Tensor dw;
+  matmul_tn_into(grad_out, x, dw);
+  weight_.grad.add_(dw);
   const int N = x.dim(0);
   for (int n = 0; n < N; ++n)
     for (int o = 0; o < out_features_; ++o)
       bias_.grad[static_cast<std::size_t>(o)] += grad_out.at(n, o);
-  return matmul(grad_out, weight_.value);
+  Tensor dx;
+  matmul_into(grad_out, weight_.value, dx);
+  return dx;
 }
 
 }  // namespace dcsr::nn

@@ -223,24 +223,6 @@ void matmul_bias_into(ConstMat a, ConstMat b, const float* row_bias, MutMat out,
                static_cast<std::size_t>(n), m, n, k, row_bias, fuse_relu);
 }
 
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  require_2d(a, "matmul");
-  require_2d(b, "matmul");
-  if (b.dim(0) != a.dim(1)) throw std::invalid_argument("matmul: inner dim mismatch");
-  Tensor out;
-  matmul_into(a, b, out);
-  return out;
-}
-
-Tensor matmul_tn(const Tensor& a, const Tensor& b) {
-  require_2d(a, "matmul_tn");
-  require_2d(b, "matmul_tn");
-  if (b.dim(0) != a.dim(0)) throw std::invalid_argument("matmul_tn: inner dim mismatch");
-  Tensor out;
-  matmul_tn_into(a, b, out);
-  return out;
-}
-
 void matmul_nt_into(ConstMat a, ConstMat b, Tensor& out) {
   const int m = a.rows, k = a.cols, n = b.rows;
   if (b.cols != k) throw std::invalid_argument("matmul_nt_into: inner dim mismatch");

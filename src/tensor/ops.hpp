@@ -32,23 +32,17 @@ struct MutMat {
   MutMat(Tensor& t);  // throws std::invalid_argument unless rank 2
 };
 
-/// Matrix product of 2-D tensors: (m x k) * (k x n) -> (m x n).
+/// Matrix product (m x k) * (k x n) -> (m x n), written into `out`, which is
+/// reshaped in place — a warm caller-owned buffer (typically a Workspace
+/// checkout) is reused instead of reallocated. `out` must not alias either
+/// input.
 ///
 /// Cache-blocked (MC/KC/NC) with a register-tiled inner kernel, parallelised
 /// over row blocks on the default pool. Per output element the k-summation
 /// order is fixed and ascending, so results are bit-identical to the naive
 /// reference (tests/matmul_naive.hpp) and invariant to the thread count.
-Tensor matmul(const Tensor& a, const Tensor& b);
-
-/// Matrix product with the first operand transposed: aT(k x m) * b(k x n).
-/// Blocked and parallelised like matmul.
-Tensor matmul_tn(const Tensor& a, const Tensor& b);
-
-/// `*_into` variants of the two products: identical kernels and float order
-/// (bit-identical results), but the output is written into `out`, which is
-/// reshaped in place — a warm caller-owned buffer (typically a Workspace
-/// checkout) is reused instead of reallocated. The allocating entry points
-/// above are thin wrappers over these. `out` must not alias either input.
+/// matmul_tn_into takes the first operand transposed, aT(k x m) * b(k x n),
+/// and is blocked and parallelised the same way.
 void matmul_into(ConstMat a, ConstMat b, Tensor& out);
 void matmul_tn_into(ConstMat a, ConstMat b, Tensor& out);
 

@@ -70,23 +70,48 @@ TEST(Container, ParsedStreamDecodesIdentically) {
 }
 
 TEST(Container, V1FilesRejectedWithClearError) {
-  // A v1-era container (old magic) must fail at the version check with a
-  // descriptive message, not limp into a CRC mismatch.
+  // Older containers (v1, and v2 with its sliceless frames) must fail at the
+  // version check with a message naming the version and the magic's offset,
+  // not limp into a CRC mismatch.
   const EncodedVideo original = sample_stream();
   ByteWriter w;
   write_container(original, w);
-  auto bytes = w.bytes();
-  // The magic is serialised LSB-first, so byte 0 carries the version digit:
-  // '2' or '3' -> 0x31 ('1'). Encoder output is sliced, so the writer picks
-  // v3 here.
-  ASSERT_EQ(bytes[0], 0x33);
-  bytes[0] = 0x31;
-  ByteReader r(std::move(bytes));
+  // The magic is serialised LSB-first, so byte 0 carries the version digit.
+  ASSERT_EQ(w.bytes()[0], 0x33);
+  for (const std::uint8_t digit : {std::uint8_t{0x31}, std::uint8_t{0x32}}) {
+    const std::string version = digit == 0x31 ? "v1" : "v2";
+    SCOPED_TRACE(version);
+    auto bytes = w.bytes();
+    bytes[0] = digit;
+    ByteReader r(std::move(bytes));
+    try {
+      (void)read_container(r);
+      FAIL() << "expected rejection";
+    } catch (const ContainerError& e) {
+      EXPECT_NE(std::string(e.what()).find(version), std::string::npos)
+          << e.what();
+      EXPECT_EQ(e.byte_offset(), 0u);
+    }
+  }
+}
+
+TEST(Container, ZeroSliceCountRejectedWithOffset) {
+  // Every frame has at least one slice. The CRC is valid here, so only the
+  // slice-count check can reject the file.
+  EncodedVideo original = sample_stream();
+  original.segments[0].frames[0].slice_sizes.clear();
+  ByteWriter w;
+  write_container(original, w);
+  ByteReader r(w.bytes());
   try {
     (void)read_container(r);
-    FAIL() << "expected rejection";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("v1"), std::string::npos);
+    FAIL() << "a frame without slices was accepted";
+  } catch (const ContainerError& e) {
+    EXPECT_NE(std::string(e.what()).find("without slices"), std::string::npos)
+        << e.what();
+    // 29 header bytes, segment 0's first_frame, crf and frame count (u32
+    // each), then frame 0's type (u8) and display index (u32).
+    EXPECT_EQ(e.byte_offset(), 46u);
   }
 }
 

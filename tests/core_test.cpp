@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "codec/container.hpp"
 #include "codec/decoder.hpp"
 #include "codec/encoder.hpp"
 #include "core/baselines.hpp"
@@ -12,8 +11,6 @@
 #include "image/convert.hpp"
 #include "image/metrics.hpp"
 #include "stream/session.hpp"
-#include "util/file.hpp"
-#include "util/serialize.hpp"
 #include "util/thread_pool.hpp"
 #include "video/genres.hpp"
 
@@ -187,18 +184,6 @@ TEST(CollectIFramePairs, LoFramesAreTheClientDpbFrames) {
           *video, codec::Encoder(cfg).encode(*video, plan), plan);
     }
   }
-
-  // Legacy (container v2) I frames: monolithic payloads without a slice
-  // table, as the checked-in pre-slice fixture holds them (kSports seed 42,
-  // 64x48, 2.0 s, deblocking on).
-  SCOPED_TRACE("legacy v2 fixture");
-  ByteReader r(read_file(std::string(DCSR_DATA_DIR) + "/pre-slice-v2.dcv"));
-  const codec::EncodedVideo legacy = codec::read_container(r);
-  std::vector<codec::SegmentPlan> legacy_plan;
-  for (const auto& seg : legacy.segments)
-    legacy_plan.push_back({seg.first_frame, static_cast<int>(seg.frames.size())});
-  const auto legacy_video = make_genre_video(Genre::kSports, 42, 64, 48, 2.0);
-  expect_lo_frames_are_dpb_frames(*legacy_video, legacy, legacy_plan);
 }
 
 TEST(Baselines, BigModelTrainsAndEnhances) {

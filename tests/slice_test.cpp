@@ -1,7 +1,6 @@
-// Macroblock-row slice tests: the sliced (container v3) coded format must
-// reconstruct bit-identically for every slice count, reject malformed slice
-// framing with typed errors, decode pre-slice (v2) fixtures unchanged, and
-// keep the warm decode loop heap-silent.
+// Macroblock-row slice tests: the sliced coded format must reconstruct
+// bit-identically for every slice count, reject malformed slice framing
+// with typed errors, and keep the warm decode loop heap-silent.
 
 #include <cstring>
 #include <vector>
@@ -14,10 +13,7 @@
 #include "codec/errors.hpp"
 #include "codec/frame_coding.hpp"
 #include "codec/quant.hpp"
-#include "image/convert.hpp"
-#include "image/metrics.hpp"
 #include "util/alloc_check.hpp"
-#include "util/file.hpp"
 #include "util/serialize.hpp"
 #include "video/genres.hpp"
 
@@ -117,7 +113,7 @@ TEST(Slice, PFrameSliceRowsMatchSliceOneBitstream) {
 TEST(Slice, CorruptResyncMarkerThrows) {
   EncodedVideo ev = encode_sample(2);
   EncodedFrame& ef = ev.segments[0].frames[0];
-  ASSERT_TRUE(ef.sliced());
+  ASSERT_FALSE(ef.slice_sizes.empty());
   ef.payload[0] ^= 0xff;  // first slice's marker byte
   Decoder dec(ev.width, ev.height, ev.crf);
   EXPECT_THROW((void)dec.decode_segment(ev.segments[0]), BitstreamError);
@@ -176,7 +172,27 @@ TEST(Slice, TruncatedSliceSubstreamThrows) {
   EXPECT_THROW((void)dec.decode_segment(ev.segments[0]), BitstreamError);
 }
 
-// ---- Container v2/v3 --------------------------------------------------------
+TEST(Slice, EmptySliceTableThrows) {
+  // Every frame has at least one slice. A frame without a slice table would
+  // skip every slice loop and hand back whatever the warm output planes
+  // still held, so the decoder refuses it, whatever its payload.
+  const EncodedVideo ev = encode_sample(1);
+  for (const bool empty_payload : {true, false}) {
+    SCOPED_TRACE(empty_payload ? "empty payload" : "non-empty payload");
+    EncodedSegment seg = ev.segments[0];
+    EncodedFrame& ef = seg.frames[0];
+    ef.slice_sizes.clear();
+    if (empty_payload) ef.payload.clear();
+    ASSERT_EQ(ef.payload.empty(), empty_payload);
+    Decoder dec(ev.width, ev.height, ev.crf);
+    std::vector<FrameYUV> out;
+    dec.decode_segment_into(ev.segments[0], out);  // warm planes
+    EXPECT_THROW(dec.decode_segment_into(seg, out), BitstreamError);
+    EXPECT_THROW((void)dec.decode_intra(seg, ef), BitstreamError);
+  }
+}
+
+// ---- Container --------------------------------------------------------------
 
 TEST(Slice, V3ContainerRoundTripPreservesSliceSizes) {
   const EncodedVideo ev = encode_sample(3);
@@ -195,76 +211,6 @@ TEST(Slice, V3ContainerRoundTripPreservesSliceSizes) {
                 ev.segments[s].frames[f].payload);
     }
   }
-}
-
-TEST(Slice, SlicelessStreamStillWritesV2) {
-  // Hand-built pre-slice streams must keep producing byte-compatible v2
-  // files so old readers (and the checked-in fixture) stay valid.
-  EncodedVideo v;
-  v.width = 16;
-  v.height = 16;
-  EncodedSegment seg;
-  EncodedFrame ef;
-  ef.type = FrameType::kI;
-  ef.payload = {1, 2, 3};
-  seg.frames.push_back(std::move(ef));
-  v.segments.push_back(std::move(seg));
-  ByteWriter w;
-  write_container(v, w);
-  EXPECT_EQ(w.bytes()[0], 0x32);  // still "dcV2"
-  ByteReader r(w.bytes());
-  const EncodedVideo back = read_container(r);
-  EXPECT_TRUE(back.segments[0].frames[0].slice_sizes.empty());
-  EXPECT_EQ(back.segments[0].frames[0].payload, v.segments[0].frames[0].payload);
-}
-
-TEST(Slice, PreSliceFixtureDecodesUnchanged) {
-  // tests/data/pre-slice-v2.dcv was written and decoded by the build
-  // *before* slices existed; the pinned CRC is over every decoded sample of
-  // all 60 frames. The sliced decoder must keep reading the v2 format and
-  // reproduce the old reconstruction bit-for-bit. The encoder writes only
-  // sliced frames, so this fixture is the only input that drives all three
-  // v2 frame decoders (decode_intra/p/b_frame) and deblocks their output:
-  // its frame-type mix is pinned so it cannot silently stop doing so.
-  const auto bytes = read_file(std::string(DCSR_DATA_DIR) + "/pre-slice-v2.dcv");
-  ByteReader r(bytes);
-  const EncodedVideo ev = read_container(r);
-  EXPECT_EQ(ev.width, 64);
-  EXPECT_EQ(ev.height, 48);
-  EXPECT_TRUE(ev.deblock);
-  int n_i = 0, n_p = 0, n_b = 0;
-  for (const auto& seg : ev.segments)
-    for (const auto& ef : seg.frames) {
-      EXPECT_FALSE(ef.sliced());
-      n_i += ef.type == FrameType::kI;
-      n_p += ef.type == FrameType::kP;
-      n_b += ef.type == FrameType::kB;
-    }
-  EXPECT_EQ(n_i, 6);
-  EXPECT_EQ(n_p, 30);
-  EXPECT_EQ(n_b, 24);
-
-  Decoder dec(ev.width, ev.height, ev.crf);
-  const auto frames = dec.decode_video(ev);
-  ASSERT_EQ(frames.size(), 60u);
-
-  // Any build: the fixture must reconstruct its source (kSports seed 42,
-  // CRF 30) faithfully — garbage from a broken v2 path lands far below this.
-  const auto source = make_genre_video(Genre::kSports, 42, 64, 48, 2.0);
-  double psnr_acc = 0.0;
-  for (std::size_t i = 0; i < frames.size(); ++i)
-    psnr_acc += psnr_luma(rgb_to_yuv420(source->frame(static_cast<int>(i))),
-                          frames[i]);
-  EXPECT_GT(psnr_acc / static_cast<double>(frames.size()), 25.0);
-
-  ByteWriter yuv;
-  for (const auto& f : frames) {
-    yuv.write_f32_span(f.y.data(), f.y.size());
-    yuv.write_f32_span(f.u.data(), f.u.size());
-    yuv.write_f32_span(f.v.data(), f.v.size());
-  }
-  EXPECT_EQ(yuv.size(), 1105920u);
-  EXPECT_EQ(crc32(yuv.bytes().data(), yuv.size()), 0x1380e174u);
 }
 
 // ---- Warm decode heap silence ----------------------------------------------

@@ -124,7 +124,8 @@ TEST(Ops, MatmulAgainstHandComputed) {
   // a = [[1,2,3],[4,5,6]], b = [[7,8],[9,10],[11,12]]
   for (int i = 0; i < 6; ++i) a[static_cast<std::size_t>(i)] = static_cast<float>(i + 1);
   for (int i = 0; i < 6; ++i) b[static_cast<std::size_t>(i)] = static_cast<float>(i + 7);
-  const Tensor c = matmul(a, b);
+  Tensor c;
+  matmul_into(a, b, c);
   EXPECT_EQ(c.at(0, 0), 58.0f);
   EXPECT_EQ(c.at(0, 1), 64.0f);
   EXPECT_EQ(c.at(1, 0), 139.0f);
@@ -132,7 +133,11 @@ TEST(Ops, MatmulAgainstHandComputed) {
 }
 
 TEST(Ops, MatmulShapeMismatchThrows) {
-  EXPECT_THROW(matmul(Tensor({2, 3}), Tensor({2, 3})), std::invalid_argument);
+  Tensor out;
+  EXPECT_THROW(matmul_into(Tensor({2, 3}), Tensor({2, 3}), out),
+               std::invalid_argument);
+  EXPECT_THROW(matmul_tn_into(Tensor({2, 3}), Tensor({3, 2}), out),
+               std::invalid_argument);
 }
 
 // Property test: the blocked kernels against the scalar references across
@@ -149,14 +154,16 @@ TEST(Ops, BlockedKernelsMatchNaiveReferences) {
 
     const Tensor a = Tensor::randn({m, k}, rng);
     const Tensor b = Tensor::randn({k, n}, rng);
-    const Tensor c = matmul(a, b);
+    Tensor c;
+    matmul_into(a, b, c);
     const Tensor c_ref = matmul_naive(a, b);
     ASSERT_TRUE(c.same_shape(c_ref));
     // NN and TN keep the naive per-element summation order: bit-identical.
     for (std::size_t i = 0; i < c.size(); ++i) EXPECT_EQ(c[i], c_ref[i]);
 
     const Tensor at = Tensor::randn({k, m}, rng);
-    const Tensor ct = matmul_tn(at, b);
+    Tensor ct;
+    matmul_tn_into(at, b, ct);
     const Tensor ct_ref = matmul_tn_naive(at, b);
     ASSERT_TRUE(ct.same_shape(ct_ref));
     for (std::size_t i = 0; i < ct.size(); ++i) EXPECT_EQ(ct[i], ct_ref[i]);
@@ -180,12 +187,12 @@ TEST(Ops, MatmulResultsInvariantToThreadCount) {
   const Tensor b = Tensor::randn({50, 90}, rng);
   const Tensor bt = Tensor::randn({90, 50}, rng);
 
-  Tensor n1, n4;
+  Tensor c1, c4, n1, n4;
   set_default_pool_threads(1);
-  const Tensor c1 = matmul(a, b);
+  matmul_into(a, b, c1);
   matmul_nt_into(a, bt, n1);
   set_default_pool_threads(4);
-  const Tensor c4 = matmul(a, b);
+  matmul_into(a, b, c4);
   matmul_nt_into(a, bt, n4);
   set_default_pool_threads(saved);
 
@@ -198,9 +205,11 @@ TEST(Ops, MatmulRejectsEmptyTensors) {
   // operand — the degenerate "0-sized matmul" boundary is unrepresentable.
   EXPECT_THROW(Tensor({0, 3}), std::invalid_argument);
   EXPECT_THROW(Tensor({3, 0}), std::invalid_argument);
-  // A default-constructed tensor is rank-0, which matmul rejects as not 2-D.
-  EXPECT_THROW(matmul(Tensor(), Tensor({1, 1})), std::invalid_argument);
+  // A default-constructed tensor is rank-0, which the kernels reject as not
+  // 2-D.
   Tensor out;
+  EXPECT_THROW(matmul_into(Tensor(), Tensor({1, 1}), out),
+               std::invalid_argument);
   EXPECT_THROW(matmul_nt_into(Tensor({1, 1}), Tensor(), out),
                std::invalid_argument);
 }
@@ -210,7 +219,8 @@ TEST(Ops, TransposedVariantsMatchExplicitTranspose) {
   const Tensor a = Tensor::randn({4, 3}, rng);
   const Tensor b = Tensor::randn({4, 5}, rng);
   const Tensor expected = matmul_tn_naive(a, b);
-  const Tensor got = matmul_tn(a, b);
+  Tensor got;
+  matmul_tn_into(a, b, got);
   ASSERT_TRUE(expected.same_shape(got));
   for (std::size_t i = 0; i < got.size(); ++i)
     EXPECT_NEAR(expected[i], got[i], 1e-5f);
@@ -360,10 +370,9 @@ TEST(Ops, ConvOutSizeCheckedThrowsNamingGeometry) {
   EXPECT_THROW(conv_out_size_checked(8, 0, 1, 1, "k"), std::invalid_argument);
 }
 
-// matmul and matmul_tn are thin wrappers over their *_into kernels: same
-// floats, and a warm destination of the wrong shape must be reshaped in
-// place. matmul_nt_into and im2col_into (which have no allocating spelling)
-// must write into a stale destination what they write into a fresh one.
+// A warm destination of the wrong shape must be reshaped in place: each
+// *_into product and im2col_into must write into a stale destination what
+// it writes into a fresh one.
 TEST(Ops, IntoVariantsMatchAllocatingBitwise) {
   Rng rng(29);
   const Tensor a = Tensor::randn({13, 21}, rng);
@@ -373,12 +382,14 @@ TEST(Ops, IntoVariantsMatchAllocatingBitwise) {
 
   Tensor out = Tensor::full({2, 2}, 9.0f);  // stale shape and contents
   matmul_into(a, b, out);
-  const Tensor c = matmul(a, b);
+  Tensor c;
+  matmul_into(a, b, c);
   ASSERT_TRUE(out.same_shape(c));
   for (std::size_t i = 0; i < c.size(); ++i) EXPECT_EQ(out[i], c[i]);
 
   matmul_tn_into(at, b, out);
-  const Tensor ct = matmul_tn(at, b);
+  Tensor ct;
+  matmul_tn_into(at, b, ct);
   ASSERT_TRUE(out.same_shape(ct));
   for (std::size_t i = 0; i < ct.size(); ++i) EXPECT_EQ(out[i], ct[i]);
 
@@ -411,7 +422,8 @@ TEST(Ops, FusedBiasEpilogueMatchesSeparatePassesBitwise) {
   const Tensor b = Tensor::randn({k, n}, rng);
   const Tensor bias = Tensor::randn({m}, rng);
 
-  Tensor ref = matmul(a, b);
+  Tensor ref;
+  matmul_into(a, b, ref);
   for (int i = 0; i < m; ++i)
     for (int j = 0; j < n; ++j)
       ref.at(i, j) += bias[static_cast<std::size_t>(i)];
@@ -429,7 +441,8 @@ TEST(Ops, FusedBiasEpilogueMatchesSeparatePassesBitwise) {
     EXPECT_EQ(fused_relu[i], relu_ref[i]);
 
   // Null bias with fused ReLU: epilogue is just the clamp.
-  Tensor no_bias = matmul(a, b);
+  Tensor no_bias;
+  matmul_into(a, b, no_bias);
   for (std::size_t i = 0; i < no_bias.size(); ++i)
     no_bias[i] = no_bias[i] > 0.0f ? no_bias[i] : 0.0f;
   Tensor fused_nb({m, n});

@@ -25,7 +25,8 @@
 //       Runs the full server-side dcSR pipeline (split / encode at CRF 51 /
 //       cluster / train micro models) and writes a CDN deployment directory
 //       (video.dcv + models.bin + playlist.txt + meta.txt), creating it and
-//       any missing parents.
+//       any missing parents. Prints one line per model, in label order, with
+//       the size and CRC-32 of its fp32 weights (nn::save_params).
 //
 //   dcsr_cli play   <dir> [genre] [seed] [seconds]
 //       Loads a deployment, streams it through the model cache, decodes with
@@ -46,6 +47,7 @@
 #include "codec/encoder.hpp"
 #include "image/convert.hpp"
 #include "image/metrics.hpp"
+#include "nn/serialize.hpp"
 #include "simd/dispatch.hpp"
 #include "split/segmenter.hpp"
 #include "util/file.hpp"
@@ -193,6 +195,15 @@ int cmd_deploy(int argc, char** argv) {
   core::write_deployment(server, dir, /*fp16=*/true);
   std::printf("wrote deployment to %s: %zu segments, %d micro models (fp16)\n",
               dir.c_str(), server.segments.size(), server.k);
+  // The fp32 weights behind each fp16 model, in label order: two runs whose
+  // fp32 weights differ by less than a half-precision step write the same
+  // models.bin but print different CRCs.
+  for (int label = 0; label < server.k; ++label) {
+    ByteWriter w;
+    nn::save_params(*server.micro_models[static_cast<std::size_t>(label)], w);
+    std::printf("model %d: fp32 %zu B, crc32 %08x\n", label, w.size(),
+                codec::crc32(w.bytes().data(), w.size()));
+  }
   return 0;
 }
 

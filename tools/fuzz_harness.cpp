@@ -123,11 +123,9 @@ codec::EncodedVideo base_video(std::uint64_t seed) {
       for (int i = 0; i < n; ++i)
         frame.payload.push_back(
             static_cast<std::uint8_t>(rng.uniform_int(0, 255)));
-      // Second segment carries v3 slice tables so container mutations also
-      // walk the slice-count/size validation (the first stays sliceless —
-      // slice_count 0 — exercising the mixed case a v3 file may hold).
-      if (s == 1)
-        frame.slice_sizes = {static_cast<std::uint32_t>(frame.payload.size())};
+      // One slice per frame, so container mutations also walk the
+      // slice-count/size validation.
+      frame.slice_sizes = {static_cast<std::uint32_t>(frame.payload.size())};
       seg.frames.push_back(std::move(frame));
     }
     v.segments.push_back(std::move(seg));
@@ -272,6 +270,28 @@ codec::EncodedVideo encode_base_video(std::uint64_t seed) {
   return enc.encode(*video, {{0, video->frame_count()}});
 }
 
+// The corpus shape of the decoder and slice harnesses: the bytes are one
+// slice substream, wrapped as a single-slice 32x32 I frame so they run the
+// concurrent sliced decode path — resync header first, entropy loop after.
+ReplayOutcome replay_single_slice(const Bytes& bytes) {
+  try {
+    codec::EncodedSegment seg;
+    seg.crf = 28;
+    codec::EncodedFrame frame;
+    frame.type = codec::FrameType::kI;
+    frame.payload = bytes;
+    frame.slice_sizes = {static_cast<std::uint32_t>(bytes.size())};
+    seg.frames.push_back(std::move(frame));
+    codec::Decoder dec(32, 32, 28);
+    (void)dec.decode_segment(seg);
+    return ReplayOutcome::kParsed;
+  } catch (const codec::BitstreamError&) {
+    return ReplayOutcome::kTypedError;
+  } catch (const std::invalid_argument&) {
+    return ReplayOutcome::kSafeError;  // reference/display-structure guard
+  }
+}
+
 }  // namespace
 
 std::vector<Harness> all_harnesses() {
@@ -328,23 +348,9 @@ ReplayOutcome replay(Harness h, const Bytes& bytes) {
         return ReplayOutcome::kSafeError;  // ByteReader truncation guard
       }
     case Harness::kDecoder:
-      // Single-payload form (the corpus shape): the bytes are one I-frame
-      // payload. run() additionally mutates whole real segments.
-      try {
-        codec::EncodedSegment seg;
-        seg.crf = 28;
-        codec::EncodedFrame frame;
-        frame.type = codec::FrameType::kI;
-        frame.payload = bytes;
-        seg.frames.push_back(std::move(frame));
-        codec::Decoder dec(32, 32, 28);
-        (void)dec.decode_segment(seg);
-        return ReplayOutcome::kParsed;
-      } catch (const codec::BitstreamError&) {
-        return ReplayOutcome::kTypedError;
-      } catch (const std::invalid_argument&) {
-        return ReplayOutcome::kSafeError;  // reference/display-structure guard
-      }
+      // run() additionally mutates whole real segments.
+    case Harness::kSlice:
+      return replay_single_slice(bytes);
     case Harness::kPlaylist:
       try {
         (void)stream::parse_playlist(std::string(bytes.begin(), bytes.end()));
@@ -361,26 +367,6 @@ ReplayOutcome replay(Harness h, const Bytes& bytes) {
         return ReplayOutcome::kTypedError;
       } catch (const std::out_of_range&) {
         return ReplayOutcome::kSafeError;
-      }
-    case Harness::kSlice:
-      // The bytes are one slice substream: wrap them as a single-slice
-      // I frame (the container v3 shape) so they run the concurrent sliced
-      // decode path — resync header first, entropy loop after it.
-      try {
-        codec::EncodedSegment seg;
-        seg.crf = 28;
-        codec::EncodedFrame frame;
-        frame.type = codec::FrameType::kI;
-        frame.payload = bytes;
-        frame.slice_sizes = {static_cast<std::uint32_t>(bytes.size())};
-        seg.frames.push_back(std::move(frame));
-        codec::Decoder dec(32, 32, 28);
-        (void)dec.decode_segment(seg);
-        return ReplayOutcome::kParsed;
-      } catch (const codec::BitstreamError&) {
-        return ReplayOutcome::kTypedError;
-      } catch (const std::invalid_argument&) {
-        return ReplayOutcome::kSafeError;  // reference/display-structure guard
       }
   }
   return ReplayOutcome::kParsed;
@@ -417,10 +403,9 @@ FuzzStats run(Harness h, std::uint64_t seed, std::uint64_t iters,
           seg.frames[f].payload = mutate(seg.frames[f].payload, rng);
           if (input.empty()) input = seg.frames[f].payload;
         }
-        // The encoder emits sliced (v3) frames, so every payload mutation
-        // above already lands in the sliced path. Additionally corrupt the
-        // slice *table* sometimes: size-sum mismatches, impossible slice
-        // counts, and demotion to the legacy sliceless parse.
+        // Every payload mutation above lands in the sliced path.
+        // Additionally corrupt the slice *table* sometimes: size-sum
+        // mismatches, impossible slice counts, and an empty table.
         if (rng.uniform_int(0, 3) == 0) {
           const auto f = static_cast<std::size_t>(rng.uniform_int(
               0, static_cast<std::int64_t>(seg.frames.size()) - 1));
@@ -483,9 +468,19 @@ std::vector<std::pair<std::string, Bytes>> regression_corpus() {
     w.write_u32(0);
     out.emplace_back("container-bad-magic.bin", w.bytes());
   }
-  {  // codec/container: declared payload larger than the remaining bytes.
+  {  // codec/container: a v2 file (sliceless frames, no longer read) must
+     // be rejected by name at the magic, not parsed as v3.
     ByteWriter w;
     w.write_u32(0x64635632);  // "dcV2"
+    w.write_u32(16);          // width
+    w.write_u32(16);          // height
+    out.emplace_back("container-v2-magic.bin", w.bytes());
+  }
+  // Header of a 16x16, one-segment, one-I-frame container up to its slice
+  // count.
+  const auto container_frame_header = [] {
+    ByteWriter w;
+    w.write_u32(0x64635633);  // "dcV3"
     w.write_u32(16);          // width
     w.write_u32(16);          // height
     w.write_f64(30.0);
@@ -497,6 +492,18 @@ std::vector<std::pair<std::string, Bytes>> regression_corpus() {
     w.write_u32(1);   // frame count
     w.write_u8(0);    // frame type I
     w.write_u32(0);   // display index
+    return w;
+  };
+  {  // codec/container: a frame whose slice table is empty.
+    ByteWriter w = container_frame_header();
+    w.write_u32(0);  // slice count
+    w.write_u32(0);  // payload size
+    out.emplace_back("container-zero-slices.bin", w.bytes());
+  }
+  {  // codec/container: declared payload larger than the remaining bytes.
+    ByteWriter w = container_frame_header();
+    w.write_u32(1);         // slice count
+    w.write_u32(0xffffff);  // slice size
     w.write_u32(0xffffff);  // payload size, far past the end
     out.emplace_back("container-truncated-payload.bin", w.bytes());
   }
@@ -511,16 +518,26 @@ std::vector<std::pair<std::string, Bytes>> regression_corpus() {
     out.emplace_back("container-crc-mismatch.bin", std::move(b));
   }
 
-  // codec/decoder: intra prediction mode 3 does not exist (pre-hardening it
-  // silently produced a garbage prediction block).
-  out.emplace_back("decoder-bad-intra-mode.bin", Bytes{0xc0});
-  // codec/decoder: vertical prediction signalled for the top-left block,
-  // whose "row above" is row -1 — an ASan-caught heap over-read this PR's
-  // fuzz-smoke leg found (the encoder never emits a directional mode when
-  // the neighbour is missing; only a corrupted stream can).
-  out.emplace_back("decoder-mode-needs-missing-neighbour.bin", Bytes{0x40});
-  {  // codec/decoder: zig-zag run pointing past the 64-coefficient block.
+  // codec/decoder: each entry is one slice substream of a 32x32 I frame,
+  // opening with the resync header (marker, first MB row 0, 2 MB rows) so
+  // that it reaches the check it pins.
+  const auto decoder_slice = [] {
     codec::BitWriter bw;
+    bw.put_bits(0x5c, 8);
+    bw.put_ue(0);
+    bw.put_ue(2);
+    return bw;
+  };
+  {  // codec/decoder: vertical prediction signalled for the top-left block,
+     // whose "row above" is row -1 — an ASan-caught heap over-read the
+     // fuzz-smoke leg found (the encoder never emits a directional mode when
+     // the neighbour is missing; only a corrupted stream can).
+    codec::BitWriter bw = decoder_slice();
+    bw.put_bits(1, 2);  // intra mode vertical
+    out.emplace_back("decoder-mode-needs-missing-neighbour.bin", bw.finish());
+  }
+  {  // codec/decoder: zig-zag run pointing past the 64-coefficient block.
+    codec::BitWriter bw = decoder_slice();
     bw.put_bits(0, 2);  // intra mode DC
     bw.put_ue(63);      // run to the last coefficient
     bw.put_se(1);       // its level
@@ -545,8 +562,7 @@ std::vector<std::pair<std::string, Bytes>> regression_corpus() {
     out.emplace_back("slice-geometry-mismatch.bin", bw.finish());
   }
   {  // codec slices: valid resync header, impossible intra mode right after
-     // it — the post-resync entropy loop must stay as hardened as the
-     // sliceless one.
+     // it — the entropy loop behind the resync point must stay hardened.
     codec::BitWriter bw;
     bw.put_bits(0x5c, 8);
     bw.put_ue(0);

@@ -54,10 +54,12 @@
 #               intra-period-12 video under DCSR_THREADS=1 and =4 and
 #               byte-compares the two containers (the encoder's closed GOPs
 #               run concurrently, replayed by the containment auditor), and
-#               decodes the committed pre-slice (v2, sliceless) fixture to
-#               pin backward compatibility through the CLI. Last, deploys the
-#               news video under DCSR_THREADS=1 and =4 and byte-compares the
-#               two models.bin (lockstep micro-model training).
+#               checks that a container whose magic is overwritten to v2
+#               (sliceless frames, no longer read) fails with exit 1 and
+#               "v2" on stderr. Last, deploys the news video under
+#               DCSR_THREADS=1 and =4 and compares the per-model CRC-32 lines
+#               of the fp32 weights deploy prints, and the two models.bin
+#               (lockstep micro-model training).
 #   tidy        clang-tidy over every translation unit in src/ against the
 #               checked-in .clang-tidy, driven by the default build's
 #               compile_commands.json; any diagnostic fails the leg. If
@@ -308,26 +310,47 @@ run_leg() {
         done
       done
       echo "decode-smoke: YUV bit-identical across slices {1,2,4} x threads {1,4}"
-      # Backward compatibility: the committed pre-slice v2 container must
-      # still decode through the same CLI path.
-      env DCSR_THREADS=4 "$cli" decode "$ROOT/tests/data/pre-slice-v2.dcv" \
-        "$build/decode-smoke-preslice.yuv" >/dev/null || return 1
-      echo "decode-smoke: pre-slice v2 fixture decodes"
+      # Container v2 (sliceless frames) is no longer read: a container whose
+      # magic says v2 must fail with exit status 1 and an error naming v2.
+      local v2="$build/decode-smoke-v2.dcv" rc=0
+      cp "$build/decode-smoke-s1.dcv" "$v2" || return 1
+      printf '\x32' | dd of="$v2" bs=1 count=1 conv=notrunc 2>/dev/null || return 1
+      "$cli" decode "$v2" "$build/decode-smoke-v2.yuv" >/dev/null \
+        2>"$build/decode-smoke-v2.err" || rc=$?
+      if [ "$rc" -ne 1 ] || ! grep -q '^error: .*v2' "$build/decode-smoke-v2.err"; then
+        echo "decode-smoke: a v2 container must be rejected with exit 1 and" \
+             "'v2' on stderr (exit $rc)" >&2
+        cat "$build/decode-smoke-v2.err" >&2
+        return 1
+      fi
+      echo "decode-smoke: v2 container rejected by name"
       # Server training determinism: deploy trains every cluster's micro
       # model in lockstep, one parallel region per step over all (cluster,
       # batch item) units, so the models must not depend on the thread count.
+      # models.bin holds fp16 weights; the "model <label>: ... crc32" lines
+      # deploy prints cover the fp32 weights behind them.
       for t in 1 4; do
         rm -rf "$build/decode-smoke-deploy-t$t"
         env DCSR_THREADS="$t" "$cli" deploy "$build/decode-smoke-deploy-t$t" \
-          news 5 60 >/dev/null || return 1
+          news 5 60 | grep '^model ' >"$build/decode-smoke-deploy-t$t.crc" \
+          || return 1
       done
+      if ! cmp -s "$build/decode-smoke-deploy-t1.crc" \
+                  "$build/decode-smoke-deploy-t4.crc"; then
+        echo "decode-smoke: fp32 micro-model CRCs differ between" \
+             "DCSR_THREADS=1 and =4" >&2
+        diff "$build/decode-smoke-deploy-t1.crc" \
+             "$build/decode-smoke-deploy-t4.crc" >&2
+        return 1
+      fi
       if ! cmp -s "$build/decode-smoke-deploy-t1/models.bin" \
                   "$build/decode-smoke-deploy-t4/models.bin"; then
         echo "decode-smoke: deployed micro models differ between" \
              "DCSR_THREADS=1 and =4" >&2
         return 1
       fi
-      echo "decode-smoke: deployed micro models bit-identical across threads {1,4}"
+      echo "decode-smoke: deployed micro models (fp32 CRCs and models.bin)" \
+           "bit-identical across threads {1,4}"
       return 0
       ;;
     tidy)
