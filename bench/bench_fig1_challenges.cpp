@@ -64,7 +64,11 @@ int main() {
   // Per-frame PSNR of model(decoded) vs original on a frame sample.
   const auto pairs = core::collect_whole_video_pairs(*video, encoded, 40);
   std::vector<double> psnrs;
-  for (const auto& p : pairs) psnrs.push_back(psnr(big.model->enhance(p.lo), p.hi));
+  FrameRGB enhanced;
+  for (const auto& p : pairs) {
+    big.model->enhance_into(p.lo, enhanced);
+    psnrs.push_back(psnr(enhanced, p.hi));
+  }
 
   Table cdf({"PSNR (dB)", "CDF"});
   const double lo = min_of(psnrs), hi = max_of(psnrs);

@@ -291,7 +291,8 @@ BENCHMARK(BM_EdsrEnhanceSteadyState);
 
 // Whole-frame enhancement through the stateless infer path, one shared model
 // across the pool, swept over pool sizes — the play_nas fan-out in
-// isolation. 8 frames per iteration, each a parallel_for task.
+// isolation. 8 frames per iteration, each a parallel_for_writes task that
+// claims its own output frame slot.
 void BM_EdsrEnhanceThreads(benchmark::State& state) {
   const int dflt = base_threads();
   Rng rng(6);
@@ -302,12 +303,17 @@ void BM_EdsrEnhanceThreads(benchmark::State& state) {
   std::vector<FrameRGB> enhanced(frames.size());
   set_default_pool_threads(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    parallel_for(0, static_cast<std::int64_t>(frames.size()), 1,
-                 [&](std::int64_t lo, std::int64_t hi) {
-                   for (std::int64_t i = lo; i < hi; ++i)
-                     enhanced[static_cast<std::size_t>(i)] =
-                         model.enhance(frames[static_cast<std::size_t>(i)]);
-                 });
+    parallel_for_writes(
+        0, static_cast<std::int64_t>(frames.size()), 1,
+        [&](std::int64_t lo, std::int64_t hi) {
+          return span_of(enhanced.data() + lo, static_cast<std::size_t>(hi - lo));
+        },
+        [&](std::int64_t lo, std::int64_t hi) {
+          for (std::int64_t i = lo; i < hi; ++i)
+            model.enhance_into(frames[static_cast<std::size_t>(i)],
+                               enhanced[static_cast<std::size_t>(i)]);
+        },
+        "bench/bench_micro_kernels.cpp:BM_EdsrEnhanceThreads");
     benchmark::DoNotOptimize(enhanced.data());
   }
   set_default_pool_threads(dflt);

@@ -83,11 +83,13 @@ int main() {
   codec::Decoder dec(rc.video.width, rc.video.height, rc.video.crf);
   const auto half_frames = dec.decode_video(rc.video);
   double sr_psnr = 0.0, bicubic_psnr = 0.0;
+  FrameRGB upscaled;
   int n = 0;
   for (int i = 0; i < full->frame_count(); i += 7) {
     const FrameRGB lo = yuv420_to_rgb(half_frames[static_cast<std::size_t>(i)]);
     const FrameRGB hi = full->frame(i);
-    sr_psnr += psnr(up_model.enhance(lo), hi);
+    up_model.enhance_into(lo, upscaled);
+    sr_psnr += psnr(upscaled, hi);
     bicubic_psnr += psnr(resize(lo, kWidth, kHeight), hi);
     ++n;
   }

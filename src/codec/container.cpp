@@ -30,6 +30,21 @@ std::array<std::uint32_t, 256> make_crc_table() noexcept {
   return table;
 }
 
+// The slice-table rules read_container enforces, checked on the way out.
+void check_slice_table(const EncodedFrame& f, std::size_t segment,
+                       std::size_t frame) {
+  std::uint64_t total = 0;
+  for (const auto s : f.slice_sizes) total += s;
+  if (!f.slice_sizes.empty() && total == f.payload.size()) return;
+  const std::string problem =
+      f.slice_sizes.empty()
+          ? "frame without slices"
+          : "slice sizes sum to " + std::to_string(total) +
+                " bytes, payload has " + std::to_string(f.payload.size());
+  throw std::invalid_argument("write_container: segment " + std::to_string(segment) +
+                              " frame " + std::to_string(frame) + ": " + problem);
+}
+
 }  // namespace
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) noexcept {
@@ -49,11 +64,14 @@ void write_container(const EncodedVideo& video, ByteWriter& out) {
   body.write_u32(static_cast<std::uint32_t>(video.crf));
   body.write_u8(video.deblock ? 1 : 0);
   body.write_u32(static_cast<std::uint32_t>(video.segments.size()));
-  for (const auto& seg : video.segments) {
+  for (std::size_t si = 0; si < video.segments.size(); ++si) {
+    const EncodedSegment& seg = video.segments[si];
     body.write_u32(static_cast<std::uint32_t>(seg.first_frame));
     body.write_i32(seg.crf);
     body.write_u32(static_cast<std::uint32_t>(seg.frames.size()));
-    for (const auto& f : seg.frames) {
+    for (std::size_t fi = 0; fi < seg.frames.size(); ++fi) {
+      const EncodedFrame& f = seg.frames[fi];
+      check_slice_table(f, si, fi);
       body.write_u8(static_cast<std::uint8_t>(f.type));
       body.write_u32(static_cast<std::uint32_t>(f.display_index));
       // Slice table first, then the concatenated substream bytes.

@@ -21,6 +21,12 @@ namespace dcsr::codec {
 /// Every frame carries its macroblock-row slice table (slices decode
 /// concurrently). The reader rejects older versions (v1, and v2's sliceless
 /// frames) by name, and a frame whose slice table is empty.
+///
+/// The writer holds every frame to the reader's slice-table rules (at least
+/// one slice, slice sizes summing to the payload size) and throws
+/// std::invalid_argument naming the segment and frame otherwise, so it
+/// cannot write a slice table its own reader rejects. `out` is untouched on
+/// a throw.
 void write_container(const EncodedVideo& video, ByteWriter& out);
 
 /// Parses a container; throws std::invalid_argument on bad magic, version,

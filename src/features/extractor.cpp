@@ -6,7 +6,10 @@ namespace dcsr::features {
 
 Tensor make_thumbnail(const FrameRGB& frame, int input_size) {
   const FrameRGB small = resize(frame, input_size, input_size);
-  return frame_to_tensor(small);
+  const FrameRGB* batch = &small;
+  Tensor t;
+  frames_to_tensor_into(&batch, 1, t);
+  return t;
 }
 
 std::vector<Tensor> make_thumbnails(const std::vector<FrameRGB>& frames,

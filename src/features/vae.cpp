@@ -127,7 +127,7 @@ std::unique_ptr<Vae> train_vae(const std::vector<Tensor>& thumbnails,
       Tensor batch({static_cast<int>(count), 3, S, S});
       for (std::size_t b = 0; b < count; ++b) {
         const Tensor& t = thumbnails[order[start + b]];
-        if (t.shape() != std::vector<int>{1, 3, S, S})
+        if (t.shape() != Shape{1, 3, S, S})
           throw std::invalid_argument("train_vae: thumbnail shape mismatch");
         std::copy(t.data(), t.data() + t.size(),
                   batch.data() + b * t.size());

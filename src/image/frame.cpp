@@ -15,41 +15,6 @@ void Plane::clamp01() noexcept {
   for (auto& p : data_) p = std::clamp(p, 0.0f, 1.0f);
 }
 
-Tensor frame_to_tensor(const FrameRGB& f) {
-  Tensor t;
-  frame_to_tensor_into(f, t);
-  return t;
-}
-
-void frame_to_tensor_into(const FrameRGB& f, Tensor& t) {
-  const int H = f.height(), W = f.width();
-  t.reset({1, 3, H, W});
-  const Plane* planes[3] = {&f.r, &f.g, &f.b};
-  for (int c = 0; c < 3; ++c)
-    for (int y = 0; y < H; ++y)
-      for (int x = 0; x < W; ++x) t.at(0, c, y, x) = planes[c]->at(x, y);
-}
-
-FrameRGB tensor_to_frame(const Tensor& t) {
-  FrameRGB f;
-  tensor_to_frame_into(t, f);
-  return f;
-}
-
-void tensor_to_frame_into(const Tensor& t, FrameRGB& f) {
-  if (t.rank() != 4 || t.dim(0) != 1 || t.dim(1) != 3)
-    throw std::invalid_argument("tensor_to_frame: expected 1x3xHxW");
-  const int H = t.dim(2), W = t.dim(3);
-  f.r.reset(W, H);
-  f.g.reset(W, H);
-  f.b.reset(W, H);
-  Plane* planes[3] = {&f.r, &f.g, &f.b};
-  for (int c = 0; c < 3; ++c)
-    for (int y = 0; y < H; ++y)
-      for (int x = 0; x < W; ++x)
-        planes[c]->at(x, y) = std::clamp(t.at(0, c, y, x), 0.0f, 1.0f);
-}
-
 void frames_to_tensor_into(const FrameRGB* const* frames, int n, Tensor& t) {
   if (n <= 0) throw std::invalid_argument("frames_to_tensor: empty batch");
   const int H = frames[0]->height(), W = frames[0]->width();
@@ -58,8 +23,6 @@ void frames_to_tensor_into(const FrameRGB* const* frames, int n, Tensor& t) {
       throw std::invalid_argument(
           "frames_to_tensor: mixed frame geometry in batch");
   t.reset({n, 3, H, W});
-  // Per batch item, exactly the frame_to_tensor_into loop: a batch packs to
-  // the same floats, at batch index i, as n single-frame packs.
   for (int i = 0; i < n; ++i) {
     const FrameRGB& f = *frames[i];
     const Plane* planes[3] = {&f.r, &f.g, &f.b};

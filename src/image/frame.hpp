@@ -43,7 +43,7 @@ class Plane {
 
   /// Resizes the plane in place, reusing the existing heap block whenever
   /// its capacity suffices. Contents are unspecified afterwards — callers
-  /// fully overwrite. The warm-buffer path of the *_into converters below.
+  /// fully overwrite. The warm-buffer path of tensor_to_frames_into below.
   void reset(int width, int height) {
     width_ = width;
     height_ = height;
@@ -104,24 +104,18 @@ struct FrameYUV {
   bool empty() const noexcept { return y.empty(); }
 };
 
-/// Packs an RGB frame into a 1x3xHxW tensor (model input layout).
-Tensor frame_to_tensor(const FrameRGB& f);
-
-/// Unpacks a 1x3xHxW tensor into an RGB frame, clamping to [0,1].
-FrameRGB tensor_to_frame(const Tensor& t);
-
-/// In-place variants: identical values, but the destination is reshaped in
-/// place so a warm buffer (workspace checkout or long-lived frame slot) is
-/// reused instead of reallocated on every frame.
-void frame_to_tensor_into(const FrameRGB& f, Tensor& t);
-void tensor_to_frame_into(const Tensor& t, FrameRGB& f);
-
-/// Batched variants: pack `n` same-sized frames into one Nx3xHxW tensor /
-/// unpack one back out. Batch item i carries exactly the floats the single-
-/// frame converters would produce for frames[i] — batching is a layout
-/// decision, never a value change. Throws std::invalid_argument on an empty
-/// batch or mixed frame geometry.
+/// The one frame<->tensor packing (model input/output layout). Packs `n`
+/// same-sized RGB frames into one Nx3xHxW tensor, channel planes in r, g, b
+/// order; a single frame is a batch of 1. Batch item i depends on frames[i]
+/// alone, so batching is a layout decision, never a value change. The
+/// destination is reshaped in place, so a warm buffer (workspace checkout)
+/// is reused instead of reallocated on every call. Throws
+/// std::invalid_argument on an empty batch or mixed frame geometry.
 void frames_to_tensor_into(const FrameRGB* const* frames, int n, Tensor& t);
+
+/// Unpacks an Nx3xHxW tensor into frames[0..N), clamping samples to [0,1].
+/// Each destination frame is resized in place (warm planes are rewritten
+/// without touching the heap).
 void tensor_to_frames_into(const Tensor& t, FrameRGB* const* frames);
 
 }  // namespace dcsr

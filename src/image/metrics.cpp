@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "image/convert.hpp"
-#include "image/resize.hpp"
 
 namespace dcsr {
 
@@ -94,34 +93,6 @@ double ssim(const Plane& a, const Plane& b) {
 
 double ssim(const FrameRGB& a, const FrameRGB& b) {
   return ssim(luma_of(a), luma_of(b));
-}
-
-double ms_ssim(const Plane& a, const Plane& b, int scales) {
-  if (scales < 1) throw std::invalid_argument("ms_ssim: need >= 1 scale");
-  Plane pa = a, pb = b;
-  double product = 1.0;
-  for (int s = 0; s < scales; ++s) {
-    product *= std::max(0.0, ssim(pa, pb));
-    if (s + 1 < scales) {
-      if (pa.width() < 16 || pa.height() < 16)
-        throw std::invalid_argument("ms_ssim: plane too small for scale count");
-      // Box-halve; trim an odd edge row/column first if needed.
-      const int w = pa.width() & ~1, h = pa.height() & ~1;
-      Plane ta(w, h), tb(w, h);
-      for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x) {
-          ta.at(x, y) = pa.at(x, y);
-          tb.at(x, y) = pb.at(x, y);
-        }
-      pa = downscale_box(ta, 2);
-      pb = downscale_box(tb, 2);
-    }
-  }
-  return std::pow(product, 1.0 / scales);
-}
-
-double ms_ssim(const FrameRGB& a, const FrameRGB& b, int scales) {
-  return ms_ssim(luma_of(a), luma_of(b), scales);
 }
 
 }  // namespace dcsr

@@ -24,14 +24,4 @@ double ssim(const Plane& a, const Plane& b);
 /// SSIM on luma of RGB frames (the Fig. 9(b) metric).
 double ssim(const FrameRGB& a, const FrameRGB& b);
 
-/// Multi-scale SSIM (Wang et al. 2003), simplified: the geometric mean of
-/// single-scale SSIM over `scales` dyadic scales (box-filtered halvings).
-/// More tolerant of small misalignments than single-scale SSIM and closer
-/// to perceptual rankings on video. Planes must be at least 8 * 2^(scales-1)
-/// on each side.
-double ms_ssim(const Plane& a, const Plane& b, int scales = 3);
-
-/// MS-SSIM on luma of RGB frames.
-double ms_ssim(const FrameRGB& a, const FrameRGB& b, int scales = 3);
-
 }  // namespace dcsr

@@ -42,7 +42,7 @@ Shape Conv2d::out_shape(const Shape& in) const {
 
 Tensor Conv2d::forward(const Tensor& x) {
   if (x.rank() != 4 || x.dim(1) != in_channels_)
-    throw std::invalid_argument("Conv2d: bad input shape " + x.shape_str());
+    throw std::invalid_argument("Conv2d: bad input shape " + x.shape().str());
   const int N = x.dim(0);
   const int oh = conv_out_size_checked(x.dim(2), kernel_, stride_, pad_, "Conv2d");
   const int ow = conv_out_size_checked(x.dim(3), kernel_, stride_, pad_, "Conv2d");
@@ -74,7 +74,7 @@ void Conv2d::infer_into(const Tensor& x, Tensor& out, Workspace& ws,
                         bool fuse_relu) const {
   if (x.rank() != 4 || x.dim(1) != in_channels_) {
     AllocAllowScope allow;  // error path may run under a hot-path guard
-    throw std::invalid_argument("Conv2d: bad input shape " + x.shape_str());
+    throw std::invalid_argument("Conv2d: bad input shape " + x.shape().str());
   }
   HotPathGuard alloc_guard("nn/conv.cpp:Conv2d::infer_into");
   const int N = x.dim(0);
@@ -121,7 +121,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
       grad_out.dim(1) != out_channels_ || grad_out.dim(2) != oh ||
       grad_out.dim(3) != ow)
     throw std::invalid_argument("Conv2d::backward: grad shape " +
-                                grad_out.shape_str() + " does not match " +
+                                grad_out.shape().str() + " does not match " +
                                 "cached forward output");
   Tensor grad_in(x);
   // Weight and bias gradients accumulate item by item, in item order; the

@@ -34,7 +34,7 @@ void Linear::infer_into(const Tensor& x, Tensor& out, Workspace& ws) const {
   (void)ws;  // x * W^T writes straight into `out`; no intermediates needed
   if (x.rank() != 2 || x.dim(1) != in_features_) {
     AllocAllowScope allow;  // error path may run under a hot-path guard
-    throw std::invalid_argument("Linear: bad input shape " + x.shape_str());
+    throw std::invalid_argument("Linear: bad input shape " + x.shape().str());
   }
   HotPathGuard alloc_guard("nn/linear.cpp:Linear::infer_into");
   matmul_nt_into(x, weight_.value, out);  // N x out

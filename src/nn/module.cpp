@@ -20,7 +20,7 @@ void FiniteCheckGuard::verify(const Module& layer, const Tensor& out) {
     std::ostringstream os;
     os << "FiniteCheckGuard: layer " << name << " produced "
        << (std::isnan(vals[i]) ? "NaN" : "Inf") << " at element " << i
-       << " of " << vals.size() << " (output shape " << out.shape_str()
+       << " of " << vals.size() << " (output shape " << out.shape()
        << ") — uninitialized/stale workspace read or numeric blow-up";
     throw NonFiniteError(name, os.str());
   }

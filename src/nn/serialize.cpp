@@ -1,13 +1,24 @@
 #include "nn/serialize.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace dcsr::nn {
 
 namespace {
 constexpr std::uint32_t kMagic = 0x64635352;      // "dcSR"
 constexpr std::uint32_t kMagicFp16 = 0x64635348;  // "dcSH"
+
+// Reads one parameter's rank byte and dims, comparing each against `shape`
+// as it is read; throws std::invalid_argument("<what>: shape mismatch") at
+// the first difference.
+void read_matching_shape(ByteReader& in, const Shape& shape, const char* what) {
+  bool match = in.read_u8() == shape.rank();
+  for (std::size_t d = 0; match && d < shape.rank(); ++d)
+    match = in.read_u32() == static_cast<std::uint32_t>(shape[d]);
+  if (!match) throw std::invalid_argument(std::string(what) + ": shape mismatch");
 }
+}  // namespace
 
 void save_params(Module& model, ByteWriter& out) {
   const auto params = model.params();
@@ -29,11 +40,7 @@ void load_params(Module& model, ByteReader& in) {
   if (n != params.size())
     throw std::invalid_argument("load_params: parameter count mismatch");
   for (Param* p : params) {
-    const int rank = in.read_u8();
-    std::vector<int> shape(static_cast<std::size_t>(rank));
-    for (auto& d : shape) d = static_cast<int>(in.read_u32());
-    if (shape != p->value.shape())
-      throw std::invalid_argument("load_params: shape mismatch");
+    read_matching_shape(in, p->value.shape(), "load_params");
     in.read_f32_span(p->value.data(), p->value.size());
   }
 }
@@ -134,11 +141,7 @@ void load_params_fp16(Module& model, ByteReader& in) {
   if (n != params.size())
     throw std::invalid_argument("load_params_fp16: parameter count mismatch");
   for (Param* p : params) {
-    const int rank = in.read_u8();
-    std::vector<int> shape(static_cast<std::size_t>(rank));
-    for (auto& d : shape) d = static_cast<int>(in.read_u32());
-    if (shape != p->value.shape())
-      throw std::invalid_argument("load_params_fp16: shape mismatch");
+    read_matching_shape(in, p->value.shape(), "load_params_fp16");
     for (std::size_t i = 0; i < p->value.size(); ++i)
       p->value[i] = half_to_float(in.read_u16());
   }

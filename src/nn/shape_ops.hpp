@@ -59,7 +59,7 @@ class Flatten final : public Module {
   std::string name() const override { return "Flatten"; }
 
  private:
-  std::vector<int> cached_shape_;
+  Shape cached_shape_;
 };
 
 /// Reshapes (N, C*H*W) to (N, C, H, W) with fixed C/H/W; the inverse of

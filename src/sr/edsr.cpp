@@ -161,45 +161,6 @@ std::vector<nn::Param*> Edsr::params() {
   return ps;
 }
 
-FrameRGB Edsr::enhance(const FrameRGB& frame) const {
-  FrameRGB out;
-  enhance_into(frame, out);
-  return out;
-}
-
-void Edsr::enhance_into(const FrameRGB& frame, FrameRGB& out) const {
-  // Validate the caller's frame geometry up front, before any workspace
-  // checkout: a partially-filled FrameRGB (e.g. planes reset to different
-  // sizes) would otherwise surface as an opaque tensor-shape error deep in
-  // the model, or worse, an out-of-bounds plane read.
-  if (frame.empty()) {
-    AllocAllowScope allow;  // error path may run under a caller's guard
-    throw std::invalid_argument("Edsr::enhance_into: empty input frame");
-  }
-  if (!frame.r.same_size(frame.g) || !frame.r.same_size(frame.b)) {
-    AllocAllowScope allow;
-    throw std::invalid_argument(
-        "Edsr::enhance_into: inconsistent plane geometry (r " +
-        std::to_string(frame.r.width()) + "x" + std::to_string(frame.r.height()) +
-        ", g " + std::to_string(frame.g.width()) + "x" +
-        std::to_string(frame.g.height()) + ", b " +
-        std::to_string(frame.b.width()) + "x" +
-        std::to_string(frame.b.height()) + ")");
-  }
-  // Both tensor endpoints come from this thread's workspace, so the only
-  // buffers that persist across calls are the caller's `out` planes — warm
-  // ones are rewritten in place. Guarded after validation: a warm enhance is
-  // heap-silent end to end (frame→tensor, inference, tensor→frame).
-  HotPathGuard alloc_guard("sr/edsr.cpp:Edsr::enhance_into");
-  Workspace& ws = Workspace::local();
-  WorkspaceTensor in = ws.acquire({1, 3, frame.height(), frame.width()});
-  frame_to_tensor_into(frame, *in);
-  WorkspaceTensor y = ws.acquire(out_shape(in->shape()));
-  infer_into(*in, *y, ws);
-  in = WorkspaceTensor();
-  tensor_to_frame_into(*y, out);
-}
-
 void Edsr::enhance_batch_into(const FrameRGB* const* frames, FrameRGB* const* outs,
                               int n) const {
   if (n <= 0) {
@@ -223,9 +184,10 @@ void Edsr::enhance_batch_into(const FrameRGB* const* frames, FrameRGB* const* ou
     }
   }
   // One workspace checkout for the whole batch, one infer over Nx3xHxW.
-  // Every module's infer_into processes batch items independently, so the
-  // result is bit-identical to n enhance_into calls — batching only
-  // amortises the per-call overhead (and, in the fleet, the model traffic).
+  // Both tensor endpoints come from this thread's workspace, so the only
+  // buffers that persist across calls are the caller's `outs` planes — warm
+  // ones are rewritten in place. Guarded after validation: a warm enhance is
+  // heap-silent end to end (pack, inference, unpack).
   HotPathGuard alloc_guard("sr/edsr.cpp:Edsr::enhance_batch_into");
   Workspace& ws = Workspace::local();
   WorkspaceTensor in =

@@ -67,24 +67,28 @@ class Edsr final : public nn::Module {
   /// because of running out of memory".
   std::uint64_t activation_bytes(int in_width, int in_height) const noexcept;
 
-  /// Enhances a single RGB frame (convenience around enhance_into()). const
-  /// and thread-safe: no layer caches touched.
-  FrameRGB enhance(const FrameRGB& frame) const;
-
-  /// enhance() writing into a caller-owned frame: with `out` warm (same
-  /// size as the last call) and this thread's workspace warmed up, the whole
-  /// enhance path — conversion, inference, conversion back — runs without
-  /// touching the allocator. Values identical to enhance().
-  void enhance_into(const FrameRGB& frame, FrameRGB& out) const;
-
-  /// Batched enhance: packs `n` same-sized frames into one Nx3xHxW tensor,
-  /// runs a single infer_into (one workspace checkout for the whole batch),
-  /// and unpacks into `outs`. outs[i] is bit-identical to
-  /// `enhance_into(*frames[i], *outs[i])` — batching amortises dispatch and
-  /// weight traffic, never changes values. The fleet driver uses this to
-  /// coalesce concurrent I-frame SR requests that share a cluster model.
+  /// The one way to run the model on frames: validates the `n` input frames
+  /// (non-empty, consistent planes, one geometry; std::invalid_argument
+  /// before any workspace checkout otherwise), packs them into one
+  /// Nx3xHxW tensor, runs a single infer_into (one workspace checkout for
+  /// the whole batch) and unpacks into `outs`, clamped to [0,1]. Every
+  /// module processes batch items independently, so outs[i] does not depend
+  /// on the rest of the batch: batching amortises dispatch and weight
+  /// traffic, never changes values. const and thread-safe (no layer caches
+  /// touched). With the outputs warm (same size as the last call) and this
+  /// thread's workspace warmed up, the whole path runs without touching the
+  /// allocator. The client's in-loop I-frame enhancement, the server's
+  /// micro-model scoring and the fleet's coalesced SR requests all go
+  /// through here.
   void enhance_batch_into(const FrameRGB* const* frames, FrameRGB* const* outs,
                           int n) const;
+
+  /// One frame: a batch of 1.
+  void enhance_into(const FrameRGB& frame, FrameRGB& out) const {
+    const FrameRGB* in = &frame;
+    FrameRGB* dst = &out;
+    enhance_batch_into(&in, &dst, 1);
+  }
 
  private:
   EdsrConfig cfg_;

@@ -176,14 +176,22 @@ TrainStats train_sr_model(Edsr& model, const std::vector<TrainSample>& samples,
 double evaluate_psnr(const Edsr& model, const std::vector<TrainSample>& samples) {
   if (samples.empty()) throw std::invalid_argument("evaluate_psnr: no samples");
   double acc = 0.0;
-  for (const auto& s : samples) acc += psnr(model.enhance(s.lo), s.hi);
+  FrameRGB out;
+  for (const auto& s : samples) {
+    model.enhance_into(s.lo, out);
+    acc += psnr(out, s.hi);
+  }
   return acc / static_cast<double>(samples.size());
 }
 
 double evaluate_ssim(const Edsr& model, const std::vector<TrainSample>& samples) {
   if (samples.empty()) throw std::invalid_argument("evaluate_ssim: no samples");
   double acc = 0.0;
-  for (const auto& s : samples) acc += ssim(model.enhance(s.lo), s.hi);
+  FrameRGB out;
+  for (const auto& s : samples) {
+    model.enhance_into(s.lo, out);
+    acc += ssim(out, s.hi);
+  }
   return acc / static_cast<double>(samples.size());
 }
 

@@ -35,7 +35,7 @@ void require_item(const Tensor& t, int n, const char* what) {
     AllocAllowScope allow;
     throw std::invalid_argument(std::string(what) + ": batch index " +
                                 std::to_string(n) + " out of range for " +
-                                t.shape_str());
+                                t.shape().str());
   }
 }
 

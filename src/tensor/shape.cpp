@@ -10,7 +10,7 @@ namespace dcsr {
 namespace detail {
 
 void throw_shape_rank(std::size_t rank) {
-  // May fire from a vector→Shape conversion under a hot-path guard; sanction
+  // May fire from a braced-list conversion under a hot-path guard; sanction
   // the message so the rank diagnostic is not masked by HotPathAllocError.
   AllocAllowScope allow;
   throw std::invalid_argument("Shape: rank " + std::to_string(rank) +

@@ -5,7 +5,6 @@
 #include <initializer_list>
 #include <ostream>
 #include <string>
-#include <vector>
 
 namespace dcsr {
 
@@ -19,17 +18,16 @@ namespace detail {
 /// acquires, tensor resets — and carrying them as std::vector<int> meant one
 /// heap allocation per hop, which the DCSR_ALLOC_CHECK auditor rightly flags
 /// inside hot-path guards. A Shape is a plain value (array + rank): copying
-/// one is a register move, and converting from an initializer list or an
-/// existing vector (both implicit, so call sites read unchanged) touches no
-/// heap. Rank above kMaxRank throws std::invalid_argument — nothing in the
-/// codebase goes past rank 4.
+/// one is a register move, and building one from a braced list (implicit, so
+/// `{n, c, h, w}` reads as a shape at every call site) touches no heap. It is
+/// the only shape type: Tensor stores one. Rank above kMaxRank throws
+/// std::invalid_argument — nothing in the codebase goes past rank 4.
 class Shape {
  public:
   static constexpr int kMaxRank = 8;
 
   Shape() noexcept = default;
   Shape(std::initializer_list<int> dims) { assign(dims.begin(), dims.size()); }
-  Shape(const std::vector<int>& dims) { assign(dims.data(), dims.size()); }
 
   std::size_t size() const noexcept { return rank_; }
   std::size_t rank() const noexcept { return rank_; }
@@ -41,8 +39,6 @@ class Shape {
   const int* begin() const noexcept { return dims_.data(); }
   const int* end() const noexcept { return dims_.data() + rank_; }
 
-  std::vector<int> to_vector() const { return {begin(), end()}; }
-
   /// "NxCxHxW" for diagnostics (allocates — error paths only).
   std::string str() const;
 
@@ -50,14 +46,6 @@ class Shape {
     if (a.rank_ != b.rank_) return false;
     for (std::size_t i = 0; i < a.rank_; ++i)
       if (a.dims_[i] != b.dims_[i]) return false;
-    return true;
-  }
-
-  // C++20 rewrites make the reversed and != forms fall out of these.
-  friend bool operator==(const Shape& a, const std::vector<int>& b) noexcept {
-    if (a.rank_ != b.size()) return false;
-    for (std::size_t i = 0; i < a.rank_; ++i)
-      if (a.dims_[i] != b[i]) return false;
     return true;
   }
 

@@ -1,6 +1,5 @@
 #include "tensor/tensor.hpp"
 
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
@@ -10,22 +9,13 @@ namespace dcsr {
 
 namespace detail {
 
-void throw_tensor_bounds(const char* site, const std::vector<int>& shape,
+void throw_tensor_bounds(const char* site, const Shape& shape,
                          const std::string& detail) {
   // Bounds violations fire from accessors that may be under a hot-path
   // guard; sanction the diagnostic so the real error is what propagates.
   AllocAllowScope allow;
   std::ostringstream os;
-  os << site << ": " << detail << " (tensor shape ";
-  if (shape.empty()) {
-    os << "<scalar>";
-  } else {
-    for (std::size_t i = 0; i < shape.size(); ++i) {
-      if (i) os << 'x';
-      os << shape[i];
-    }
-  }
-  os << ')';
+  os << site << ": " << detail << " (tensor shape " << shape << ')';
   throw TensorBoundsError(os.str());
 }
 
@@ -33,9 +23,7 @@ void throw_tensor_bounds(const char* site, const std::vector<int>& shape,
 
 namespace {
 
-// Works for std::vector<int> and Shape alike.
-template <typename Dims>
-std::size_t element_count(const Dims& shape) {
+std::size_t element_count(const Shape& shape) {
   std::size_t n = 1;
   for (int d : shape) {
     if (d <= 0) {
@@ -49,50 +37,42 @@ std::size_t element_count(const Dims& shape) {
 
 }  // namespace
 
-Tensor::Tensor(std::vector<int> shape)
-    : shape_(std::move(shape)), data_(element_count(shape_), 0.0f) {}
-
-Tensor::Tensor(const Shape& shape) {
+Tensor::Tensor(const Shape& shape) : shape_(shape) {
   const std::size_t n = element_count(shape);  // validate before allocating
   // A Tensor constructed inside a guard is the Workspace miss path — warm-up
   // traffic by definition, so sanction it here rather than at every caller.
   AllocAllowScope allow;
-  shape_.assign(shape.begin(), shape.end());
   data_.assign(n, 0.0f);
 }
 
-Tensor Tensor::full(std::vector<int> shape, float value) {
-  Tensor t(std::move(shape));
+Tensor Tensor::full(const Shape& shape, float value) {
+  Tensor t(shape);
   t.fill(value);
   return t;
 }
 
-Tensor Tensor::randn(std::vector<int> shape, Rng& rng, float stddev) {
-  Tensor t(std::move(shape));
+Tensor Tensor::randn(const Shape& shape, Rng& rng, float stddev) {
+  Tensor t(shape);
   for (auto& v : t.data_) v = static_cast<float>(rng.normal(0.0, stddev));
   return t;
 }
 
-Tensor Tensor::reshaped(std::vector<int> shape) const {
+Tensor Tensor::reshaped(const Shape& shape) const {
   if (element_count(shape) != size())
     throw std::invalid_argument("Tensor::reshaped: element count mismatch");
   Tensor t = *this;
-  t.shape_ = std::move(shape);
+  t.shape_ = shape;
   return t;
 }
 
 bool Tensor::reset(const Shape& shape) {
   const std::size_t n = element_count(shape);
   const bool reused = n <= data_.capacity();
-  if (reused && shape_.capacity() >= shape.size()) {
-    // Steady state: both buffers reused in place, zero allocator traffic.
-    data_.resize(n);
-    shape_.assign(shape.begin(), shape.end());
-  } else {
-    AllocAllowScope allow;  // cold growth — sanctioned warm-up allocation
-    data_.resize(n);
-    shape_.assign(shape.begin(), shape.end());
-  }
+  // Within capacity the resize touches no heap (the steady state); only a
+  // growing reset allocates, and that is sanctioned warm-up.
+  AllocAllowScope allow;
+  data_.resize(n);
+  shape_ = shape;
   return reused;
 }
 
@@ -115,15 +95,6 @@ Tensor& Tensor::axpy_(float alpha, const Tensor& other) {
   if (!same_shape(other)) throw std::invalid_argument("Tensor::axpy_: shape mismatch");
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += alpha * other.data_[i];
   return *this;
-}
-
-std::string Tensor::shape_str() const {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < shape_.size(); ++i) {
-    if (i) os << 'x';
-    os << shape_[i];
-  }
-  return os.str();
 }
 
 }  // namespace dcsr

@@ -33,8 +33,7 @@ class TensorBoundsError : public std::out_of_range {
 };
 
 namespace detail {
-[[noreturn]] void throw_tensor_bounds(const char* site,
-                                      const std::vector<int>& shape,
+[[noreturn]] void throw_tensor_bounds(const char* site, const Shape& shape,
                                       const std::string& detail);
 }  // namespace detail
 
@@ -49,24 +48,21 @@ class Tensor {
  public:
   Tensor() = default;
 
-  /// Allocates a zero-initialised tensor with the given shape.
-  explicit Tensor(std::vector<int> shape);
-  /// Same, from an inline Shape. Allocation is sanctioned (AllocAllowScope):
-  /// constructing a Tensor inside a hot-path guard is the Workspace miss
-  /// path, a legitimate warm-up allocation.
+  /// Allocates a zero-initialised tensor with the given shape. Allocation is
+  /// sanctioned (AllocAllowScope): constructing a Tensor inside a hot-path
+  /// guard is the Workspace miss path, a legitimate warm-up allocation.
   explicit Tensor(const Shape& shape);
-  Tensor(std::initializer_list<int> shape)
-      : Tensor(std::vector<int>(shape)) {}
+  Tensor(std::initializer_list<int> shape) : Tensor(Shape(shape)) {}
 
-  static Tensor zeros(std::vector<int> shape) { return Tensor(std::move(shape)); }
-  static Tensor full(std::vector<int> shape, float value);
+  static Tensor zeros(const Shape& shape) { return Tensor(shape); }
+  static Tensor full(const Shape& shape, float value);
 
   /// He/Kaiming-normal init for conv/linear weights (fan_in based).
-  static Tensor randn(std::vector<int> shape, Rng& rng, float stddev = 1.0f);
+  static Tensor randn(const Shape& shape, Rng& rng, float stddev = 1.0f);
 
-  const std::vector<int>& shape() const noexcept { return shape_; }
+  const Shape& shape() const noexcept { return shape_; }
   int dim(std::size_t i) const noexcept { return shape_[i]; }
-  std::size_t rank() const noexcept { return shape_.size(); }
+  std::size_t rank() const noexcept { return shape_.rank(); }
   std::size_t size() const noexcept { return data_.size(); }
   bool empty() const noexcept { return data_.empty(); }
 
@@ -139,15 +135,14 @@ class Tensor {
   }
 
   /// Returns a copy with a new shape of equal element count.
-  Tensor reshaped(std::vector<int> shape) const;
+  Tensor reshaped(const Shape& shape) const;
 
   /// Reshapes this tensor in place to `shape`, reusing the existing heap
   /// block whenever its capacity suffices. Contents are unspecified
   /// afterwards (callers must fully overwrite or zero() first). Returns true
   /// when the storage was reused, false when the change of size forced a
   /// reallocation — the signal the Workspace uses for hit/miss accounting.
-  /// Takes an inline Shape (vectors and braced lists convert implicitly), so
-  /// a reusing reset performs no heap allocation at all — the invariant the
+  /// A reusing reset performs no heap allocation at all — the invariant the
   /// DCSR_ALLOC_CHECK steady-state pins rely on.
   bool reset(const Shape& shape);
 
@@ -161,9 +156,6 @@ class Tensor {
   Tensor& add_(const Tensor& other);
   Tensor& scale_(float s) noexcept;
   Tensor& axpy_(float alpha, const Tensor& other);  // this += alpha * other
-
-  /// Shape as "NxCxHxW" for diagnostics.
-  std::string shape_str() const;
 
   bool same_shape(const Tensor& other) const noexcept {
     return shape_ == other.shape_;
@@ -242,7 +234,7 @@ class Tensor {
   }
   std::size_t slice_stride() const noexcept {
     std::size_t s = 1;
-    for (std::size_t d = 1; d < shape_.size(); ++d)
+    for (std::size_t d = 1; d < shape_.rank(); ++d)
       s *= static_cast<std::size_t>(shape_[d]);
     return s;
   }
@@ -257,7 +249,7 @@ class Tensor {
            static_cast<std::size_t>(w);
   }
 
-  std::vector<int> shape_;
+  Shape shape_;
   std::vector<float> data_;
 };
 

@@ -97,8 +97,8 @@ class Workspace {
   /// std::invalid_argument on a non-positive dimension — before any counter
   /// moves or any buffer leaves the free list, so a failed acquire never
   /// leaks a checkout (outstanding is incremented only once the checkout
-  /// exists and is owned by RAII). Takes an inline Shape (vectors and braced
-  /// lists convert implicitly): a hit performs no heap allocation at all,
+  /// exists and is owned by RAII). Takes an inline Shape (braced lists
+  /// convert implicitly): a hit performs no heap allocation at all,
   /// which is what lets acquire run inside a DCSR_ALLOC_CHECK hot-path
   /// guard; a miss is sanctioned as warm-up traffic.
   WorkspaceTensor acquire(const Shape& shape);

@@ -80,7 +80,7 @@ class AllocAllowScope {
 AllocStats thread_alloc_stats() noexcept;
 
 /// Innermost active guard site on this thread, or nullptr when unguarded.
-/// parallel_for uses it to re-install the caller's guard on pool workers, so
+/// The thread pool uses it to re-install the caller's guard on its workers, so
 /// a guarded region stays guarded across its fan-out.
 const char* active_hot_path() noexcept;
 

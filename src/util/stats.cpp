@@ -68,10 +68,4 @@ std::size_t argmax(std::span<const double> xs) {
                                   xs.begin());
 }
 
-std::size_t argmin(std::span<const double> xs) {
-  if (xs.empty()) throw std::invalid_argument("argmin: empty span");
-  return static_cast<std::size_t>(std::min_element(xs.begin(), xs.end()) -
-                                  xs.begin());
-}
-
 }  // namespace dcsr

@@ -32,8 +32,4 @@ std::vector<double> empirical_cdf(std::span<const double> samples,
 /// std::invalid_argument on an empty span.
 std::size_t argmax(std::span<const double> xs);
 
-/// Index of the minimum element (first on ties); throws
-/// std::invalid_argument on an empty span.
-std::size_t argmin(std::span<const double> xs);
-
 }  // namespace dcsr

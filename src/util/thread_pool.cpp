@@ -21,8 +21,8 @@ namespace dcsr {
 
 namespace {
 
-// Set while a thread (worker or caller) is executing a parallel_for chunk.
-// Nested parallel_for calls check it and run inline instead of re-entering
+// Set while a thread (worker or caller) is executing a region's chunk.
+// Nested regions check it and run inline instead of re-entering
 // the pool: the outer loop already owns all the parallelism there is.
 thread_local bool tl_in_parallel_region = false;
 
@@ -33,20 +33,20 @@ void validate_parallel_args(std::int64_t begin, std::int64_t end,
   // masked by HotPathAllocError.
   if (grain < 1) {
     AllocAllowScope allow;
-    throw std::invalid_argument("parallel_for: grain must be >= 1, got " +
+    throw std::invalid_argument("parallel_for_writes: grain must be >= 1, got " +
                                 std::to_string(grain));
   }
   if (end < begin) {
     AllocAllowScope allow;
-    throw std::invalid_argument("parallel_for: end < begin (begin=" +
+    throw std::invalid_argument("parallel_for_writes: end < begin (begin=" +
                                 std::to_string(begin) +
                                 ", end=" + std::to_string(end) + ")");
   }
 }
 
 // Same floor-division policy everywhere: at most `threads` chunks, each of
-// at least `grain` indices. parallel_for_writes recomputes the decomposition
-// with this to claim exactly the chunks parallel_for will run.
+// at least `grain` indices. parallel_for_writes computes the decomposition
+// with this to claim exactly the chunks Impl::run will run.
 std::int64_t chunk_count(int threads, std::int64_t range, std::int64_t grain) {
   return std::max<std::int64_t>(
       1, std::min<std::int64_t>(threads, range / grain));
@@ -59,7 +59,7 @@ std::int64_t chunk_count(int threads, std::int64_t range, std::int64_t grain) {
 // overlap is detected deterministically — unlike a data-race, which only
 // manifests if the scheduler happens to interleave the two writes. Claims
 // from different regions coexist in the registry only when the regions are
-// genuinely concurrent (parallel_for blocks its caller), which is exactly
+// genuinely concurrent (a region blocks its caller), which is exactly
 // the situation in which overlap would be a race.
 // ---------------------------------------------------------------------------
 
@@ -184,7 +184,7 @@ thread_local std::vector<std::size_t> tl_contain_offsets;
 // Serial isolation replay over the already-registered claims. `records`
 // holds one claim per non-empty-claiming chunk of the canonical
 // decomposition; chunks themselves are recomputed with the same floor
-// division parallel_for uses.
+// division Impl::run uses.
 void replay_contained(const std::vector<ClaimRecord>& records,
                       std::int64_t begin, std::int64_t range,
                       std::int64_t nchunks,
@@ -244,7 +244,7 @@ void replay_contained(const std::vector<ClaimRecord>& records,
 
 // ---------------------------------------------------------------------------
 // One fan-out in flight. Lives on the caller's stack for the duration of the
-// region (parallel_for blocks until remaining == 0, so worker references to
+// region (Impl::run blocks until remaining == 0, so worker references to
 // it can never dangle). Chunks reach it through a plain function pointer +
 // void* pair — the queue stores no owning callables, so dispatch performs no
 // heap allocation.
@@ -381,6 +381,10 @@ struct ThreadPool::Impl {
     return true;
   }
 
+  void run(int threads, std::int64_t begin, std::int64_t end,
+           std::int64_t grain,
+           FunctionRef<void(std::int64_t, std::int64_t)> fn);
+
   void worker_loop() {
     for (;;) {
       Task task;
@@ -413,15 +417,16 @@ ThreadPool::~ThreadPool() {
   for (auto& w : impl_->workers) w.join();
 }
 
-void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
-                              std::int64_t grain,
-                              FunctionRef<void(std::int64_t, std::int64_t)> fn) {
-  validate_parallel_args(begin, end, grain);
-  if (begin == end) return;
+// Runs a validated, non-empty region on `threads`' decomposition: chunk 0
+// on the calling thread, the rest on workers (inline when nested, when one
+// chunk suffices, or when there are no workers).
+void ThreadPool::Impl::run(int threads, std::int64_t begin, std::int64_t end,
+                           std::int64_t grain,
+                           FunctionRef<void(std::int64_t, std::int64_t)> fn) {
   const std::int64_t range = end - begin;
-  const std::int64_t nchunks = chunk_count(threads_, range, grain);
+  const std::int64_t nchunks = chunk_count(threads, range, grain);
 
-  if (nchunks <= 1 || tl_in_parallel_region || impl_->workers.empty()) {
+  if (nchunks <= 1 || tl_in_parallel_region || workers.empty()) {
     const bool was = tl_in_parallel_region;
     tl_in_parallel_region = true;
     try {
@@ -437,11 +442,11 @@ void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
   RegionCtx ctx(fn, begin, range, nchunks, active_hot_path());
 
   {
-    std::lock_guard lk(impl_->mutex);
+    std::lock_guard lk(mutex);
     for (std::int64_t c = 1; c < nchunks; ++c)
-      impl_->push_locked({&run_region_chunk, &ctx, c});
+      push_locked({&run_region_chunk, &ctx, c});
   }
-  impl_->cv.notify_all();
+  cv.notify_all();
   run_region_chunk(&ctx, 0);
 
   // Help drain the queue while waiting: under contention (several regions in
@@ -449,8 +454,8 @@ void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
   for (;;) {
     Impl::Task task;
     {
-      std::lock_guard lk(impl_->mutex);
-      if (!impl_->pop_locked(task)) break;
+      std::lock_guard lk(mutex);
+      if (!pop_locked(task)) break;
     }
     task.run(task.ctx, task.chunk);
   }
@@ -472,7 +477,7 @@ void ThreadPool::parallel_for_writes(
   // concurrency, and their writes legitimately fall inside that chunk's own
   // claim, so claiming here would only produce false overlaps.
   if (!parallel_check_enabled() || tl_in_parallel_region) {
-    parallel_for(begin, end, grain, fn);
+    impl_->run(threads_, begin, end, grain, fn);
     return;
   }
 
@@ -515,7 +520,7 @@ void ThreadPool::parallel_for_writes(
     return;
   }
 #endif
-  parallel_for(begin, end, grain, fn);
+  impl_->run(threads_, begin, end, grain, fn);
 }
 
 struct PipelineThread::Impl {
@@ -646,11 +651,6 @@ int thread_count_from_env() {
 int default_thread_count() {
   std::lock_guard lk(g_default_pool_mutex);
   return g_default_pool ? g_default_pool->threads() : thread_count_from_env();
-}
-
-void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                  FunctionRef<void(std::int64_t, std::int64_t)> fn) {
-  default_pool().parallel_for(begin, end, grain, fn);
 }
 
 void parallel_for_writes(

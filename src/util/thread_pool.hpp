@@ -89,20 +89,20 @@ bool claim_contain_enabled() noexcept;
 /// Test hook; a no-op (stays off) when the replay path is compiled out.
 void set_claim_contain_enabled(bool enabled) noexcept;
 
-/// Persistent worker pool behind `parallel_for`.
+/// Persistent worker pool behind `parallel_for_writes`.
 ///
 /// Everything compute-bound in the library (GEMM row blocks, encoder GOPs,
 /// training units) is expressed as a static-chunked
-/// `parallel_for` over an index range. Determinism is a hard contract: the
-/// kernels only ever parallelise over *disjoint outputs* and reduce any
-/// shared accumulators in index order, so results are bit-identical no
-/// matter how many threads run — a pool of 1 is exactly the serial program.
-/// `parallel_for_writes` lets a kernel declare the output span each chunk
-/// owns so the disjointness half of that contract is machine-checked.
+/// `parallel_for_writes` over an index range. Determinism is a hard
+/// contract: the kernels only ever parallelise over *disjoint outputs* and
+/// reduce any shared accumulators in index order, so results are
+/// bit-identical no matter how many threads run — a pool of 1 is exactly the
+/// serial program. Each region declares the output span every chunk owns, so
+/// the disjointness half of that contract is machine-checked.
 class ThreadPool {
  public:
   /// Spawns `threads - 1` workers (the calling thread always participates);
-  /// `threads <= 1` spawns none and every parallel_for runs inline.
+  /// `threads <= 1` spawns none and every region runs inline.
   explicit ThreadPool(int threads);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
@@ -120,25 +120,23 @@ class ThreadPool {
   /// `begin == end` is a no-op; `end < begin` and `grain < 1` throw
   /// std::invalid_argument.
   ///
-  /// `fn` is a FunctionRef — a non-owning view, never a heap-backed copy —
-  /// because dispatch itself must stay allocation-free: every kernel beneath
-  /// an Edsr frame runs under a DCSR_ALLOC_CHECK HotPathGuard, and the guard
-  /// is re-installed on pool workers (see active_hot_path) so the fan-out is
-  /// audited end to end.
-  void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                    FunctionRef<void(std::int64_t, std::int64_t)> fn);
-
-  /// parallel_for with a declared write set: `claim(chunk_begin, chunk_end)`
-  /// returns the byte span that chunk will write. When the checker is active
-  /// (see parallel_check_enabled) the claims for *all* chunks of the region
-  /// are computed up front — so detection is deterministic, not a function
-  /// of scheduling luck — and validated for pairwise disjointness and
-  /// against every claim of every other region currently in flight; any
-  /// overlap throws ParallelOverlapError naming both sites. When the checker
-  /// is off the claim callback is never invoked and this is exactly
-  /// parallel_for. Nested (inline) regions skip claiming: they add no
-  /// concurrency, and their writes legitimately land inside the enclosing
-  /// chunk's claim.
+  /// `claim(chunk_begin, chunk_end)` returns the byte span that chunk will
+  /// write. When the checker is active (see parallel_check_enabled) the
+  /// claims for *all* chunks of the region are computed up front — so
+  /// detection is deterministic, not a function of scheduling luck — and
+  /// validated for pairwise disjointness and against every claim of every
+  /// other region currently in flight; any overlap throws
+  /// ParallelOverlapError naming both sites. When the checker is off the
+  /// claim callback is never invoked. Nested (inline) regions skip claiming:
+  /// they add no concurrency, and their writes legitimately land inside the
+  /// enclosing chunk's claim. A chunk that writes nothing shared (its results
+  /// go through a mutex or an atomic) claims the empty `WriteSpan{}`.
+  ///
+  /// `claim` and `fn` are FunctionRefs — non-owning views, never heap-backed
+  /// copies — because dispatch itself must stay allocation-free: every
+  /// kernel beneath an Edsr frame runs under a DCSR_ALLOC_CHECK HotPathGuard,
+  /// and the guard is re-installed on pool workers (see active_hot_path) so
+  /// the fan-out is audited end to end.
   ///
   /// With the containment auditor also active (claim_contain_enabled; the
   /// DCSR_CLAIM_CONTAIN checked-build switch), the region additionally runs
@@ -207,7 +205,7 @@ ThreadPool& default_pool();
 
 /// Replaces the default pool with one of the given size. Intended for tests
 /// and benches sweeping thread counts; callers must be quiescent (no
-/// parallel_for in flight) when swapping.
+/// parallel region in flight) when swapping.
 void set_default_pool_threads(int threads);
 
 /// Thread count the default pool would use (without forcing its creation
@@ -228,10 +226,6 @@ inline constexpr int kMaxEnvThreads = 256;
 /// is what sizes the default pool on first use; exposed so the policy is
 /// testable.
 int thread_count_from_env();
-
-/// `default_pool().parallel_for(...)` convenience wrapper.
-void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                  FunctionRef<void(std::int64_t, std::int64_t)> fn);
 
 /// `default_pool().parallel_for_writes(...)` convenience wrapper.
 void parallel_for_writes(

@@ -96,23 +96,58 @@ TEST(Container, V1FilesRejectedWithClearError) {
 }
 
 TEST(Container, ZeroSliceCountRejectedWithOffset) {
-  // Every frame has at least one slice. The CRC is valid here, so only the
-  // slice-count check can reject the file.
-  EncodedVideo original = sample_stream();
-  original.segments[0].frames[0].slice_sizes.clear();
+  // Every frame has at least one slice. The writer refuses such a frame, so
+  // write a valid container, zero frame 0's slice count in the bytes and
+  // re-seal the trailing CRC: only the slice-count check can reject the file.
+  // 29 header bytes, segment 0's first_frame, crf and frame count (u32
+  // each), then frame 0's type (u8) and display index (u32).
+  constexpr std::size_t kSliceCountAt = 46;
   ByteWriter w;
-  write_container(original, w);
-  ByteReader r(w.bytes());
+  write_container(sample_stream(), w);
+  auto bytes = w.bytes();
+  ASSERT_GT(bytes.size(), kSliceCountAt + 4);
+  ASSERT_NE(bytes[kSliceCountAt], 0);  // a real slice count, LSB first
+  for (std::size_t i = 0; i < 4; ++i) bytes[kSliceCountAt + i] = 0;
+  const std::size_t body = bytes.size() - 4;
+  const std::uint32_t crc = crc32(bytes.data(), body);
+  for (std::size_t i = 0; i < 4; ++i)
+    bytes[body + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  ByteReader r(std::move(bytes));
   try {
     (void)read_container(r);
     FAIL() << "a frame without slices was accepted";
   } catch (const ContainerError& e) {
     EXPECT_NE(std::string(e.what()).find("without slices"), std::string::npos)
         << e.what();
-    // 29 header bytes, segment 0's first_frame, crf and frame count (u32
-    // each), then frame 0's type (u8) and display index (u32).
-    EXPECT_EQ(e.byte_offset(), 46u);
+    EXPECT_EQ(e.byte_offset(), kSliceCountAt);
   }
+}
+
+// The writer holds frames to the reader's slice-table rules, so it cannot
+// produce a file its own reader rejects. `what` names segment and frame.
+void expect_writer_rejects(const EncodedVideo& video, const std::string& what) {
+  ByteWriter w;
+  try {
+    write_container(video, w);
+    FAIL() << "write_container accepted a bad slice table";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(w.size(), 0u);  // nothing written on a throw
+}
+
+TEST(Container, WriterRejectsFrameWithoutSlices) {
+  EncodedVideo video = sample_stream();
+  video.segments[1].frames[2].slice_sizes.clear();
+  expect_writer_rejects(video, "segment 1 frame 2: frame without slices");
+}
+
+TEST(Container, WriterRejectsSliceSizesNotSummingToPayload) {
+  EncodedVideo video = sample_stream();
+  EncodedFrame& f = video.segments[0].frames[3];
+  ASSERT_FALSE(f.slice_sizes.empty());
+  f.slice_sizes.back() += 1;
+  expect_writer_rejects(video, "segment 0 frame 3: slice sizes sum to");
 }
 
 TEST(Container, BadMagicRejected) {

@@ -29,7 +29,7 @@ std::vector<FrameRGB> two_family_frames(int per_family) {
 TEST(Thumbnail, HasRequestedShape) {
   FrameRGB f(64, 48);
   const Tensor t = make_thumbnail(f, 32);
-  EXPECT_EQ(t.shape(), (std::vector<int>{1, 3, 32, 32}));
+  EXPECT_EQ(t.shape(), (Shape{1, 3, 32, 32}));
 }
 
 TEST(Vae, RejectsBadInputSize) {
@@ -46,9 +46,9 @@ TEST(Vae, EncodeShapes) {
   cfg.latent_dim = 4;
   Vae vae(cfg, rng);
   const Tensor mu = vae.encode_mu(Tensor({2, 3, 16, 16}));
-  EXPECT_EQ(mu.shape(), (std::vector<int>{2, 4}));
+  EXPECT_EQ(mu.shape(), (Shape{2, 4}));
   const Tensor rec = vae.reconstruct(Tensor({2, 3, 16, 16}));
-  EXPECT_EQ(rec.shape(), (std::vector<int>{2, 3, 16, 16}));
+  EXPECT_EQ(rec.shape(), (Shape{2, 3, 16, 16}));
 }
 
 TEST(Vae, ReconstructionInUnitRange) {

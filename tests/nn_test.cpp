@@ -86,14 +86,14 @@ TEST(Conv2d, OutputShapeSamePadding) {
   Rng rng(1);
   Conv2d conv(3, 8, 3, rng);
   const Tensor y = conv.forward(Tensor({2, 3, 6, 5}));
-  EXPECT_EQ(y.shape(), (std::vector<int>{2, 8, 6, 5}));
+  EXPECT_EQ(y.shape(), (Shape{2, 8, 6, 5}));
 }
 
 TEST(Conv2d, OutputShapeStride2) {
   Rng rng(1);
   Conv2d conv(2, 4, 3, rng, /*stride=*/2, /*pad=*/1);
   const Tensor y = conv.forward(Tensor({1, 2, 8, 8}));
-  EXPECT_EQ(y.shape(), (std::vector<int>{1, 4, 4, 4}));
+  EXPECT_EQ(y.shape(), (Shape{1, 4, 4, 4}));
 }
 
 TEST(Conv2d, BiasShiftsOutput) {
@@ -165,7 +165,7 @@ TEST(PixelShuffle, RearrangesChannelsToSpace) {
   Tensor x({1, 4, 1, 1});
   for (int c = 0; c < 4; ++c) x.at(0, c, 0, 0) = static_cast<float>(c);
   const Tensor y = ps.forward(x);
-  EXPECT_EQ(y.shape(), (std::vector<int>{1, 1, 2, 2}));
+  EXPECT_EQ(y.shape(), (Shape{1, 1, 2, 2}));
   EXPECT_EQ(y.at(0, 0, 0, 0), 0.0f);
   EXPECT_EQ(y.at(0, 0, 0, 1), 1.0f);
   EXPECT_EQ(y.at(0, 0, 1, 0), 2.0f);
@@ -185,7 +185,7 @@ TEST(PixelShuffle, BackwardIsInverse) {
 TEST(BilinearUpsample, ConstantStaysConstant) {
   BilinearUpsample up(2);
   const Tensor y = up.forward(Tensor::full({1, 1, 3, 3}, 0.4f));
-  EXPECT_EQ(y.shape(), (std::vector<int>{1, 1, 6, 6}));
+  EXPECT_EQ(y.shape(), (Shape{1, 1, 6, 6}));
   for (std::size_t i = 0; i < y.size(); ++i) EXPECT_NEAR(y[i], 0.4f, 1e-6f);
 }
 
@@ -261,7 +261,7 @@ TEST(Sequential, ChainsAndCollectsParams) {
   seq.emplace<Conv2d>(2, 1, 3, rng);
   EXPECT_EQ(seq.params().size(), 4u);
   const Tensor y = seq.forward(Tensor({1, 1, 4, 4}));
-  EXPECT_EQ(y.shape(), (std::vector<int>{1, 1, 4, 4}));
+  EXPECT_EQ(y.shape(), (Shape{1, 1, 4, 4}));
   grad_check(seq, Tensor::randn({1, 1, 4, 4}, rng));
 }
 
@@ -373,6 +373,39 @@ TEST(Serialize, LoadRejectsWrongTopology) {
   save_params(a, w);
   ByteReader r(w.bytes());
   EXPECT_THROW(load_params(b, r), std::invalid_argument);
+}
+
+TEST(Serialize, LoadRejectsWrongRankByte) {
+  // The rank byte is compared as it is read, before any dim: a rank that
+  // disagrees with the model's parameter is a shape mismatch, in both the
+  // fp32 and the fp16 format.
+  Rng rng(21);
+  Conv2d a(2, 3, 3, rng), b(2, 3, 3, rng);
+  constexpr std::size_t kFirstRankAt = 8;  // after magic and param count
+  for (const bool fp16 : {false, true}) {
+    SCOPED_TRACE(fp16 ? "fp16" : "fp32");
+    ByteWriter w;
+    if (fp16) {
+      save_params_fp16(a, w);
+    } else {
+      save_params(a, w);
+    }
+    auto bytes = w.bytes();
+    ASSERT_EQ(bytes[kFirstRankAt], a.params()[0]->value.rank());
+    bytes[kFirstRankAt] = static_cast<std::uint8_t>(bytes[kFirstRankAt] + 1);
+    ByteReader r(std::move(bytes));
+    try {
+      if (fp16) {
+        load_params_fp16(b, r);
+      } else {
+        load_params(b, r);
+      }
+      FAIL() << "a wrong rank byte was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("shape mismatch"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Serialize, CopyParamsMakesModelsIdentical) {
@@ -539,12 +572,17 @@ TEST(Infer, ConcurrentCallsOnSharedModuleMatchSerial) {
   const int saved_threads = default_thread_count();
   set_default_pool_threads(4);
   std::vector<Tensor> concurrent(inputs.size());
-  parallel_for(0, static_cast<std::int64_t>(inputs.size()), 1,
-               [&](std::int64_t lo, std::int64_t hi) {
-                 for (std::int64_t i = lo; i < hi; ++i)
-                   concurrent[static_cast<std::size_t>(i)] =
-                       seq.infer(inputs[static_cast<std::size_t>(i)]);
-               });
+  parallel_for_writes(
+      0, static_cast<std::int64_t>(inputs.size()), 1,
+      [&](std::int64_t lo, std::int64_t hi) {
+        return span_of(concurrent.data() + lo, static_cast<std::size_t>(hi - lo));
+      },
+      [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t i = lo; i < hi; ++i)
+          concurrent[static_cast<std::size_t>(i)] =
+              seq.infer(inputs[static_cast<std::size_t>(i)]);
+      },
+      "tests/nn_test.cpp:ConcurrentCallsOnSharedModuleMatchSerial");
   set_default_pool_threads(saved_threads);
 
   for (std::size_t i = 0; i < inputs.size(); ++i) {

@@ -45,21 +45,21 @@ TEST(Edsr, Scale1PreservesShape) {
   Rng rng(1);
   Edsr model({.n_filters = 8, .n_resblocks = 2, .scale = 1}, rng);
   const Tensor y = model.forward(Tensor({1, 3, 16, 16}));
-  EXPECT_EQ(y.shape(), (std::vector<int>{1, 3, 16, 16}));
+  EXPECT_EQ(y.shape(), (Shape{1, 3, 16, 16}));
 }
 
 TEST(Edsr, Scale2DoublesResolution) {
   Rng rng(2);
   Edsr model({.n_filters = 8, .n_resblocks = 2, .scale = 2}, rng);
   const Tensor y = model.forward(Tensor({1, 3, 8, 8}));
-  EXPECT_EQ(y.shape(), (std::vector<int>{1, 3, 16, 16}));
+  EXPECT_EQ(y.shape(), (Shape{1, 3, 16, 16}));
 }
 
 TEST(Edsr, Scale4QuadruplesResolution) {
   Rng rng(3);
   Edsr model({.n_filters = 4, .n_resblocks = 1, .scale = 4}, rng);
   const Tensor y = model.forward(Tensor({1, 3, 4, 4}));
-  EXPECT_EQ(y.shape(), (std::vector<int>{1, 3, 16, 16}));
+  EXPECT_EQ(y.shape(), (Shape{1, 3, 16, 16}));
 }
 
 TEST(Edsr, UntrainedScale2IsABilinearUpsampler) {
@@ -175,7 +175,8 @@ TEST(Edsr, EnhanceRoundTripsThroughFrames) {
   Rng rng(8);
   Edsr model({.n_filters = 4, .n_resblocks = 1}, rng);
   const FrameRGB f = textured_frame(16, 16, 9);
-  const FrameRGB out = model.enhance(f);
+  FrameRGB out;
+  model.enhance_into(f, out);
   EXPECT_EQ(out.width(), 16);
   EXPECT_EQ(out.height(), 16);
 }
@@ -539,6 +540,24 @@ TEST(Edsr, EnhanceBatchRejectsBadBatches) {
                std::invalid_argument);
 }
 
+TEST(Edsr, EnhanceIntoRejectsBadFrameBeforeWorkspaceCheckout) {
+  // The one-frame entry point is a batch of 1: it inherits the batch
+  // validation, which throws before the workspace is touched.
+  Rng rng(186);
+  const Edsr model({.n_filters = 4, .n_resblocks = 1, .scale = 1}, rng);
+  FrameRGB out;
+  model.enhance_into(textured_frame(16, 16, 370), out);  // warm the workspace
+  FrameRGB mismatched = textured_frame(16, 16, 371);
+  mismatched.g.reset(8, 16);
+  const Workspace::Stats before = Workspace::local().stats();
+  EXPECT_THROW(model.enhance_into(FrameRGB(), out), std::invalid_argument);
+  EXPECT_THROW(model.enhance_into(mismatched, out), std::invalid_argument);
+  const Workspace::Stats after = Workspace::local().stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(out.width(), 16);  // the output frame is left as it was
+}
+
 #if DCSR_ALLOC_CHECK
 TEST(Edsr, SteadyStateEnhanceBatchIsHeapSilent) {
   // The batched path inherits the single-frame contract: one warm workspace
@@ -568,7 +587,8 @@ TEST(Edsr, EnhanceIsConstAndPreservesTrainingMode) {
   Edsr model({.n_filters = 4, .n_resblocks = 1, .scale = 1}, rng);
   const Edsr& view = model;  // enhance must be callable through const
   const FrameRGB f = textured_frame(16, 16, 93);
-  const FrameRGB out = view.enhance(f);
+  FrameRGB out;
+  view.enhance_into(f, out);
   EXPECT_EQ(out.width(), 16);
 }
 
@@ -582,18 +602,24 @@ TEST(Edsr, ConcurrentEnhanceOnSharedModelMatchesSerial) {
   for (int i = 0; i < 6; ++i)
     frames.push_back(textured_frame(20, 14, 100 + static_cast<std::uint64_t>(i)));
 
-  std::vector<FrameRGB> serial;
-  for (const FrameRGB& f : frames) serial.push_back(model.enhance(f));
+  std::vector<FrameRGB> serial(frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i)
+    model.enhance_into(frames[i], serial[i]);
 
   const int saved_threads = default_thread_count();
   set_default_pool_threads(4);
   std::vector<FrameRGB> concurrent(frames.size());
-  parallel_for(0, static_cast<std::int64_t>(frames.size()), 1,
-               [&](std::int64_t lo, std::int64_t hi) {
-                 for (std::int64_t i = lo; i < hi; ++i)
-                   concurrent[static_cast<std::size_t>(i)] =
-                       model.enhance(frames[static_cast<std::size_t>(i)]);
-               });
+  parallel_for_writes(
+      0, static_cast<std::int64_t>(frames.size()), 1,
+      [&](std::int64_t lo, std::int64_t hi) {
+        return span_of(concurrent.data() + lo, static_cast<std::size_t>(hi - lo));
+      },
+      [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t i = lo; i < hi; ++i)
+          model.enhance_into(frames[static_cast<std::size_t>(i)],
+                             concurrent[static_cast<std::size_t>(i)]);
+      },
+      "tests/sr_test.cpp:ConcurrentEnhanceOnSharedModelMatchesSerial");
   set_default_pool_threads(saved_threads);
 
   for (std::size_t i = 0; i < frames.size(); ++i) {

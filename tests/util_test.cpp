@@ -95,12 +95,21 @@ TEST(Rng, ShufflePreservesElements) {
   EXPECT_EQ(v, orig);
 }
 
+// The pool-semantics tests below collect their results through a mutex, an
+// atomic or per-index slots, so every region claims nothing (an empty
+// WriteSpan) and the pool's scheduling is what they observe.
+constexpr auto no_claim = [](std::int64_t, std::int64_t) { return WriteSpan{}; };
+constexpr const char* kPoolSite = "tests/util_test.cpp:pool semantics";
+
 TEST(ThreadPool, CoversRangeExactlyOnce) {
   ThreadPool pool(4);
   std::vector<int> hits(1000, 0);
-  pool.parallel_for(0, 1000, 1, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) ++hits[static_cast<std::size_t>(i)];
-  });
+  pool.parallel_for_writes(
+      0, 1000, 1, no_claim,
+      [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t i = lo; i < hi; ++i) ++hits[static_cast<std::size_t>(i)];
+      },
+      kPoolSite);
   for (const int h : hits) EXPECT_EQ(h, 1);
 }
 
@@ -108,10 +117,13 @@ TEST(ThreadPool, GrainAtLeastRangeRunsAsOneChunk) {
   ThreadPool pool(4);
   std::mutex m;
   std::vector<std::pair<std::int64_t, std::int64_t>> chunks;
-  pool.parallel_for(3, 10, 7, [&](std::int64_t lo, std::int64_t hi) {
-    std::lock_guard lk(m);
-    chunks.emplace_back(lo, hi);
-  });
+  pool.parallel_for_writes(
+      3, 10, 7, no_claim,
+      [&](std::int64_t lo, std::int64_t hi) {
+        std::lock_guard lk(m);
+        chunks.emplace_back(lo, hi);
+      },
+      kPoolSite);
   ASSERT_EQ(chunks.size(), 1u);
   EXPECT_EQ(chunks[0], (std::pair<std::int64_t, std::int64_t>{3, 10}));
 }
@@ -120,10 +132,13 @@ TEST(ThreadPool, GrainBoundsChunkSize) {
   ThreadPool pool(8);
   std::mutex m;
   std::vector<std::int64_t> sizes;
-  pool.parallel_for(0, 10, 4, [&](std::int64_t lo, std::int64_t hi) {
-    std::lock_guard lk(m);
-    sizes.push_back(hi - lo);
-  });
+  pool.parallel_for_writes(
+      0, 10, 4, no_claim,
+      [&](std::int64_t lo, std::int64_t hi) {
+        std::lock_guard lk(m);
+        sizes.push_back(hi - lo);
+      },
+      kPoolSite);
   // 10 / grain 4 -> at most 2 chunks, each at least 4 wide.
   ASSERT_LE(sizes.size(), 2u);
   for (const auto s : sizes) EXPECT_GE(s, 4);
@@ -132,7 +147,8 @@ TEST(ThreadPool, GrainBoundsChunkSize) {
 TEST(ThreadPool, EmptyRangeNeverInvokes) {
   ThreadPool pool(2);
   std::atomic<int> calls{0};
-  pool.parallel_for(5, 5, 1, [&](std::int64_t, std::int64_t) { ++calls; });
+  pool.parallel_for_writes(
+      5, 5, 1, no_claim, [&](std::int64_t, std::int64_t) { ++calls; }, kPoolSite);
   EXPECT_EQ(calls.load(), 0);
 }
 
@@ -142,7 +158,9 @@ TEST(ThreadPool, ReversedRangeThrows) {
   ThreadPool pool(2);
   std::atomic<int> calls{0};
   try {
-    pool.parallel_for(7, 3, 1, [&](std::int64_t, std::int64_t) { ++calls; });
+    pool.parallel_for_writes(
+        7, 3, 1, no_claim, [&](std::int64_t, std::int64_t) { ++calls; },
+        kPoolSite);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("begin=7"), std::string::npos);
@@ -155,23 +173,15 @@ TEST(ThreadPool, GrainBelowOneThrows) {
   ThreadPool pool(2);
   std::atomic<int> calls{0};
   const auto fn = [&](std::int64_t, std::int64_t) { ++calls; };
-  EXPECT_THROW(pool.parallel_for(0, 10, 0, fn), std::invalid_argument);
-  EXPECT_THROW(pool.parallel_for(0, 10, -4, fn), std::invalid_argument);
+  // Validation runs before any claim is computed.
+  EXPECT_THROW(pool.parallel_for_writes(0, 10, 0, no_claim, fn, kPoolSite),
+               std::invalid_argument);
   try {
-    pool.parallel_for(0, 10, -4, fn);
+    pool.parallel_for_writes(0, 10, -4, no_claim, fn, kPoolSite);
+    FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("-4"), std::string::npos);
   }
-  EXPECT_EQ(calls.load(), 0);
-  // Validation applies to the checked overload too, before any claim runs.
-  EXPECT_THROW(pool.parallel_for_writes(
-                   0, 10, 0,
-                   [](std::int64_t, std::int64_t) { return WriteSpan{}; }, fn),
-               std::invalid_argument);
-  EXPECT_THROW(pool.parallel_for_writes(
-                   9, 2, 1,
-                   [](std::int64_t, std::int64_t) { return WriteSpan{}; }, fn),
-               std::invalid_argument);
   EXPECT_EQ(calls.load(), 0);
 }
 
@@ -179,37 +189,48 @@ TEST(ThreadPool, SingleThreadRunsInline) {
   ThreadPool pool(1);
   const auto caller = std::this_thread::get_id();
   bool ran = false;
-  pool.parallel_for(0, 100, 1, [&](std::int64_t, std::int64_t) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    ran = true;
-  });
+  pool.parallel_for_writes(
+      0, 100, 1, no_claim,
+      [&](std::int64_t, std::int64_t) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        ran = true;
+      },
+      kPoolSite);
   EXPECT_TRUE(ran);
 }
 
 TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives) {
   ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for(0, 100, 1,
-                        [&](std::int64_t lo, std::int64_t) {
-                          if (lo == 0) throw std::runtime_error("boom");
-                        }),
-      std::runtime_error);
+  EXPECT_THROW(pool.parallel_for_writes(
+                   0, 100, 1, no_claim,
+                   [&](std::int64_t lo, std::int64_t) {
+                     if (lo == 0) throw std::runtime_error("boom");
+                   },
+                   kPoolSite),
+               std::runtime_error);
   // The pool must stay usable after a failed region.
   std::atomic<int> count{0};
-  pool.parallel_for(0, 10, 1, [&](std::int64_t lo, std::int64_t hi) {
-    count += static_cast<int>(hi - lo);
-  });
+  pool.parallel_for_writes(
+      0, 10, 1, no_claim,
+      [&](std::int64_t lo, std::int64_t hi) { count += static_cast<int>(hi - lo); },
+      kPoolSite);
   EXPECT_EQ(count.load(), 10);
 }
 
 TEST(ThreadPool, NestedParallelForRunsInlineOnChunkThread) {
   ThreadPool pool(4);
-  pool.parallel_for(0, 4, 1, [&](std::int64_t, std::int64_t) {
-    const auto outer_thread = std::this_thread::get_id();
-    pool.parallel_for(0, 8, 1, [&](std::int64_t, std::int64_t) {
-      EXPECT_EQ(std::this_thread::get_id(), outer_thread);
-    });
-  });
+  pool.parallel_for_writes(
+      0, 4, 1, no_claim,
+      [&](std::int64_t, std::int64_t) {
+        const auto outer_thread = std::this_thread::get_id();
+        pool.parallel_for_writes(
+            0, 8, 1, no_claim,
+            [&](std::int64_t, std::int64_t) {
+              EXPECT_EQ(std::this_thread::get_id(), outer_thread);
+            },
+            kPoolSite);
+      },
+      kPoolSite);
 }
 
 TEST(ThreadPool, EnvVariableControlsDefaultSize) {
@@ -272,9 +293,12 @@ TEST(ThreadPool, DefaultPoolOverride) {
   set_default_pool_threads(3);
   EXPECT_EQ(default_thread_count(), 3);
   std::vector<int> hits(64, 0);
-  parallel_for(0, 64, 1, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) ++hits[static_cast<std::size_t>(i)];
-  });
+  parallel_for_writes(
+      0, 64, 1, no_claim,
+      [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t i = lo; i < hi; ++i) ++hits[static_cast<std::size_t>(i)];
+      },
+      kPoolSite);
   for (const int h : hits) EXPECT_EQ(h, 1);
   set_default_pool_threads(saved);
 }
@@ -764,10 +788,9 @@ TEST(Stats, EmpiricalCdfMonotone) {
   for (std::size_t i = 1; i < cdf.size(); ++i) EXPECT_GE(cdf[i], cdf[i - 1]);
 }
 
-TEST(Stats, ArgmaxArgmin) {
+TEST(Stats, ArgmaxTakesFirstOnTies) {
   const std::vector<double> xs{3, 9, 1, 9};
   EXPECT_EQ(argmax(xs), 1u);
-  EXPECT_EQ(argmin(xs), 2u);
 }
 
 TEST(Stats, ExtremaThrowOnEmptySpan) {
@@ -777,14 +800,12 @@ TEST(Stats, ExtremaThrowOnEmptySpan) {
   EXPECT_THROW(min_of(empty), std::invalid_argument);
   EXPECT_THROW(max_of(empty), std::invalid_argument);
   EXPECT_THROW(argmax(empty), std::invalid_argument);
-  EXPECT_THROW(argmin(empty), std::invalid_argument);
 
   // One element is the smallest valid input.
   const std::vector<double> one{4.5};
   EXPECT_EQ(min_of(one), 4.5);
   EXPECT_EQ(max_of(one), 4.5);
   EXPECT_EQ(argmax(one), 0u);
-  EXPECT_EQ(argmin(one), 0u);
 }
 
 TEST(Table, RendersAlignedRowsAndCsv) {

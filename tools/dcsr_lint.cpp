@@ -170,7 +170,7 @@ void rule_threads(const std::string& path, const std::string& stripped,
          "threads",
          "raw std::" + token +
              " outside the sanctioned site (util/thread_pool.cpp); use "
-             "parallel_for or PipelineThread"});
+             "parallel_for_writes or PipelineThread"});
   }
 }
 

@@ -6,9 +6,10 @@
 #               Lint.SelfTest / Lint.SrcTree invariant checks and the
 #               Fuzz.*Smoke / FuzzCorpus.* deterministic-fuzz gates), then
 #               fails if any "<N> tests" count in README.md differs from
-#               ctest -N's total
+#               ctest -N's total, and prints "src-loc: <N>", the line count
+#               over src/**/*.{cpp,hpp} (informational, never fails)
 #   checked     -DDCSR_CHECKED=ON: every runtime invariant checker on —
-#               the parallel_for write-claim race detector, bounds-checked
+#               the parallel_for_writes claim race detector, bounds-checked
 #               tensor access, workspace NaN poisoning, per-layer
 #               finiteness scans and the hot-path heap auditor (the full
 #               suite runs with DCSR_ALLOC_CHECK enforcement live, so any
@@ -103,6 +104,15 @@ check_readme_test_count() {
   done < <(grep -oE '\b[0-9]+ tests\b' "$ROOT/README.md" | cut -d' ' -f1)
   [ "$bad" -eq 0 ] && echo "readme-count: README.md matches ctest -N ($total tests)"
   return "$bad"
+}
+
+# Prints the line count over src/**/*.{cpp,hpp}, so a change's LOC delta is
+# read from the gate's log. Informational only: it never fails the leg.
+print_src_loc() {
+  local n
+  n="$(find "$ROOT/src" -type f \( -name '*.cpp' -o -name '*.hpp' \) \
+         -exec cat {} + | wc -l)"
+  echo "src-loc: $n"
 }
 
 run_leg() {
@@ -394,6 +404,7 @@ run_leg() {
   cmake --build "$build" -j "$(nproc)" || return 1
   "${env_prefix[@]}" ctest --test-dir "$build" --output-on-failure -j || return 1
   if [ "$leg" = default ]; then
+    print_src_loc
     check_readme_test_count "$build" || return 1
   fi
 }
