@@ -31,8 +31,8 @@ int main() {
     sr::TrainSample p;
     p.hi = video->frame(i * video->frame_count() / 150);
     codec::EncodedFrame ef;
-    const FrameYUV recon =
-        codec::encode_intra_frame_sliced(rgb_to_yuv420(p.hi), q, 1, ef);
+    const FrameYUV recon = codec::encode_frame(
+        codec::FrameType::kI, rgb_to_yuv420(p.hi), {}, q, 0, 1, ef);
     p.lo = yuv420_to_rgb(recon);
     pool.push_back(std::move(p));
   }

@@ -464,7 +464,8 @@ void BM_IntraFrameEncode(benchmark::State& state) {
   const codec::Quantizer q(28);
   for (auto _ : state) {
     codec::EncodedFrame ef;
-    benchmark::DoNotOptimize(codec::encode_intra_frame_sliced(f, q, 1, ef));
+    benchmark::DoNotOptimize(
+        codec::encode_frame(codec::FrameType::kI, f, {}, q, 0, 1, ef));
   }
 }
 BENCHMARK(BM_IntraFrameEncode);

@@ -104,22 +104,10 @@ void Decoder::decode_frame(const EncodedFrame& ef, const Quantizer& q,
       },
       [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t s = lo; s < hi; ++s) {
-          const std::uint8_t* data = payload + slice_offsets_[static_cast<std::size_t>(s)];
-          const std::size_t size = ef.slice_sizes[static_cast<std::size_t>(s)];
-          const SliceSpan span = spans_[static_cast<std::size_t>(s)];
-          switch (ef.type) {
-            case FrameType::kI:
-              decode_intra_slice(out, q, data, size, span);
-              break;
-            case FrameType::kP:
-              // P predicts from the most recent reference; B from (past,
-              // future) = (older, most recent).
-              decode_p_slice(out, ref_last_, q, data, size, span);
-              break;
-            case FrameType::kB:
-              decode_b_slice(out, ref_past_, ref_last_, q, data, size, span);
-              break;
-          }
+          const auto i = static_cast<std::size_t>(s);
+          decode_slice(ef.type, out, {&ref_past_, &ref_last_}, q,
+                       payload + slice_offsets_[i], ef.slice_sizes[i],
+                       spans_[i]);
         }
       },
       "codec/decoder.cpp:decode_frame");

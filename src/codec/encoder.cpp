@@ -70,27 +70,12 @@ std::vector<EncodedFrame> encode_gop(const CodecConfig& cfg, const Quantizer& q,
   // Every frame is coded in the sliced format — even `slices = 1` — so
   // reconstruction is bit-identical for any slice count and the decoder can
   // always run slices concurrently.
-  auto emit = [&](int d, FrameType type, const FrameYUV* past,
-                  const FrameYUV* future) -> FrameYUV {
+  auto emit = [&](int d, FrameType type, FrameRefs refs) -> FrameYUV {
     EncodedFrame ef;
-    ef.type = type;
     ef.display_index = d;
     FrameYUV scratch;
-    const FrameYUV& src = source(gop.segment, d, scratch);
-    FrameYUV recon;
-    switch (type) {
-      case FrameType::kI:
-        recon = encode_intra_frame_sliced(src, q, cfg.slices, ef);
-        break;
-      case FrameType::kP:
-        recon = encode_p_frame_sliced(src, *past, q, cfg.search_range,
-                                      cfg.slices, ef);
-        break;
-      case FrameType::kB:
-        recon = encode_b_frame_sliced(src, *past, *future, q, cfg.search_range,
-                                      cfg.slices, ef);
-        break;
-    }
+    FrameYUV recon = encode_frame(type, source(gop.segment, d, scratch), refs,
+                                  q, cfg.search_range, cfg.slices, ef);
     out.push_back(std::move(ef));
     // Closed loop: references are the *filtered* reconstruction, exactly
     // what the decoder will hold.
@@ -106,8 +91,9 @@ std::vector<EncodedFrame> encode_gop(const CodecConfig& cfg, const Quantizer& q,
     }
     // Reference frame: encode it, then any B frames waiting between the
     // previous reference and this one.
-    FrameYUV recon = emit(d, type, &prev_ref, nullptr);
-    for (const int b : pending_b) emit(b, FrameType::kB, &prev_ref, &recon);
+    FrameYUV recon = emit(d, type, {.newer = &prev_ref});
+    for (const int b : pending_b)
+      emit(b, FrameType::kB, {.older = &prev_ref, .newer = &recon});
     pending_b.clear();
     prev_ref = std::move(recon);
   }

@@ -28,11 +28,6 @@ void check_mv(MotionVector mv, std::size_t bit_offset) {
   }
 }
 
-void require_mb_aligned(const FrameYUV& f) {
-  if (f.width() % 16 != 0 || f.height() % 16 != 0)
-    throw std::invalid_argument("codec: frame dimensions must be multiples of 16");
-}
-
 // Chroma motion vector: the luma half-pel MV halved (chroma planes are half
 // resolution, so this keeps half-pel units in the chroma domain). Arithmetic
 // shift gives consistent floor semantics between encoder and decoder.
@@ -40,7 +35,7 @@ MotionVector chroma_mv(MotionVector mv) noexcept {
   return {mv.x >> 1, mv.y >> 1};
 }
 
-// ---- Intra ----------------------------------------------------------------
+// ---- Intra -----------------------------------------------------------------
 //
 // Spatial intra prediction per 8x8 block, H.264-style: DC (mean of the
 // reconstructed neighbours), vertical (copy the row above), or horizontal
@@ -289,14 +284,6 @@ void reconstruct_mb_skip(FrameYUV& recon, const MbPred& pred, int mbx, int mby) 
   store_block(recon.v, mbx / 2, mby / 2, pred.v);
 }
 
-// Clamps pixel rows [y0, y1) of one plane to [0, 1] — the per-slice spelling
-// of Plane::clamp01, touching only rows the slice owns.
-void clamp_rows(Plane& p, int y0, int y1) {
-  for (int y = y0; y < y1; ++y)
-    for (int x = 0; x < p.width(); ++x)
-      p.at(x, y) = std::clamp(p.at(x, y), 0.0f, 1.0f);
-}
-
 // ---- Slice substream framing -----------------------------------------------
 //
 // Each slice substream opens with a resync header: an 8-bit marker byte
@@ -331,12 +318,6 @@ void read_slice_header(BitReader& br, SliceSpan expect) {
   }
 }
 
-// Appends a finished slice substream to the frame, recording its length.
-void append_slice(EncodedFrame& frame, std::vector<std::uint8_t> bytes) {
-  frame.slice_sizes.push_back(static_cast<std::uint32_t>(bytes.size()));
-  frame.payload.insert(frame.payload.end(), bytes.begin(), bytes.end());
-}
-
 float pred_sad(const FrameYUV& src, const MbPred& pred, int mbx, int mby) {
   float acc = 0.0f;
   for (int i = 0; i < 4; ++i) {
@@ -349,55 +330,16 @@ float pred_sad(const FrameYUV& src, const MbPred& pred, int mbx, int mby) {
   return acc;
 }
 
-}  // namespace
-
-// ---- Slice partition -------------------------------------------------------
-
-void slice_partition(int mb_rows, int slices, std::vector<SliceSpan>& out) {
-  const int n = std::clamp(slices, 1, mb_rows);
-  out.clear();
-  out.reserve(static_cast<std::size_t>(n));
-  for (int s = 0; s < n; ++s) {
-    const int r0 = s * mb_rows / n;
-    const int r1 = (s + 1) * mb_rows / n;
-    out.push_back({r0, r1 - r0});
-  }
-}
-
-// ---- Intra frame -----------------------------------------------------------
-
-FrameYUV encode_intra_frame_sliced(const FrameYUV& src, const Quantizer& q,
-                                   int slices, EncodedFrame& frame) {
-  require_mb_aligned(src);
-  FrameYUV recon(src.width(), src.height());
-  std::vector<SliceSpan> spans;
-  slice_partition(src.height() / 16, slices, spans);
-  for (const SliceSpan s : spans) {
-    const int r0 = s.first_mb_row, r1 = s.first_mb_row + s.mb_row_count;
-    BitWriter bw;
-    write_slice_header(bw, s);
-    encode_plane_intra_rows(src.y, recon.y, q, bw, 16 * r0, 16 * r1, 16);
-    encode_plane_intra_rows(src.u, recon.u, q, bw, 8 * r0, 8 * r1, 8);
-    encode_plane_intra_rows(src.v, recon.v, q, bw, 8 * r0, 8 * r1, 8);
-    append_slice(frame, bw.finish());
-  }
-  return recon;
-}
-
-void decode_intra_slice(FrameYUV& out, const Quantizer& q,
-                        const std::uint8_t* data, std::size_t size,
-                        SliceSpan expect) {
-  BitReader br(data, size);
-  read_slice_header(br, expect);
-  const int r0 = expect.first_mb_row, r1 = expect.first_mb_row + expect.mb_row_count;
-  decode_plane_intra_rows(out.y, q, br, 16 * r0, 16 * r1, 16);
-  decode_plane_intra_rows(out.u, q, br, 8 * r0, 8 * r1, 8);
-  decode_plane_intra_rows(out.v, q, br, 8 * r0, 8 * r1, 8);
+// The half-pel motion vector of the macroblock at (mbx, mby) against `ref`:
+// a three-step full-pel luma search, refined to half pel.
+MotionVector search_mv(const FrameYUV& src, const FrameYUV& ref, int mbx,
+                       int mby, int search_range) {
+  const MotionVector full =
+      motion_search(src.y, ref.y, mbx, mby, 16, search_range);
+  return refine_halfpel(src.y, ref.y, mbx, mby, 16, {2 * full.x, 2 * full.y});
 }
 
 // ---- P frame ---------------------------------------------------------------
-
-namespace {
 
 // Codes macroblock rows [r0, r1) of a P frame. The MV predictor resets at
 // every MB row (decoder mirrors it), so row ranges are self-contained.
@@ -407,10 +349,7 @@ void encode_p_rows(const FrameYUV& src, const FrameYUV& ref, FrameYUV& recon,
   for (int mby = 16 * r0; mby < 16 * r1; mby += 16) {
     MotionVector pred_mv{0, 0};  // reset at each MB row; decoder mirrors this
     for (int mbx = 0; mbx < src.width(); mbx += 16) {
-      const MotionVector full =
-          motion_search(src.y, ref.y, mbx, mby, 16, search_range);
-      const MotionVector mv = refine_halfpel(src.y, ref.y, mbx, mby, 16,
-                                             {2 * full.x, 2 * full.y});
+      const MotionVector mv = search_mv(src, ref, mbx, mby, search_range);
       const MbPred pred = predict_mb(ref, mbx, mby, mv);
       const MbLevels levels = quantize_mb(src, pred, mbx, mby, q);
 
@@ -454,43 +393,8 @@ void decode_p_rows(FrameYUV& out, const FrameYUV& ref, const Quantizer& q,
   }
 }
 
-}  // namespace
-
-FrameYUV encode_p_frame_sliced(const FrameYUV& src, const FrameYUV& ref,
-                               const Quantizer& q, int search_range, int slices,
-                               EncodedFrame& frame) {
-  require_mb_aligned(src);
-  FrameYUV recon(src.width(), src.height());
-  std::vector<SliceSpan> spans;
-  slice_partition(src.height() / 16, slices, spans);
-  for (const SliceSpan s : spans) {
-    BitWriter bw;
-    write_slice_header(bw, s);
-    encode_p_rows(src, ref, recon, q, search_range, s.first_mb_row,
-                  s.first_mb_row + s.mb_row_count, bw);
-    append_slice(frame, bw.finish());
-  }
-  recon.y.clamp01();
-  recon.u.clamp01();
-  recon.v.clamp01();
-  return recon;
-}
-
-void decode_p_slice(FrameYUV& out, const FrameYUV& ref, const Quantizer& q,
-                    const std::uint8_t* data, std::size_t size,
-                    SliceSpan expect) {
-  BitReader br(data, size);
-  read_slice_header(br, expect);
-  const int r0 = expect.first_mb_row, r1 = expect.first_mb_row + expect.mb_row_count;
-  decode_p_rows(out, ref, q, r0, r1, br);
-  clamp_rows(out.y, 16 * r0, 16 * r1);
-  clamp_rows(out.u, 8 * r0, 8 * r1);
-  clamp_rows(out.v, 8 * r0, 8 * r1);
-}
-
 // ---- B frame ---------------------------------------------------------------
 
-namespace {
 enum class BMode : std::uint8_t { kForward = 0, kBackward = 1, kBi = 2 };
 
 // Codes macroblock rows [r0, r1) of a B frame. B macroblocks carry absolute
@@ -501,14 +405,10 @@ void encode_b_rows(const FrameYUV& src, const FrameYUV& ref_past,
                    BitWriter& bw) {
   for (int mby = 16 * r0; mby < 16 * r1; mby += 16) {
     for (int mbx = 0; mbx < src.width(); mbx += 16) {
-      const MotionVector full0 =
-          motion_search(src.y, ref_past.y, mbx, mby, 16, search_range);
-      const MotionVector mv0 = refine_halfpel(src.y, ref_past.y, mbx, mby, 16,
-                                              {2 * full0.x, 2 * full0.y});
-      const MotionVector full1 =
-          motion_search(src.y, ref_future.y, mbx, mby, 16, search_range);
-      const MotionVector mv1 = refine_halfpel(src.y, ref_future.y, mbx, mby, 16,
-                                              {2 * full1.x, 2 * full1.y});
+      const MotionVector mv0 =
+          search_mv(src, ref_past, mbx, mby, search_range);
+      const MotionVector mv1 =
+          search_mv(src, ref_future, mbx, mby, search_range);
       const MbPred p0 = predict_mb(ref_past, mbx, mby, mv0);
       const MbPred p1 = predict_mb(ref_future, mbx, mby, mv1);
       const MbPred pbi = average_pred(p0, p1);
@@ -603,40 +503,120 @@ void decode_b_rows(FrameYUV& out, const FrameYUV& ref_past,
   }
 }
 
+
+// ---- Frame type ------------------------------------------------------------
+//
+// The one place a frame type picks its row coder and the references it
+// reads: P the newer one, B both, I neither. Intra blocks clamp as they are
+// stored (later blocks predict from them); inter rows clamp once coded.
+
+void require_refs(FrameType type, FrameRefs refs) {
+  if ((type != FrameType::kI && refs.newer == nullptr) ||
+      (type == FrameType::kB && refs.older == nullptr)) {
+    AllocAllowScope allow;
+    throw std::invalid_argument("codec: " + to_string(type) +
+                                " frame without the reference it reads");
+  }
+}
+
+// Clamps macroblock rows [r0, r1) of every plane to [0, 1] — the per-slice
+// spelling of Plane::clamp01, touching only rows the slice owns.
+void clamp_mb_rows(FrameYUV& f, int r0, int r1) {
+  const auto clamp_rows = [](Plane& p, int y0, int y1) {
+    for (int y = y0; y < y1; ++y)
+      for (int x = 0; x < p.width(); ++x)
+        p.at(x, y) = std::clamp(p.at(x, y), 0.0f, 1.0f);
+  };
+  clamp_rows(f.y, 16 * r0, 16 * r1);
+  clamp_rows(f.u, 8 * r0, 8 * r1);
+  clamp_rows(f.v, 8 * r0, 8 * r1);
+}
+
+void encode_rows(FrameType type, const FrameYUV& src, FrameRefs refs,
+                 FrameYUV& recon, const Quantizer& q, int search_range,
+                 int r0, int r1, BitWriter& bw) {
+  switch (type) {
+    case FrameType::kI:
+      encode_plane_intra_rows(src.y, recon.y, q, bw, 16 * r0, 16 * r1, 16);
+      encode_plane_intra_rows(src.u, recon.u, q, bw, 8 * r0, 8 * r1, 8);
+      encode_plane_intra_rows(src.v, recon.v, q, bw, 8 * r0, 8 * r1, 8);
+      return;
+    case FrameType::kP:
+      encode_p_rows(src, *refs.newer, recon, q, search_range, r0, r1, bw);
+      break;
+    case FrameType::kB:
+      encode_b_rows(src, *refs.older, *refs.newer, recon, q, search_range, r0,
+                    r1, bw);
+      break;
+  }
+  clamp_mb_rows(recon, r0, r1);
+}
+
+void decode_rows(FrameType type, FrameYUV& out, FrameRefs refs,
+                 const Quantizer& q, int r0, int r1, BitReader& br) {
+  switch (type) {
+    case FrameType::kI:
+      decode_plane_intra_rows(out.y, q, br, 16 * r0, 16 * r1, 16);
+      decode_plane_intra_rows(out.u, q, br, 8 * r0, 8 * r1, 8);
+      decode_plane_intra_rows(out.v, q, br, 8 * r0, 8 * r1, 8);
+      return;
+    case FrameType::kP:
+      decode_p_rows(out, *refs.newer, q, r0, r1, br);
+      break;
+    case FrameType::kB:
+      decode_b_rows(out, *refs.older, *refs.newer, q, r0, r1, br);
+      break;
+  }
+  clamp_mb_rows(out, r0, r1);
+}
+
 }  // namespace
 
-FrameYUV encode_b_frame_sliced(const FrameYUV& src, const FrameYUV& ref_past,
-                               const FrameYUV& ref_future, const Quantizer& q,
-                               int search_range, int slices,
-                               EncodedFrame& frame) {
-  require_mb_aligned(src);
+// ---- Slice partition -------------------------------------------------------
+
+void slice_partition(int mb_rows, int slices, std::vector<SliceSpan>& out) {
+  const int n = std::clamp(slices, 1, mb_rows);
+  out.clear();
+  out.reserve(static_cast<std::size_t>(n));
+  for (int s = 0; s < n; ++s) {
+    const int r0 = s * mb_rows / n;
+    const int r1 = (s + 1) * mb_rows / n;
+    out.push_back({r0, r1 - r0});
+  }
+}
+
+// ---- Frames and slices -----------------------------------------------------
+
+FrameYUV encode_frame(FrameType type, const FrameYUV& src, FrameRefs refs,
+                      const Quantizer& q, int search_range, int slices,
+                      EncodedFrame& frame) {
+  if (src.width() % 16 != 0 || src.height() % 16 != 0)
+    throw std::invalid_argument("codec: frame dimensions must be multiples of 16");
+  require_refs(type, refs);
+  frame.type = type;
   FrameYUV recon(src.width(), src.height());
   std::vector<SliceSpan> spans;
   slice_partition(src.height() / 16, slices, spans);
   for (const SliceSpan s : spans) {
     BitWriter bw;
     write_slice_header(bw, s);
-    encode_b_rows(src, ref_past, ref_future, recon, q, search_range,
-                  s.first_mb_row, s.first_mb_row + s.mb_row_count, bw);
-    append_slice(frame, bw.finish());
+    encode_rows(type, src, refs, recon, q, search_range, s.first_mb_row,
+                s.first_mb_row + s.mb_row_count, bw);
+    const std::vector<std::uint8_t> bytes = bw.finish();
+    frame.slice_sizes.push_back(static_cast<std::uint32_t>(bytes.size()));
+    frame.payload.insert(frame.payload.end(), bytes.begin(), bytes.end());
   }
-  recon.y.clamp01();
-  recon.u.clamp01();
-  recon.v.clamp01();
   return recon;
 }
 
-void decode_b_slice(FrameYUV& out, const FrameYUV& ref_past,
-                    const FrameYUV& ref_future, const Quantizer& q,
-                    const std::uint8_t* data, std::size_t size,
-                    SliceSpan expect) {
+void decode_slice(FrameType type, FrameYUV& out, FrameRefs refs,
+                  const Quantizer& q, const std::uint8_t* data,
+                  std::size_t size, SliceSpan expect) {
+  require_refs(type, refs);
   BitReader br(data, size);
   read_slice_header(br, expect);
-  const int r0 = expect.first_mb_row, r1 = expect.first_mb_row + expect.mb_row_count;
-  decode_b_rows(out, ref_past, ref_future, q, r0, r1, br);
-  clamp_rows(out.y, 16 * r0, 16 * r1);
-  clamp_rows(out.u, 8 * r0, 8 * r1);
-  clamp_rows(out.v, 8 * r0, 8 * r1);
+  decode_rows(type, out, refs, q, expect.first_mb_row,
+              expect.first_mb_row + expect.mb_row_count, br);
 }
 
 }  // namespace dcsr::codec

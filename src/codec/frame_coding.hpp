@@ -34,41 +34,38 @@ struct SliceSpan {
 /// headers carry it redundantly and are validated.
 void slice_partition(int mb_rows, int slices, std::vector<SliceSpan>& out);
 
-/// Sliced frame coding. Each slice is an independently decodable, byte-
-/// aligned entropy substream: a resync header (marker byte 0x5c +
-/// ue(first_mb_row) + ue(mb_row_count)) followed by that slice's MB rows.
-/// No prediction state crosses an MB-row boundary — intra blocks only read
-/// reconstructed samples of their own MB row, and the P-frame MV predictor
-/// resets per MB row — so the reconstruction is bit-identical for *every*
-/// slice count, and the decoder may run slices concurrently. The encoders
-/// append substreams to `frame.payload`, record lengths in
-/// `frame.slice_sizes`, and return the reconstruction. The P encoder runs a
-/// three-step motion search refined to half pel; the B encoder picks
-/// forward, backward or bidirectional prediction per macroblock.
-FrameYUV encode_intra_frame_sliced(const FrameYUV& src, const Quantizer& q,
-                                   int slices, EncodedFrame& frame);
-FrameYUV encode_p_frame_sliced(const FrameYUV& src, const FrameYUV& ref,
-                               const Quantizer& q, int search_range, int slices,
-                               EncodedFrame& frame);
-FrameYUV encode_b_frame_sliced(const FrameYUV& src, const FrameYUV& ref_past,
-                               const FrameYUV& ref_future, const Quantizer& q,
-                               int search_range, int slices,
-                               EncodedFrame& frame);
+/// The references a frame is coded against, in display order: `older`
+/// precedes `newer`. A P frame reads `newer`, a B frame reads both, an I
+/// frame neither.
+struct FrameRefs {
+  const FrameYUV* older = nullptr;
+  const FrameYUV* newer = nullptr;
+};
 
-/// Decodes one slice substream into the rows of `out` it owns. `expect` is
-/// the canonical partition entry for the slice; a header that disagrees (bad
-/// marker, wrong geometry) throws BitstreamError before any pixel is
-/// written. Each call touches only its own pixel rows, so callers may decode
-/// a frame's slices concurrently into one output frame.
-void decode_intra_slice(FrameYUV& out, const Quantizer& q,
-                        const std::uint8_t* data, std::size_t size,
-                        SliceSpan expect);
-void decode_p_slice(FrameYUV& out, const FrameYUV& ref, const Quantizer& q,
-                    const std::uint8_t* data, std::size_t size,
-                    SliceSpan expect);
-void decode_b_slice(FrameYUV& out, const FrameYUV& ref_past,
-                    const FrameYUV& ref_future, const Quantizer& q,
-                    const std::uint8_t* data, std::size_t size,
-                    SliceSpan expect);
+/// Codes `src` as a frame of `type` against `refs`, sets `frame.type`,
+/// appends one substream per slice to `frame.payload` (lengths in
+/// `frame.slice_sizes`) and returns the reconstruction. Each substream is
+/// independently decodable and byte-aligned: a resync header (marker byte
+/// 0x5c + ue(first_mb_row) + ue(mb_row_count)), then the slice's MB rows.
+/// No prediction state crosses an MB-row boundary (intra blocks read only
+/// their own MB row; the P-frame MV predictor resets per MB row), so the
+/// reconstruction is bit-identical for every slice count and the decoder
+/// may run slices concurrently. P and B run a three-step motion search
+/// refined to half pel; B picks forward, backward or bidirectional
+/// prediction per macroblock. A missing reference throws
+/// std::invalid_argument before `frame` is touched.
+FrameYUV encode_frame(FrameType type, const FrameYUV& src, FrameRefs refs,
+                      const Quantizer& q, int search_range, int slices,
+                      EncodedFrame& frame);
+
+/// Decodes one slice substream of a frame of `type` into the rows of `out`
+/// it owns. `expect` is the slice's canonical partition entry. A header that
+/// disagrees (bad marker, wrong geometry) throws BitstreamError, and a
+/// missing reference std::invalid_argument, before any pixel is written.
+/// Each call touches only its own rows, so callers may decode a frame's
+/// slices concurrently into one output frame.
+void decode_slice(FrameType type, FrameYUV& out, FrameRefs refs,
+                  const Quantizer& q, const std::uint8_t* data,
+                  std::size_t size, SliceSpan expect);
 
 }  // namespace dcsr::codec

@@ -18,6 +18,7 @@ std::vector<sr::TrainSample> collect_whole_video_pairs(
 
   std::vector<sr::TrainSample> pairs;
   codec::Decoder decoder(encoded.width, encoded.height, encoded.crf);
+  decoder.set_deblock(encoded.deblock);
   int frame_base = 0;
   for (const auto& seg : encoded.segments) {
     const auto frames = decoder.decode_segment(seg);

@@ -16,18 +16,10 @@ double decode_seconds(const DeviceProfile& dev, const Resolution& res) noexcept 
 
 bool fits_memory(const DeviceProfile& dev, const sr::EdsrConfig& cfg,
                  const Resolution& res) noexcept {
-  // Activation footprint is architecture-determined; closed form below
-  // mirrors Edsr::activation_bytes without building the model.
-  const auto f = static_cast<std::uint64_t>(cfg.n_filters);
-  const auto in_px = static_cast<std::uint64_t>(res.width) *
-                     static_cast<std::uint64_t>(res.height);
-  const auto s = static_cast<std::uint64_t>(cfg.scale);
-  const auto out_px = in_px * s * s;
-  std::uint64_t samples = 3 * in_px + 3 * out_px + 2 * f * in_px;
-  if (cfg.scale > 1) samples += f * s * s * in_px + f * out_px;
-  const std::uint64_t activations = 4 * samples;
-  const std::uint64_t weights = sr::edsr_model_bytes(cfg);
-  return static_cast<double>(activations + weights) <= dev.mem_budget_bytes;
+  const std::uint64_t bytes =
+      sr::edsr_activation_bytes(cfg, res.width, res.height) +
+      sr::edsr_model_bytes(cfg);
+  return static_cast<double>(bytes) <= dev.mem_budget_bytes;
 }
 
 SegmentThroughput segment_fps(const DeviceProfile& dev, const sr::EdsrConfig& cfg,

@@ -203,19 +203,6 @@ std::uint64_t Edsr::flops(int in_width, int in_height) const noexcept {
   return edsr_flops(cfg_, in_width, in_height);
 }
 
-std::uint64_t Edsr::activation_bytes(int in_width, int in_height) const noexcept {
-  const auto f = static_cast<std::uint64_t>(cfg_.n_filters);
-  const auto in_px = static_cast<std::uint64_t>(in_width) * static_cast<std::uint64_t>(in_height);
-  const auto s = static_cast<std::uint64_t>(cfg_.scale);
-  const auto out_px = in_px * s * s;
-  // Inference working set: input + output images, two live feature maps at
-  // the input resolution (ping-pong through the body), and the expanded
-  // pre-shuffle map when upsampling. 4 bytes per float sample.
-  std::uint64_t samples = 3 * in_px + 3 * out_px + 2 * f * in_px;
-  if (cfg_.scale > 1) samples += f * s * s * in_px + f * out_px;
-  return 4 * samples;
-}
-
 std::uint64_t edsr_flops(const EdsrConfig& cfg, int in_width, int in_height) noexcept {
   const auto f = static_cast<std::uint64_t>(cfg.n_filters);
   const auto n = static_cast<std::uint64_t>(cfg.n_resblocks);
@@ -236,6 +223,20 @@ std::uint64_t edsr_flops(const EdsrConfig& cfg, int in_width, int in_height) noe
   }
   fl += px * 3 * f * kK * kM;                         // tail conv (output res)
   return fl;
+}
+
+std::uint64_t edsr_activation_bytes(const EdsrConfig& cfg, int in_width,
+                                    int in_height) noexcept {
+  const auto f = static_cast<std::uint64_t>(cfg.n_filters);
+  const auto in_px = static_cast<std::uint64_t>(in_width) * static_cast<std::uint64_t>(in_height);
+  const auto s = static_cast<std::uint64_t>(cfg.scale);
+  const auto out_px = in_px * s * s;
+  // Inference working set: input + output images, two live feature maps at
+  // the input resolution (ping-pong through the body), and the expanded
+  // pre-shuffle map when upsampling. 4 bytes per float sample.
+  std::uint64_t samples = 3 * in_px + 3 * out_px + 2 * f * in_px;
+  if (cfg.scale > 1) samples += f * s * s * in_px + f * out_px;
+  return 4 * samples;
 }
 
 std::uint64_t edsr_param_count(const EdsrConfig& cfg) noexcept {

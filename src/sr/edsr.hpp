@@ -61,12 +61,6 @@ class Edsr final : public nn::Module {
   /// latency and energy estimates.
   std::uint64_t flops(int in_width, int in_height) const noexcept;
 
-  /// Peak activation footprint in bytes for an input of the given size —
-  /// the quantity the device model checks against its memory budget to
-  /// reproduce the paper's "NAS and NEMO cannot even run for 4K resolution
-  /// because of running out of memory".
-  std::uint64_t activation_bytes(int in_width, int in_height) const noexcept;
-
   /// The one way to run the model on frames: validates the `n` input frames
   /// (non-empty, consistent planes, one geometry; std::invalid_argument
   /// before any workspace checkout otherwise), packs them into one
@@ -109,6 +103,13 @@ class Edsr final : public nn::Module {
 /// FLOPs for a config without building the model (closed form; exact match
 /// with Edsr::flops).
 std::uint64_t edsr_flops(const EdsrConfig& cfg, int in_width, int in_height) noexcept;
+
+/// Peak activation footprint in bytes of one inference on a lo-res input of
+/// the given size (closed form) — the quantity the device model checks
+/// against its memory budget to reproduce the paper's "NAS and NEMO cannot
+/// even run for 4K resolution because of running out of memory".
+std::uint64_t edsr_activation_bytes(const EdsrConfig& cfg, int in_width,
+                                    int in_height) noexcept;
 
 /// Learnable parameter count in scalars (closed form).
 std::uint64_t edsr_param_count(const EdsrConfig& cfg) noexcept;

@@ -184,15 +184,4 @@ double evaluate_psnr(const Edsr& model, const std::vector<TrainSample>& samples)
   return acc / static_cast<double>(samples.size());
 }
 
-double evaluate_ssim(const Edsr& model, const std::vector<TrainSample>& samples) {
-  if (samples.empty()) throw std::invalid_argument("evaluate_ssim: no samples");
-  double acc = 0.0;
-  FrameRGB out;
-  for (const auto& s : samples) {
-    model.enhance_into(s.lo, out);
-    acc += ssim(out, s.hi);
-  }
-  return acc / static_cast<double>(samples.size());
-}
-
 }  // namespace dcsr::sr

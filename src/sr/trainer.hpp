@@ -66,7 +66,4 @@ TrainStats train_sr_model(Edsr& model, const std::vector<TrainSample>& samples,
 /// both for evaluation and the minimum-working-model search.
 double evaluate_psnr(const Edsr& model, const std::vector<TrainSample>& samples);
 
-/// Mean SSIM over the samples.
-double evaluate_ssim(const Edsr& model, const std::vector<TrainSample>& samples);
-
 }  // namespace dcsr::sr

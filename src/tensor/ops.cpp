@@ -14,13 +14,6 @@
 namespace dcsr {
 namespace {
 
-void require_same(const Tensor& a, const Tensor& b, const char* what) {
-  if (!a.same_shape(b)) {
-    AllocAllowScope allow;  // error path may run under a hot-path guard
-    throw std::invalid_argument(std::string(what) + ": shape mismatch");
-  }
-}
-
 void require_2d(const Tensor& t, const char* what) {
   if (t.rank() != 2) {
     AllocAllowScope allow;
@@ -181,13 +174,6 @@ MutMat::MutMat(Tensor& t) {
   data = t.data();
   rows = t.dim(0);
   cols = t.dim(1);
-}
-
-Tensor add(const Tensor& a, const Tensor& b) {
-  require_same(a, b, "add");
-  Tensor out = a;
-  out.add_(b);
-  return out;
 }
 
 void matmul_into(ConstMat a, ConstMat b, Tensor& out) {
@@ -392,23 +378,6 @@ void col2im_add(const Tensor& cols, Tensor& out, int n, int kernel, int stride,
       }
     }
   }
-}
-
-double sum(const Tensor& a) noexcept {
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += a[i];
-  return s;
-}
-
-double mse(const Tensor& a, const Tensor& b) {
-  require_same(a, b, "mse");
-  if (a.empty()) return 0.0;
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double d = static_cast<double>(a[i]) - static_cast<double>(b[i]);
-    s += d * d;
-  }
-  return s / static_cast<double>(a.size());
 }
 
 }  // namespace dcsr

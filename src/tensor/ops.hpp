@@ -4,9 +4,6 @@
 
 namespace dcsr {
 
-/// Elementwise sum. Requires matching shapes and returns a new tensor.
-Tensor add(const Tensor& a, const Tensor& b);
-
 /// Non-owning view of a row-major 2-D matrix. The `*_into` GEMM entry points
 /// accept views so a kernel can multiply a slice of a larger buffer (e.g.
 /// one batch item's plane block inside an NCHW tensor) without first copying
@@ -108,11 +105,5 @@ int conv_out_size(int in, int kernel, int stride, int pad) noexcept;
 /// negative-sized tensor downstream.
 int conv_out_size_checked(int in, int kernel, int stride, int pad,
                           const char* what);
-
-/// Sum of all elements.
-double sum(const Tensor& a) noexcept;
-
-/// Mean squared difference between two same-shaped tensors.
-double mse(const Tensor& a, const Tensor& b);
 
 }  // namespace dcsr

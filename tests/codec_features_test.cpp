@@ -88,9 +88,10 @@ TEST(HalfPel, SubPelMotionCodesCheaperThanResidual) {
 
   const Quantizer q(28);
   EncodedFrame ef_ref, ef_p, ef_i;
-  const FrameYUV ref_recon = encode_intra_frame_sliced(ref, q, 1, ef_ref);
-  encode_p_frame_sliced(cur, ref_recon, q, 8, 1, ef_p);
-  encode_intra_frame_sliced(cur, q, 1, ef_i);
+  const FrameYUV ref_recon =
+      encode_frame(FrameType::kI, ref, {}, q, 0, 1, ef_ref);
+  encode_frame(FrameType::kP, cur, {.newer = &ref_recon}, q, 8, 1, ef_p);
+  encode_frame(FrameType::kI, cur, {}, q, 0, 1, ef_i);
   // The reference is itself quantised, so the sub-pel prediction is not
   // perfect — but the P frame must still be a small fraction of intra cost.
   EXPECT_LT(ef_p.payload.size() * 2, ef_i.payload.size());
@@ -110,7 +111,7 @@ TEST(IntraPrediction, VerticallyUniformFrameCodesVeryCompactly) {
 
   const Quantizer q(23);
   EncodedFrame ef;
-  const FrameYUV recon = encode_intra_frame_sliced(f, q, 1, ef);
+  const FrameYUV recon = encode_frame(FrameType::kI, f, {}, q, 0, 1, ef);
   EXPECT_GT(psnr(f.y, recon.y), 37.0);
   // 48 luma + 24 chroma blocks; compact means only a few bits per block
   // beyond the mode signalling.
@@ -127,7 +128,7 @@ TEST(IntraPrediction, HorizontallyUniformFrameCodesVeryCompactly) {
 
   const Quantizer q(23);
   EncodedFrame ef;
-  const FrameYUV recon = encode_intra_frame_sliced(f, q, 1, ef);
+  const FrameYUV recon = encode_frame(FrameType::kI, f, {}, q, 0, 1, ef);
   EXPECT_GT(psnr(f.y, recon.y), 37.0);
   EXPECT_LT(ef.payload.size() * 8, 72u * 40u);
 }
@@ -151,8 +152,8 @@ TEST(IntraPrediction, DirectionalContentBeatsFlatDcAssumption) {
 
   const Quantizer q(23);
   EncodedFrame ef, ef_inverted;
-  encode_intra_frame_sliced(stripes(false), q, 1, ef);
-  encode_intra_frame_sliced(stripes(true), q, 1, ef_inverted);
+  encode_frame(FrameType::kI, stripes(false), {}, q, 0, 1, ef);
+  encode_frame(FrameType::kI, stripes(true), {}, q, 0, 1, ef_inverted);
   // Half the block rows come free, so the ratio sits near 1/2.
   EXPECT_LT(ef.payload.size() * 4, ef_inverted.payload.size() * 3);
 }
@@ -171,9 +172,10 @@ TEST(IntraPrediction, RoundTripStillBitExact) {
     }
   const Quantizer q(30);
   EncodedFrame ef;
-  const FrameYUV enc = encode_intra_frame_sliced(f, q, 1, ef);
+  const FrameYUV enc = encode_frame(FrameType::kI, f, {}, q, 0, 1, ef);
   FrameYUV dec(48, 32);
-  decode_intra_slice(dec, q, ef.payload.data(), ef.payload.size(), {0, 2});
+  decode_slice(FrameType::kI, dec, {}, q, ef.payload.data(), ef.payload.size(),
+               {0, 2});
   EXPECT_DOUBLE_EQ(psnr(enc.y, dec.y), 100.0);
   EXPECT_DOUBLE_EQ(psnr(enc.u, dec.u), 100.0);
   EXPECT_DOUBLE_EQ(psnr(enc.v, dec.v), 100.0);

@@ -1,3 +1,6 @@
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "codec/bits.hpp"
@@ -12,6 +15,7 @@
 #include "codec/rate_control.hpp"
 #include "image/convert.hpp"
 #include "image/metrics.hpp"
+#include "util/alloc_check.hpp"
 #include "util/serialize.hpp"
 #include "util/thread_pool.hpp"
 #include "video/genres.hpp"
@@ -215,10 +219,10 @@ TEST(FrameCoding, IntraRoundTripMatchesEncoderRecon) {
   const FrameYUV src = test_frame(64, 48, 11);
   const Quantizer q(23);
   EncodedFrame ef;
-  const FrameYUV enc_recon = encode_intra_frame_sliced(src, q, 1, ef);
+  const FrameYUV enc_recon = encode_frame(FrameType::kI, src, {}, q, 0, 1, ef);
   FrameYUV dec(64, 48);
-  decode_intra_slice(dec, q, ef.payload.data(), ef.payload.size(),
-                     whole_frame(src));
+  decode_slice(FrameType::kI, dec, {}, q, ef.payload.data(), ef.payload.size(),
+               whole_frame(src));
   // Decoder must reproduce the encoder's reconstruction *exactly* — the
   // closed-loop property that keeps P/B prediction drift-free.
   EXPECT_DOUBLE_EQ(psnr(enc_recon.y, dec.y), 100.0);
@@ -231,7 +235,7 @@ TEST(FrameCoding, IntraQualityTracksCrf) {
   auto quality_at = [&](int crf) {
     const Quantizer q(crf);
     EncodedFrame ef;
-    const FrameYUV recon = encode_intra_frame_sliced(src, q, 1, ef);
+    const FrameYUV recon = encode_frame(FrameType::kI, src, {}, q, 0, 1, ef);
     return psnr(src.y, recon.y);
   };
   const double q10 = quality_at(10);
@@ -248,7 +252,7 @@ TEST(FrameCoding, IntraBitsTrackCrf) {
   auto bits_at = [&](int crf) {
     const Quantizer q(crf);
     EncodedFrame ef;
-    encode_intra_frame_sliced(src, q, 1, ef);
+    encode_frame(FrameType::kI, src, {}, q, 0, 1, ef);
     return payload_bits(ef);
   };
   EXPECT_GT(bits_at(10), bits_at(30));
@@ -260,11 +264,12 @@ TEST(FrameCoding, PFrameRoundTripBitExact) {
   const FrameYUV f1 = test_frame(64, 48, 14, 0.2);
   const Quantizer q(28);
   EncodedFrame ef_i, ef_p;
-  const FrameYUV ref = encode_intra_frame_sliced(f0, q, 1, ef_i);
-  const FrameYUV enc_recon = encode_p_frame_sliced(f1, ref, q, 8, 1, ef_p);
+  const FrameYUV ref = encode_frame(FrameType::kI, f0, {}, q, 0, 1, ef_i);
+  const FrameYUV enc_recon =
+      encode_frame(FrameType::kP, f1, {.newer = &ref}, q, 8, 1, ef_p);
   FrameYUV dec(64, 48);
-  decode_p_slice(dec, ref, q, ef_p.payload.data(), ef_p.payload.size(),
-                 whole_frame(f1));
+  decode_slice(FrameType::kP, dec, {.newer = &ref}, q, ef_p.payload.data(),
+               ef_p.payload.size(), whole_frame(f1));
   EXPECT_DOUBLE_EQ(psnr(enc_recon.y, dec.y), 100.0);
   EXPECT_DOUBLE_EQ(psnr(enc_recon.u, dec.u), 100.0);
 }
@@ -274,9 +279,9 @@ TEST(FrameCoding, PFrameSmallerThanIFrame) {
   const FrameYUV f1 = test_frame(64, 48, 15, 1.0 / 30.0);
   const Quantizer q(28);
   EncodedFrame ef_i, ef_i1, ef_p;
-  const FrameYUV ref = encode_intra_frame_sliced(f0, q, 1, ef_i);
-  encode_intra_frame_sliced(f1, q, 1, ef_i1);
-  encode_p_frame_sliced(f1, ref, q, 8, 1, ef_p);
+  const FrameYUV ref = encode_frame(FrameType::kI, f0, {}, q, 0, 1, ef_i);
+  encode_frame(FrameType::kI, f1, {}, q, 0, 1, ef_i1);
+  encode_frame(FrameType::kP, f1, {.newer = &ref}, q, 8, 1, ef_p);
   // The GOP premise: consecutive-frame P coding is much cheaper than intra.
   EXPECT_LT(payload_bits(ef_p) * 3, payload_bits(ef_i1));
 }
@@ -285,8 +290,8 @@ TEST(FrameCoding, StaticPFrameIsNearlyAllSkip) {
   const FrameYUV f = test_frame(64, 48, 16);
   const Quantizer q(28);
   EncodedFrame ef_i, ef_p;
-  const FrameYUV ref = encode_intra_frame_sliced(f, q, 1, ef_i);
-  encode_p_frame_sliced(f, ref, q, 8, 1, ef_p);
+  const FrameYUV ref = encode_frame(FrameType::kI, f, {}, q, 0, 1, ef_i);
+  encode_frame(FrameType::kP, f, {.newer = &ref}, q, 8, 1, ef_p);
   // 12 MBs; all should skip (1 bit each), so the frame fits in a few bytes.
   EXPECT_LE(payload_bits(ef_p), 12u * 4u);
 }
@@ -297,12 +302,14 @@ TEST(FrameCoding, BFrameRoundTripBitExact) {
   const FrameYUV f2 = test_frame(64, 48, 17, 0.2);
   const Quantizer q(28);
   EncodedFrame ef0, ef2, efb;
-  const FrameYUV r0 = encode_intra_frame_sliced(f0, q, 1, ef0);
-  const FrameYUV r2 = encode_p_frame_sliced(f2, r0, q, 8, 1, ef2);
-  const FrameYUV enc_recon = encode_b_frame_sliced(f1, r0, r2, q, 8, 1, efb);
+  const FrameYUV r0 = encode_frame(FrameType::kI, f0, {}, q, 0, 1, ef0);
+  const FrameYUV r2 =
+      encode_frame(FrameType::kP, f2, {.newer = &r0}, q, 8, 1, ef2);
+  const FrameYUV enc_recon =
+      encode_frame(FrameType::kB, f1, {&r0, &r2}, q, 8, 1, efb);
   FrameYUV dec(64, 48);
-  decode_b_slice(dec, r0, r2, q, efb.payload.data(), efb.payload.size(),
-                 whole_frame(f1));
+  decode_slice(FrameType::kB, dec, {&r0, &r2}, q, efb.payload.data(),
+               efb.payload.size(), whole_frame(f1));
   EXPECT_DOUBLE_EQ(psnr(enc_recon.y, dec.y), 100.0);
 }
 
@@ -310,7 +317,69 @@ TEST(FrameCoding, RejectsUnalignedDimensions) {
   const FrameYUV src(60, 44);  // not multiples of 16
   const Quantizer q(28);
   EncodedFrame ef;
-  EXPECT_THROW(encode_intra_frame_sliced(src, q, 1, ef), std::invalid_argument);
+  EXPECT_THROW(encode_frame(FrameType::kI, src, {}, q, 0, 1, ef),
+               std::invalid_argument);
+}
+
+// P reads the newer reference and B reads both: every refs value below lacks
+// one its frame type needs.
+std::vector<std::pair<FrameType, FrameRefs>> missing_refs(const FrameYUV& ref) {
+  return {{FrameType::kP, {}},
+          {FrameType::kP, {.older = &ref}},
+          {FrameType::kB, {}},
+          {FrameType::kB, {.older = &ref}},
+          {FrameType::kB, {.newer = &ref}}};
+}
+
+TEST(FrameCoding, EncodeFrameMissingReferenceThrowsAndLeavesFrameUntouched) {
+  const FrameYUV f0 = test_frame(64, 48, 18, 0.0);
+  const FrameYUV f1 = test_frame(64, 48, 18, 0.1);
+  const Quantizer q(28);
+  EncodedFrame ef_i;
+  const FrameYUV ref = encode_frame(FrameType::kI, f0, {}, q, 0, 2, ef_i);
+  for (const auto& [type, refs] : missing_refs(ref)) {
+    SCOPED_TRACE(to_string(type));
+    EncodedFrame ef = ef_i;  // already holds two slices
+    EXPECT_THROW(encode_frame(type, f1, refs, q, 8, 2, ef),
+                 std::invalid_argument);
+    EXPECT_EQ(ef.type, FrameType::kI);
+    EXPECT_EQ(ef.payload, ef_i.payload);
+    EXPECT_EQ(ef.slice_sizes, ef_i.slice_sizes);
+  }
+}
+
+TEST(FrameCoding, DecodeSliceMissingReferenceThrowsBeforeWritingOut) {
+  const FrameYUV f0 = test_frame(64, 48, 19, 0.0);
+  const FrameYUV f1 = test_frame(64, 48, 19, 0.1);
+  const FrameYUV f2 = test_frame(64, 48, 19, 0.2);
+  const Quantizer q(28);
+  EncodedFrame ef_i, ef_p, ef_b;
+  const FrameYUV r0 = encode_frame(FrameType::kI, f0, {}, q, 0, 1, ef_i);
+  const FrameYUV r2 =
+      encode_frame(FrameType::kP, f2, {.newer = &r0}, q, 8, 1, ef_p);
+  encode_frame(FrameType::kB, f1, {&r0, &r2}, q, 8, 1, ef_b);
+  for (const auto& [type, refs] : missing_refs(r0)) {
+    SCOPED_TRACE(to_string(type));
+    const EncodedFrame& ef = type == FrameType::kP ? ef_p : ef_b;
+    FrameYUV out(64, 48);
+    for (Plane* p : {&out.y, &out.u, &out.v}) p->fill(0.25f);
+    // The throw allocates its message; inside a hot-path guard it must do
+    // so in a sanctioned scope, so the caller sees std::invalid_argument.
+    bool threw = false;
+    {
+      HotPathGuard guard("tests/codec_test.cpp:decode_slice missing reference");
+      try {
+        decode_slice(type, out, refs, q, ef.payload.data(), ef.payload.size(),
+                     whole_frame(f1));
+      } catch (const std::invalid_argument&) {
+        threw = true;
+      }
+    }
+    EXPECT_TRUE(threw);
+    for (const Plane* p : {&out.y, &out.u, &out.v})
+      for (std::size_t i = 0; i < p->size(); ++i)
+        ASSERT_EQ(p->data()[i], 0.25f) << "sample " << i;
+  }
 }
 
 // ---- Encoder / Decoder ------------------------------------------------------------

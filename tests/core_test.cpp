@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "codec/decoder.hpp"
 #include "codec/encoder.hpp"
@@ -220,6 +222,35 @@ TEST(Baselines, CollectWholeVideoPairsSamplesUniformly) {
   const auto pairs = collect_whole_video_pairs(*video, encoded, 8);
   EXPECT_GE(pairs.size(), 6u);
   EXPECT_LE(pairs.size(), 8u);
+}
+
+TEST(Baselines, CollectWholeVideoPairsDecodeWithTheStreamsLoopFilter) {
+  // The big model trains on the frames playback shows: on a deblocked
+  // stream every pair's lo is the deblocked decode of its frame.
+  const auto video = tiny_video(23);
+  ServerConfig scfg = tiny_config();
+  scfg.codec.deblock = true;
+  const auto segments = split::variable_segments(*video, scfg.segmenter);
+  const auto encoded = codec::Encoder(scfg.codec).encode(*video, segments);
+  const auto pairs = collect_whole_video_pairs(*video, encoded, 8);
+  ASSERT_FALSE(pairs.empty());
+
+  codec::Decoder dec(encoded.width, encoded.height, encoded.crf);
+  dec.set_deblock(true);
+  std::vector<FrameYUV> frames;
+  for (const auto& seg : encoded.segments)
+    for (FrameYUV& f : dec.decode_segment(seg)) frames.push_back(std::move(f));
+  const std::size_t stride = std::max<std::size_t>(1, frames.size() / 8);
+  const auto same = [](const Plane& a, const Plane& b) {
+    return a.same_size(b) &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  };
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const FrameRGB want = yuv420_to_rgb(frames[i * stride]);
+    EXPECT_TRUE(same(pairs[i].lo.r, want.r) && same(pairs[i].lo.g, want.g) &&
+                same(pairs[i].lo.b, want.b))
+        << "pair " << i;
+  }
 }
 
 TEST(ClientPipeline, EnhanceReferenceFrameRejectsUpscalers) {

@@ -94,22 +94,27 @@ TEST(Latency, LaptopAndDesktopRunDcsrAt4k) {
 }
 
 TEST(Latency, MemoryModelMatchesEdsrActivationBytes) {
-  // fits_memory() re-derives Edsr::activation_bytes in closed form; the two
-  // must agree exactly, or OOM predictions drift from the real model.
-  Rng rng(1);
+  // fits_memory() charges the activations of sr::edsr_activation_bytes plus
+  // the weights: a budget of exactly that many bytes fits, one byte less
+  // does not.
   for (const sr::EdsrConfig cfg :
        {sr::dcsr1_config(), sr::dcsr3_config(),
         sr::EdsrConfig{.n_filters = 8, .n_resblocks = 2, .scale = 2}}) {
-    sr::Edsr model(cfg, rng);
     const Resolution res = res_720p();
     const std::uint64_t expect =
-        model.activation_bytes(res.width, res.height) + sr::edsr_model_bytes(cfg);
+        sr::edsr_activation_bytes(cfg, res.width, res.height) +
+        sr::edsr_model_bytes(cfg);
     DeviceProfile dev = jetson_xavier_nx();
     dev.mem_budget_bytes = static_cast<double>(expect);
     EXPECT_TRUE(fits_memory(dev, cfg, res)) << sr::config_name(cfg);
     dev.mem_budget_bytes = static_cast<double>(expect - 1);
     EXPECT_FALSE(fits_memory(dev, cfg, res)) << sr::config_name(cfg);
   }
+  // A 2x2 input at x2, 8 filters: 3*4 + 3*16 image samples, 2*8*4 body
+  // samples, 8*4*4 pre-shuffle and 8*16 post-shuffle samples, 4 bytes each.
+  EXPECT_EQ(sr::edsr_activation_bytes(
+                {.n_filters = 8, .n_resblocks = 2, .scale = 2}, 2, 2),
+            4u * (12 + 48 + 64 + 128 + 128));
 }
 
 TEST(Latency, OverheadIncludedInInference) {

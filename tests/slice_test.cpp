@@ -3,6 +3,7 @@
 // with typed errors, and keep the warm decode loop heap-silent.
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "codec/errors.hpp"
 #include "codec/frame_coding.hpp"
 #include "codec/quant.hpp"
+#include "image/convert.hpp"
 #include "util/alloc_check.hpp"
 #include "util/serialize.hpp"
 #include "video/genres.hpp"
@@ -84,6 +86,47 @@ TEST(Slice, DecodeIsBitIdenticalAcrossSliceCounts) {
     for (std::size_t i = 0; i < ref.size(); ++i)
       EXPECT_TRUE(frames_equal(got[i], ref[i]))
           << "frame " << i << " diverges at " << slices << " slices";
+  }
+}
+
+TEST(Slice, EveryFrameTypeRoundTripsAtEverySliceCount) {
+  // The two entry points directly: each frame type coded at 1 to 4 slices
+  // (a 64x64 frame has 4 MB rows), every slice decoded on its own into one
+  // output frame. The decode equals the encoder's reconstruction, and the
+  // reconstruction equals the 1-slice one.
+  const auto video = make_genre_video(Genre::kSports, 31, 64, 64, 1.0);
+  const Quantizer q(30);
+  EncodedFrame scratch;
+  const FrameYUV older = encode_frame(
+      FrameType::kI, rgb_to_yuv420(video->frame(0)), {}, q, 0, 1, scratch);
+  const FrameYUV newer =
+      encode_frame(FrameType::kP, rgb_to_yuv420(video->frame(2)),
+                   {.newer = &older}, q, 8, 1, scratch);
+  const FrameRefs refs{&older, &newer};
+  const FrameYUV src = rgb_to_yuv420(video->frame(1));
+  std::vector<SliceSpan> spans;
+  for (const FrameType type : {FrameType::kI, FrameType::kP, FrameType::kB}) {
+    FrameYUV one_slice;
+    for (int slices = 1; slices <= 4; ++slices) {
+      SCOPED_TRACE(to_string(type) + " frame, " + std::to_string(slices) +
+                   " slices");
+      EncodedFrame ef;
+      const FrameYUV recon = encode_frame(type, src, refs, q, 8, slices, ef);
+      EXPECT_EQ(ef.type, type);
+      ASSERT_EQ(ef.slice_sizes.size(), static_cast<std::size_t>(slices));
+      slice_partition(4, slices, spans);
+      FrameYUV out(64, 64);
+      std::size_t off = 0;
+      for (std::size_t s = 0; s < spans.size(); ++s) {
+        decode_slice(type, out, refs, q, ef.payload.data() + off,
+                     ef.slice_sizes[s], spans[s]);
+        off += ef.slice_sizes[s];
+      }
+      EXPECT_EQ(off, ef.payload.size());
+      EXPECT_TRUE(frames_equal(out, recon));
+      if (slices == 1) one_slice = recon;
+      EXPECT_TRUE(frames_equal(recon, one_slice));
+    }
   }
 }
 

@@ -192,8 +192,8 @@ TEST(Trainer, MicroModelLearnsToEnhance) {
     TrainSample p;
     p.hi = textured_frame(48, 48, seed);
     codec::EncodedFrame ef;
-    const FrameYUV recon =
-        codec::encode_intra_frame_sliced(rgb_to_yuv420(p.hi), q, 1, ef);
+    const FrameYUV recon = codec::encode_frame(
+        codec::FrameType::kI, rgb_to_yuv420(p.hi), {}, q, 0, 1, ef);
     p.lo = yuv420_to_rgb(recon);
     pairs.push_back(std::move(p));
   }
@@ -653,15 +653,6 @@ TEST(Trainer, TrainRestoresCallerMode) {
   opts.patch_size = 16;
   opts.batch_size = 1;
   train_sr_model(scale1, {good}, opts, rng);
-}
-
-TEST(Trainer, EvaluateSsimInUnitRange) {
-  Rng rng(46);
-  Edsr model({.n_filters = 4, .n_resblocks = 1}, rng);
-  const TrainSample pair = degraded_pair(textured_frame(32, 32, 47));
-  const double s = evaluate_ssim(model, {pair});
-  EXPECT_GT(s, 0.0);
-  EXPECT_LE(s, 1.0);
 }
 
 TEST(Trainer, RejectsMismatchedPairs) {

@@ -109,16 +109,6 @@ TEST(Tensor, RandnStddevScales) {
   EXPECT_NEAR(s2 / static_cast<double>(t.size()), 0.25, 0.02);
 }
 
-TEST(Ops, ElementwiseAddSubMul) {
-  Tensor a({2});
-  a[0] = 1;
-  a[1] = 2;
-  Tensor b({2});
-  b[0] = 3;
-  b[1] = 5;
-  EXPECT_EQ(add(a, b)[1], 7.0f);
-}
-
 TEST(Ops, MatmulAgainstHandComputed) {
   Tensor a({2, 3});
   Tensor b({3, 2});
@@ -343,13 +333,6 @@ TEST(Ops, Im2colAndCol2imRejectBadBatchIndexAndRank) {
   col2im_add(cols, grad, 1, 3, 1, 1);
   EXPECT_EQ(grad.at(0, 0, 0, 0), 0.0f);
   EXPECT_EQ(grad.at(1, 0, 2, 2), 9.0f);  // interior: all nine taps land
-}
-
-TEST(Ops, SumAndMse) {
-  Tensor a = Tensor::full({4}, 2.0f);
-  Tensor b = Tensor::full({4}, 3.0f);
-  EXPECT_DOUBLE_EQ(sum(a), 8.0);
-  EXPECT_DOUBLE_EQ(mse(a, b), 1.0);
 }
 
 TEST(Ops, ConvOutSizeCheckedThrowsNamingGeometry) {

@@ -104,6 +104,7 @@ int cmd_decode(int argc, char** argv) {
   const codec::EncodedVideo encoded = codec::read_container(r);
 
   codec::Decoder dec(encoded.width, encoded.height, encoded.crf);
+  dec.set_deblock(encoded.deblock);
   ByteWriter yuv;
   int frames = 0;
   for (const auto& seg : encoded.segments) {
@@ -158,6 +159,7 @@ int cmd_verify(int argc, char** argv) {
   }
 
   codec::Decoder dec(encoded.width, encoded.height, encoded.crf);
+  dec.set_deblock(encoded.deblock);
   Table t({"segment", "frames", "mean luma PSNR"});
   int base = 0;
   for (std::size_t s = 0; s < encoded.segments.size(); ++s) {

@@ -194,8 +194,9 @@ Bytes valid_input(Harness h, std::uint64_t seed) {
       const auto video = make_genre_video(Genre::kNews, seed, 32, 32, 0.2);
       const codec::Quantizer q(30);
       codec::EncodedFrame ef;
-      (void)codec::encode_intra_frame_sliced(rgb_to_yuv420(video->frame(0)),
-                                             q, 1, ef);
+      (void)codec::encode_frame(codec::FrameType::kI,
+                                rgb_to_yuv420(video->frame(0)), {}, q, 0, 1,
+                                ef);
       return ef.payload;
     }
   }
@@ -292,6 +293,74 @@ ReplayOutcome replay_single_slice(const Bytes& bytes) {
   }
 }
 
+// ---- Slice harness ---------------------------------------------------------
+
+// One real slice substream and the frame type and partition entry it was
+// coded with.
+struct SliceCase {
+  codec::FrameType type;
+  codec::SliceSpan span;
+  Bytes bytes;
+};
+
+// The slice harness's bases: the substreams of one frame coded as each type
+// (I, P, B) at each slice count of a 32x32 frame (its 2 MB rows as 1 or 2
+// slices), plus the references they were coded against.
+struct SliceBases {
+  FrameYUV older, newer;  // display order
+  std::vector<SliceCase> cases;
+};
+
+constexpr int kSliceCrf = 30;
+
+SliceBases encode_slice_bases(std::uint64_t seed) {
+  const auto video = make_genre_video(Genre::kNews, seed, 32, 32, 0.2);
+  const codec::Quantizer q(kSliceCrf);
+  SliceBases b;
+  codec::EncodedFrame scratch;
+  b.older = codec::encode_frame(codec::FrameType::kI,
+                                rgb_to_yuv420(video->frame(0)), {}, q, 0, 1,
+                                scratch);
+  b.newer = codec::encode_frame(codec::FrameType::kP,
+                                rgb_to_yuv420(video->frame(2)),
+                                {.newer = &b.older}, q, 8, 1, scratch);
+  const FrameYUV src = rgb_to_yuv420(video->frame(1));
+  std::vector<codec::SliceSpan> spans;
+  for (const codec::FrameType type :
+       {codec::FrameType::kI, codec::FrameType::kP, codec::FrameType::kB}) {
+    for (const int slices : {1, 2}) {
+      codec::EncodedFrame ef;
+      (void)codec::encode_frame(type, src, {&b.older, &b.newer}, q, 8, slices,
+                                ef);
+      codec::slice_partition(2, slices, spans);
+      auto at = ef.payload.begin();
+      for (std::size_t s = 0; s < spans.size(); ++s) {
+        const auto end = at + static_cast<std::ptrdiff_t>(ef.slice_sizes[s]);
+        b.cases.push_back({type, spans[s], Bytes(at, end)});
+        at = end;
+      }
+    }
+  }
+  return b;
+}
+
+// Mutates the substream of one random case into `input` and decodes it
+// straight through codec::decode_slice against the case's references.
+ReplayOutcome fuzz_slice(const SliceBases& b, Rng& rng, Bytes& input) {
+  const SliceCase& c = b.cases[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(b.cases.size()) - 1))];
+  input = mutate(c.bytes, rng);
+  FrameYUV out(32, 32);
+  try {
+    codec::decode_slice(c.type, out, {&b.older, &b.newer},
+                        codec::Quantizer(kSliceCrf), input.data(),
+                        input.size(), c.span);
+    return ReplayOutcome::kParsed;
+  } catch (const codec::BitstreamError&) {
+    return ReplayOutcome::kTypedError;
+  }
+}
+
 }  // namespace
 
 std::vector<Harness> all_harnesses() {
@@ -378,6 +447,8 @@ FuzzStats run(Harness h, std::uint64_t seed, std::uint64_t iters,
   const Bytes base = valid_input(h, seed);
   codec::EncodedVideo encoded;
   if (h == Harness::kDecoder) encoded = encode_base_video(seed);
+  SliceBases slice_bases;
+  if (h == Harness::kSlice) slice_bases = encode_slice_bases(seed);
 
   for (std::uint64_t i = start; i < start + iters; ++i) {
     Rng rng = iteration_rng(seed, i);
@@ -433,6 +504,8 @@ FuzzStats run(Harness h, std::uint64_t seed, std::uint64_t iters,
         } catch (const std::invalid_argument&) {
           outcome = ReplayOutcome::kSafeError;
         }
+      } else if (h == Harness::kSlice) {
+        outcome = fuzz_slice(slice_bases, rng, input);
       } else {
         input = mutate(base, rng);
         outcome = replay(h, input);

@@ -20,7 +20,7 @@ enum class Harness {
   kDecoder,    // codec/decoder decode_segment on mutated frame payloads
   kPlaylist,   // stream/playlist text parse_playlist
   kBundle,     // stream/model_bundle deserialize
-  kSlice,      // codec/decoder sliced (v3) path: resync headers + geometry
+  kSlice,      // codec::decode_slice: resync headers, geometry, I/P/B rows
 };
 
 /// All harnesses in a stable order (the `all` mode of the CLI).
@@ -44,7 +44,10 @@ ReplayOutcome replay(Harness h, const std::vector<std::uint8_t>& bytes);
 
 /// The valid serialised artefact the fuzz loop mutates — a well-formed
 /// container/playlist/bundle (or exp-Golomb stream for kBits).
-/// Empty for kDecoder, whose base is a real encode done inside run().
+/// Empty for kDecoder, whose base is a real encode done inside run(). For
+/// kSlice it is one single-slice I frame substream, the shape replay()
+/// decodes; run() instead mutates the substreams of a frame coded as I, P
+/// and B at 1 and 2 slices and decodes each as the type it was coded as.
 std::vector<std::uint8_t> valid_input(Harness h, std::uint64_t seed);
 
 /// Thrown by run() when an iteration escapes the harness's error contract:

@@ -68,7 +68,8 @@
 #               exits 0) rather than failing a host without LLVM tooling.
 #
 # Every leg configures its build with -DDCSR_WERROR=ON: the gate never
-# accretes warnings, while the tier-1 build stays plain -Wall -Wextra.
+# accretes warnings, while the tier-1 build stays plain -Wall -Wextra. Builds
+# and ctest runs take -j "$(nproc)": a bare ctest -j runs one test at a time.
 #
 # Usage: tools/run_checks.sh [leg...]
 #   e.g. tools/run_checks.sh            # all ten legs
@@ -165,8 +166,8 @@ run_leg() {
         if env DCSR_SIMD="$b" \
             "$probe" --benchmark_list_tests=true >/dev/null 2>&1; then
           echo "--- simd leg: full suite with DCSR_SIMD=$b ---"
-          env DCSR_SIMD="$b" \
-            ctest --test-dir "$build" --output-on-failure -j || return 1
+          env DCSR_SIMD="$b" ctest --test-dir "$build" --output-on-failure \
+            -j "$(nproc)" || return 1
           ran=$((ran + 1))
         else
           echo "--- simd leg: backend '$b' unsupported on this host," \
@@ -183,7 +184,7 @@ run_leg() {
       cmake -B "$rel" -S "$ROOT" -DDCSR_WERROR=ON \
         -DCMAKE_BUILD_TYPE=Release || return 1
       cmake --build "$rel" -j "$(nproc)" || return 1
-      ctest --test-dir "$rel" --output-on-failure -j || return 1
+      ctest --test-dir "$rel" --output-on-failure -j "$(nproc)" || return 1
       echo "--- simd leg: default and Release builds write the same bytes ---"
       local d o f
       for d in "$build" "$rel"; do
@@ -402,7 +403,8 @@ run_leg() {
   echo "=== leg: $leg (build dir: $build) ==="
   cmake -B "$build" -S "$ROOT" -DDCSR_WERROR=ON "${cmake_args[@]}" || return 1
   cmake --build "$build" -j "$(nproc)" || return 1
-  "${env_prefix[@]}" ctest --test-dir "$build" --output-on-failure -j || return 1
+  "${env_prefix[@]}" ctest --test-dir "$build" --output-on-failure \
+    -j "$(nproc)" || return 1
   if [ "$leg" = default ]; then
     print_src_loc
     check_readme_test_count "$build" || return 1
