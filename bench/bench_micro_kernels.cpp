@@ -348,6 +348,38 @@ BENCHMARK(BM_Dcsr1Enhance720p)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+// Paper scale decode: one 1280x720 closed GOP (the server's CRF 51 and
+// intra period 12, so I + 11 P) coded as 4 macroblock-row slices, decoded
+// into warm frames across pool sizes — the codec half of the client's
+// per-segment budget next to BM_Dcsr1Enhance720p's SR half.
+void BM_Decode720p(benchmark::State& state) {
+  const int dflt = base_threads();
+  static const auto video =
+      make_genre_video(Genre::kNews, 12, 1280, 720, 12.0 / 30.0, 30.0);
+  static const codec::EncodedVideo encoded = [] {
+    codec::CodecConfig cfg = core::ServerConfig{}.codec;
+    cfg.slices = 4;
+    return codec::Encoder(cfg).encode(*video, {{0, video->frame_count()}});
+  }();
+  codec::Decoder dec(encoded);
+  std::vector<FrameYUV> display;
+  dec.decode_segment_into(encoded.segments[0], display);  // warm scratch
+  set_default_pool_threads(static_cast<int>(state.range(0)));
+  std::int64_t frames = 0;
+  for (auto _ : state) {
+    dec.decode_segment_into(encoded.segments[0], display);
+    benchmark::DoNotOptimize(display.data());
+    frames += static_cast<std::int64_t>(display.size());
+  }
+  set_default_pool_threads(dflt);
+  state.SetItemsProcessed(frames);
+}
+BENCHMARK(BM_Decode720p)
+    ->Arg(1)
+    ->Arg(sweep_threads())
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 // End-to-end NAS playback (decode + concurrent out-of-loop SR + metrics) on
 // a quickstart-sized workload, across pool sizes.
 void BM_PlayNasThreads(benchmark::State& state) {
@@ -385,7 +417,7 @@ void BM_DecodeFrameThreads(benchmark::State& state) {
     cfg.slices = 4;
     return codec::Encoder(cfg).encode(*video, {{0, 60}});
   }();
-  codec::Decoder dec(encoded.width, encoded.height, encoded.crf);
+  codec::Decoder dec(encoded);
   std::vector<FrameYUV> display;
   dec.decode_segment_into(encoded.segments[0], display);  // warm scratch
   set_default_pool_threads(static_cast<int>(state.range(0)));

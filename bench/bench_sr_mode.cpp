@@ -80,7 +80,7 @@ int main() {
   sr::train_sr_model(up_model, sr_pairs, topts, rng);
 
   // Evaluate: decode half stream, upscale every sampled frame, compare.
-  codec::Decoder dec(rc.video.width, rc.video.height, rc.video.crf);
+  codec::Decoder dec(rc.video);
   const auto half_frames = dec.decode_video(rc.video);
   double sr_psnr = 0.0, bicubic_psnr = 0.0;
   FrameRGB upscaled;

@@ -1,5 +1,7 @@
 #include "codec/block_coder.hpp"
 
+#include <algorithm>
+
 #include "codec/errors.hpp"
 #include "util/alloc_check.hpp"
 
@@ -12,6 +14,12 @@ constexpr std::uint32_t kEob = 64;
 
 Block8 extract_block(const Plane& p, int bx, int by) noexcept {
   Block8 b{};
+  if (p.contains(bx, by, 8, 8)) {
+    const float* row = p.ptr(bx, by);
+    for (int y = 0; y < 8; ++y, row += p.width())
+      std::copy(row, row + 8, b.begin() + y * 8);
+    return b;
+  }
   for (int y = 0; y < 8; ++y)
     for (int x = 0; x < 8; ++x)
       b[static_cast<std::size_t>(y * 8 + x)] = p.at_clamped(bx + x, by + y);

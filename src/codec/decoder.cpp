@@ -42,6 +42,11 @@ Decoder::Decoder(int width, int height, int crf)
                                 std::to_string(height));
 }
 
+Decoder::Decoder(const EncodedVideo& video)
+    : Decoder(video.width, video.height, video.crf) {
+  deblock_ = video.deblock;
+}
+
 void Decoder::decode_frame(const EncodedFrame& ef, const Quantizer& q,
                            FrameYUV& out) {
   const auto n = static_cast<int>(ef.slice_sizes.size());

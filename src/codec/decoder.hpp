@@ -25,6 +25,10 @@ class Decoder {
  public:
   Decoder(int width, int height, int crf);
 
+  /// A decoder for `video`'s stream: frame geometry, CRF and the loop filter
+  /// come from its header.
+  explicit Decoder(const EncodedVideo& video);
+
   /// Installs the in-loop enhancement hook (may be empty). With
   /// `include_p_frames`, the hook also fires on P-frame reconstructions
   /// before they become references — NEMO-style anchor frames: the callee
@@ -35,7 +39,8 @@ class Decoder {
   }
 
   /// Enables the in-loop deblocking filter; must match the encoder's
-  /// setting (decode_video() picks it up from the stream automatically).
+  /// setting (the EncodedVideo constructor and decode_video() take it from
+  /// the stream).
   void set_deblock(bool on) noexcept { deblock_ = on; }
 
   /// Decodes one segment; returns frames in display order.

@@ -190,25 +190,16 @@ struct MbPred {
 constexpr int kLumaOff[4][2] = {{0, 0}, {8, 0}, {0, 8}, {8, 8}};
 
 // Builds the motion-compensated prediction of one MB from a single
-// reference. `mv` is in half-pel units.
+// reference: its six 8x8 blocks through predict_block_halfpel. `mv` is in
+// half-pel units.
 MbPred predict_mb(const FrameYUV& ref, int mbx, int mby, MotionVector mv) {
   MbPred p;
-  for (int i = 0; i < 4; ++i) {
-    const int bx = mbx + kLumaOff[i][0], by = mby + kLumaOff[i][1];
-    for (int y = 0; y < 8; ++y)
-      for (int x = 0; x < 8; ++x)
-        p.luma[i][static_cast<std::size_t>(y * 8 + x)] =
-            sample_halfpel(ref.y, 2 * (bx + x) + mv.x, 2 * (by + y) + mv.y);
-  }
+  for (int i = 0; i < 4; ++i)
+    predict_block_halfpel(ref.y, mbx + kLumaOff[i][0], mby + kLumaOff[i][1],
+                          8, mv, p.luma[i].data(), 8);
   const MotionVector cmv = chroma_mv(mv);
-  const int cx = mbx / 2, cy = mby / 2;
-  for (int y = 0; y < 8; ++y)
-    for (int x = 0; x < 8; ++x) {
-      p.u[static_cast<std::size_t>(y * 8 + x)] =
-          sample_halfpel(ref.u, 2 * (cx + x) + cmv.x, 2 * (cy + y) + cmv.y);
-      p.v[static_cast<std::size_t>(y * 8 + x)] =
-          sample_halfpel(ref.v, 2 * (cx + x) + cmv.x, 2 * (cy + y) + cmv.y);
-    }
+  predict_block_halfpel(ref.u, mbx / 2, mby / 2, 8, cmv, p.u.data(), 8);
+  predict_block_halfpel(ref.v, mbx / 2, mby / 2, 8, cmv, p.v.data(), 8);
   return p;
 }
 
@@ -321,11 +312,11 @@ void read_slice_header(BitReader& br, SliceSpan expect) {
 float pred_sad(const FrameYUV& src, const MbPred& pred, int mbx, int mby) {
   float acc = 0.0f;
   for (int i = 0; i < 4; ++i) {
-    const int bx = mbx + kLumaOff[i][0], by = mby + kLumaOff[i][1];
-    for (int y = 0; y < 8; ++y)
-      for (int x = 0; x < 8; ++x)
-        acc += std::abs(src.y.at_clamped(bx + x, by + y) -
-                        pred.luma[i][static_cast<std::size_t>(y * 8 + x)]);
+    const Block8 block =
+        extract_block(src.y, mbx + kLumaOff[i][0], mby + kLumaOff[i][1]);
+    for (int j = 0; j < 64; ++j)
+      acc += std::abs(block[static_cast<std::size_t>(j)] -
+                      pred.luma[i][static_cast<std::size_t>(j)]);
   }
   return acc;
 }

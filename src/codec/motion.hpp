@@ -16,8 +16,19 @@ struct MotionVector {
 /// average the neighbours. Edge-clamped.
 float sample_halfpel(const Plane& p, int x2, int y2) noexcept;
 
+/// Motion-compensated prediction of the `size`x`size` block at (bx, by),
+/// `mv` in half-pel units: writes sample_halfpel(ref, 2 * (bx + x) + mv.x,
+/// 2 * (by + y) + mv.y) to dst[y * stride + x], bit for bit. The half-pel
+/// phase is the same for every sample of a block, so it is chosen once; a
+/// block whose footprint lies inside `ref` reads rows through pointers, one
+/// that touches a border samples clamped pixels.
+void predict_block_halfpel(const Plane& ref, int bx, int by, int size,
+                           MotionVector mv, float* dst, int stride) noexcept;
+
 /// Sum of absolute differences between a `size`x`size` block of `cur` at
 /// (bx, by) and the block of `ref` displaced by (mv.x, mv.y); edge-clamped.
+/// Blocks inside both planes read rows; the sum runs in raster order either
+/// way.
 float block_sad(const Plane& cur, const Plane& ref, int bx, int by, int size,
                 MotionVector mv) noexcept;
 
@@ -34,7 +45,9 @@ MotionVector motion_search(const Plane& cur, const Plane& ref, int bx, int by,
 MotionVector refine_halfpel(const Plane& cur, const Plane& ref, int bx, int by,
                             int size, MotionVector mv_halfpel) noexcept;
 
-/// SAD against a half-pel displaced reference block.
+/// SAD against a half-pel displaced reference block: the raster-order sum
+/// of |cur - sample_halfpel(ref, ...)|, with the row reads of
+/// predict_block_halfpel inside both planes.
 float block_sad_halfpel(const Plane& cur, const Plane& ref, int bx, int by,
                         int size, MotionVector mv_halfpel) noexcept;
 

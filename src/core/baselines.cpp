@@ -17,8 +17,7 @@ std::vector<sr::TrainSample> collect_whole_video_pairs(
   const int stride = std::max(1, total / training_frames);
 
   std::vector<sr::TrainSample> pairs;
-  codec::Decoder decoder(encoded.width, encoded.height, encoded.crf);
-  decoder.set_deblock(encoded.deblock);
+  codec::Decoder decoder(encoded);
   int frame_base = 0;
   for (const auto& seg : encoded.segments) {
     const auto frames = decoder.decode_segment(seg);

@@ -139,8 +139,7 @@ PlaybackResult decode_and_measure(const codec::EncodedVideo& encoded,
                                   const PlaybackHook& hook,
                                   bool include_p_frames = false) {
   MetricsCollector collector(original, opts);
-  codec::Decoder decoder(encoded.width, encoded.height, encoded.crf);
-  decoder.set_deblock(encoded.deblock);
+  codec::Decoder decoder(encoded);
   std::size_t segment = 0;  // the segment being decoded; producer side only
   if (hook)
     decoder.set_reference_hook(
@@ -210,8 +209,7 @@ PlaybackResult play_nemo(const codec::EncodedVideo& encoded, const sr::Edsr& big
 PlaybackResult play_nas(const codec::EncodedVideo& encoded, const sr::Edsr& big_model,
                         const VideoSource& original, const PlaybackOptions& opts) {
   MetricsCollector collector(original, opts);
-  codec::Decoder decoder(encoded.width, encoded.height, encoded.crf);
-  decoder.set_deblock(encoded.deblock);
+  codec::Decoder decoder(encoded);
   // One slot per sampled frame, hoisted out of the segment loop so the
   // conversion and enhancement buffers stay warm from segment to segment.
   // Grouping a task's buffers in one struct keeps the parallel section's
@@ -288,8 +286,7 @@ AnchorPlaybackResult play_dcsr_anchors(
   // was trained on plainly decoded frames, and re-enhancing an
   // already-enhanced chain compounds the correction until it diverges
   // (this is why NEMO keeps its anchor inputs on the un-enhanced path).
-  codec::Decoder vanilla_decoder(encoded.width, encoded.height, encoded.crf);
-  vanilla_decoder.set_deblock(encoded.deblock);
+  codec::Decoder vanilla_decoder(encoded);
   std::vector<FrameYUV> vanilla;  // display order, segment `vanilla_of`
   std::size_t vanilla_of = encoded.segments.size();
   result.playback = decode_and_measure(

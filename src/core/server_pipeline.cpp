@@ -27,8 +27,7 @@ std::vector<SegmentIFrames> collect_iframe_pairs(
 
   // Training inputs must be exactly what the client's DPB will hold, so
   // they come from the client's decoder.
-  codec::Decoder decoder(encoded.width, encoded.height, encoded.crf);
-  decoder.set_deblock(encoded.deblock);
+  codec::Decoder decoder(encoded);
   std::vector<SegmentIFrames> out;
   out.reserve(segments.size());
   for (std::size_t s = 0; s < segments.size(); ++s) {

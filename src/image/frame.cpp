@@ -5,12 +5,6 @@
 
 namespace dcsr {
 
-float Plane::at_clamped(int x, int y) const noexcept {
-  x = std::clamp(x, 0, width_ - 1);
-  y = std::clamp(y, 0, height_ - 1);
-  return data_[static_cast<std::size_t>(y) * width_ + x];
-}
-
 void Plane::clamp01() noexcept {
   for (auto& p : data_) p = std::clamp(p, 0.0f, 1.0f);
 }

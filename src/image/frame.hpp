@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <vector>
 
@@ -36,7 +37,24 @@ class Plane {
 
   /// Clamped access: coordinates outside the plane read the nearest edge
   /// sample. Used by filters and motion compensation at frame borders.
-  float at_clamped(int x, int y) const noexcept;
+  float at_clamped(int x, int y) const noexcept {
+    x = std::clamp(x, 0, width_ - 1);
+    y = std::clamp(y, 0, height_ - 1);
+    return data_[static_cast<std::size_t>(y) * width_ + x];
+  }
+
+  /// Whether the `w`x`h` rectangle at (x0, y0) lies inside the plane: the
+  /// test a block reader passes before it reads rows through ptr() instead
+  /// of clamped samples.
+  bool contains(int x0, int y0, int w, int h) const noexcept {
+    return x0 >= 0 && y0 >= 0 && x0 + w <= width_ && y0 + h <= height_;
+  }
+
+  /// Pointer to sample (x, y); the next row starts width() floats on.
+  const float* ptr(int x, int y) const noexcept {
+    assert(x >= 0 && x < width_ && y >= 0 && y < height_);
+    return data_.data() + static_cast<std::size_t>(y) * width_ + x;
+  }
 
   float* data() noexcept { return data_.data(); }
   const float* data() const noexcept { return data_.data(); }

@@ -40,8 +40,26 @@ Plane luma_of(const FrameRGB& f) {
 double psnr(const Plane& a, const Plane& b) { return mse_to_psnr(plane_mse(a, b)); }
 
 double psnr(const FrameRGB& a, const FrameRGB& b) {
-  const double m = (plane_mse(a.r, b.r) + plane_mse(a.g, b.g) + plane_mse(a.b, b.b)) / 3.0;
-  return mse_to_psnr(m);
+  // plane_mse of r, g and b in one pass: three independent accumulators,
+  // each summing its channel in plane_mse's order, so every bit matches
+  // three separate passes while the three addition chains overlap.
+  if (!a.r.same_size(b.r) || !a.g.same_size(b.g) || !a.b.same_size(b.b) ||
+      !a.r.same_size(a.g) || !a.r.same_size(a.b))
+    throw std::invalid_argument("metrics: plane size mismatch");
+  double acc_r = 0.0, acc_g = 0.0, acc_b = 0.0;
+  const std::size_t n = a.r.size();
+  const float *ar = a.r.data(), *ag = a.g.data(), *ab = a.b.data();
+  const float *br = b.r.data(), *bg = b.g.data(), *bb = b.b.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    const double dr = static_cast<double>(ar[i]) - static_cast<double>(br[i]);
+    const double dg = static_cast<double>(ag[i]) - static_cast<double>(bg[i]);
+    const double db = static_cast<double>(ab[i]) - static_cast<double>(bb[i]);
+    acc_r += dr * dr;
+    acc_g += dg * dg;
+    acc_b += db * db;
+  }
+  const auto count = static_cast<double>(n);
+  return mse_to_psnr((acc_r / count + acc_g / count + acc_b / count) / 3.0);
 }
 
 double psnr_luma(const FrameYUV& a, const FrameYUV& b) { return psnr(a.y, b.y); }

@@ -5,6 +5,7 @@
 
 #include "image/convert.hpp"
 #include "image/resize.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dcsr::split {
 
@@ -33,13 +34,25 @@ double mean_abs_diff(const Plane& a, const Plane& b) {
 std::vector<double> frame_differences(const VideoSource& video,
                                       const ShotDetectorConfig& cfg) {
   std::vector<double> diffs(static_cast<std::size_t>(video.frame_count()), 0.0);
-  if (video.frame_count() == 0) return diffs;
-  Plane prev = luma_thumb(video.frame(0), cfg.thumb_width);
-  for (int i = 1; i < video.frame_count(); ++i) {
-    Plane cur = luma_thumb(video.frame(i), cfg.thumb_width);
-    diffs[static_cast<std::size_t>(i)] = mean_abs_diff(prev, cur);
-    prev = std::move(cur);
-  }
+  if (video.frame_count() < 2) return diffs;
+  double* out = diffs.data();
+  // Frames render concurrently: a chunk of frames [lo, hi) thumbnails frame
+  // lo - 1 itself and writes diffs[lo, hi), holding two thumbnails at once.
+  parallel_for_writes(
+      1, video.frame_count(), 16,
+      [&](std::int64_t lo, std::int64_t hi) {
+        return span_of(out + lo, static_cast<std::size_t>(hi - lo));
+      },
+      [&](std::int64_t lo, std::int64_t hi) {
+        Plane prev =
+            luma_thumb(video.frame(static_cast<int>(lo - 1)), cfg.thumb_width);
+        for (std::int64_t i = lo; i < hi; ++i) {
+          Plane cur = luma_thumb(video.frame(static_cast<int>(i)), cfg.thumb_width);
+          out[i] = mean_abs_diff(prev, cur);
+          prev = std::move(cur);
+        }
+      },
+      "split/shot_detector.cpp:frame_differences");
   return diffs;
 }
 

@@ -1,3 +1,5 @@
+#include <bit>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -179,6 +181,96 @@ TEST(Motion, StaticBlockYieldsZeroVector) {
   const MotionVector mv = motion_search(p, p, 8, 8, 16, 8);
   EXPECT_EQ(mv.x, 0);
   EXPECT_EQ(mv.y, 0);
+}
+
+// f(x, y) evaluated once on [-pad, w + pad) x [-pad, h + pad), so an
+// oracle can stay per pixel without a function call per pixel.
+class Tabulated {
+ public:
+  template <typename F>
+  Tabulated(int w, int h, int pad, F f) : pad_(pad), stride_(w + 2 * pad) {
+    for (int y = -pad; y < h + pad; ++y)
+      for (int x = -pad; x < w + pad; ++x) v_.push_back(f(x, y));
+  }
+  float operator()(int x, int y) const {
+    return v_[static_cast<std::size_t>((y + pad_) * stride_ + x + pad_)];
+  }
+
+ private:
+  int pad_, stride_;
+  std::vector<float> v_;
+};
+
+TEST(Motion, RowPathsMatchClampedSampling) {
+  // predict_block_halfpel, block_sad, block_sad_halfpel and extract_block
+  // read rows through pointers when a block's footprint lies inside the
+  // plane and clamped samples when it does not. Both paths must give the
+  // bits of the per-pixel clamped definitions, for every block origin from
+  // 2 pixels before a plane to 2 past it and every vector that crosses each
+  // edge by at least 3 pixels (half-pel +-5: -5 >> 1 is -3, +5 reads the
+  // sample at +3), so footprints sit on, inside and across every border.
+  const auto same = [](float a, float b) {
+    return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
+  };
+  Rng rng(24);
+  std::vector<float> pred(16 * 16);
+  for (const auto& [w, h] : {std::pair{16, 16}, {40, 24}, {21, 14}}) {
+    Plane ref(w, h), cur(w, h);
+    for (int y = 0; y < h; ++y)
+      for (int x = 0; x < w; ++x) {
+        ref.at(x, y) = static_cast<float>(rng.uniform());
+        cur.at(x, y) = static_cast<float>(rng.uniform());
+      }
+    // Half-pel coordinates reach [-9, 2w + 39], pixels [-7, w + 22].
+    const Tabulated halfpel(2 * w, 2 * h, 48, [&](int x2, int y2) {
+      return sample_halfpel(ref, x2, y2);
+    });
+    const Tabulated ref_px(w, h, 24, [&](int x, int y) {
+      return ref.at_clamped(x, y);
+    });
+    const Tabulated cur_px(w, h, 24, [&](int x, int y) {
+      return cur.at_clamped(x, y);
+    });
+    for (int by = -2; by <= h + 2; ++by)
+      for (int bx = -2; bx <= w + 2; ++bx) {
+        const auto at = [&] {
+          return std::to_string(w) + "x" + std::to_string(h) + " block (" +
+                 std::to_string(bx) + "," + std::to_string(by) + ")";
+        };
+        const Block8 block = extract_block(ref, bx, by);
+        for (int i = 0; i < 64; ++i)
+          if (!same(block[static_cast<std::size_t>(i)],
+                    ref_px(bx + i % 8, by + i / 8)))
+            FAIL() << "extract_block " << at() << " sample " << i;
+        for (const int size : {8, 16})
+          for (int my = -5; my <= 5; ++my)
+            for (int mx = -5; mx <= 5; ++mx) {
+              const MotionVector mv{mx, my};
+              const auto what = [&] {
+                return at() + " size " + std::to_string(size) + " mv (" +
+                       std::to_string(mx) + "," + std::to_string(my) + ")";
+              };
+              predict_block_halfpel(ref, bx, by, size, mv, pred.data(), size);
+              float sad_hp = 0.0f, sad = 0.0f;
+              for (int y = 0; y < size; ++y)
+                for (int x = 0; x < size; ++x) {
+                  const float s =
+                      halfpel(2 * (bx + x) + mx, 2 * (by + y) + my);
+                  if (!same(pred[static_cast<std::size_t>(y * size + x)], s))
+                    FAIL() << "predict_block_halfpel " << what() << " at ("
+                           << x << "," << y << ")";
+                  const float c = cur_px(bx + x, by + y);
+                  sad_hp += std::abs(c - s);
+                  // block_sad takes integer pels: +-5 crosses by 5.
+                  sad += std::abs(c - ref_px(bx + x + mx, by + y + my));
+                }
+              if (!same(block_sad_halfpel(cur, ref, bx, by, size, mv), sad_hp))
+                FAIL() << "block_sad_halfpel " << what();
+              if (!same(block_sad(cur, ref, bx, by, size, mv), sad))
+                FAIL() << "block_sad " << what();
+            }
+      }
+  }
 }
 
 // ---- Block coder ---------------------------------------------------------------

@@ -1,3 +1,6 @@
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "codec/container.hpp"
@@ -88,6 +91,44 @@ TEST(Deblock, EncoderDecoderStayBitExact) {
   EXPECT_GT(psnr_luma(rgb_to_yuv420(video->frame(last)),
                       a[static_cast<std::size_t>(last)]),
             20.0);
+}
+
+TEST(Deblock, HeaderConstructedDecoderMatchesDecodeVideo) {
+  // Decoder(const EncodedVideo&) takes the loop filter from the stream
+  // header, so decoding a deblocked stream segment by segment through it is
+  // byte-identical to decode_video; a decoder built from the geometry alone
+  // (no set_deblock) decodes the same stream differently.
+  const auto video = make_genre_video(Genre::kSports, 94, 64, 48, 2.0, 15.0);
+  CodecConfig cfg;
+  cfg.crf = 40;
+  cfg.deblock = true;
+  cfg.use_b_frames = true;
+  cfg.intra_period = 5;
+  const int n = video->frame_count();
+  const auto encoded = Encoder(cfg).encode(*video, {{0, n / 2}, {n / 2, n - n / 2}});
+  const auto expected = Decoder(64, 48, encoded.crf).decode_video(encoded);
+
+  const auto bytes_equal = [](const Plane& a, const Plane& b) {
+    return a.same_size(b) &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  };
+  const auto decode_by_segment = [&](Decoder& dec) {
+    std::vector<FrameYUV> out;
+    for (const auto& seg : encoded.segments)
+      for (auto& f : dec.decode_segment(seg)) out.push_back(std::move(f));
+    return out;
+  };
+  Decoder from_header(encoded);
+  const auto got = decode_by_segment(from_header);
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(bytes_equal(got[i].y, expected[i].y)) << "frame " << i;
+    EXPECT_TRUE(bytes_equal(got[i].u, expected[i].u)) << "frame " << i;
+    EXPECT_TRUE(bytes_equal(got[i].v, expected[i].v)) << "frame " << i;
+  }
+
+  Decoder unfiltered(encoded.width, encoded.height, encoded.crf);
+  EXPECT_FALSE(bytes_equal(decode_by_segment(unfiltered)[0].y, expected[0].y));
 }
 
 TEST(Deblock, FlagSurvivesContainerRoundTrip) {

@@ -23,20 +23,13 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
                                    std::istreambuf_iterator<char>());
 }
 
-fuzz::Harness harness_for(const std::string& name) {
-  for (const fuzz::Harness h : fuzz::all_harnesses())
-    if (name.rfind(fuzz::harness_name(h), 0) == 0) return h;
-  ADD_FAILURE() << "corpus file " << name << " matches no harness prefix";
-  return fuzz::Harness::kBits;
-}
-
 }  // namespace
 
 TEST(FuzzCorpus, EveryInputReplaysToTypedError) {
   const auto corpus = fuzz::regression_corpus();
   ASSERT_FALSE(corpus.empty());
   for (const auto& [name, bytes] : corpus) {
-    EXPECT_EQ(fuzz::replay(harness_for(name), bytes),
+    EXPECT_EQ(fuzz::replay_named(name, bytes),
               fuzz::ReplayOutcome::kTypedError)
         << name;
   }
@@ -55,7 +48,7 @@ TEST(FuzzCorpus, CheckedInFilesMatchGenerator) {
 TEST(FuzzCorpus, CheckedInFilesReplayToTypedError) {
   for (const auto& [name, bytes] : fuzz::regression_corpus()) {
     const auto on_disk = read_file(std::string(DCSR_CORPUS_DIR) + "/" + name);
-    EXPECT_EQ(fuzz::replay(harness_for(name), on_disk),
+    EXPECT_EQ(fuzz::replay_named(name, on_disk),
               fuzz::ReplayOutcome::kTypedError)
         << name;
   }

@@ -162,6 +162,22 @@ TEST(Metrics, PsnrKnownValue) {
   EXPECT_NEAR(psnr(a, b), 20.0, 1e-5);
 }
 
+TEST(Metrics, RgbPsnrIsTheMeanOfPerPlaneMses) {
+  // psnr(FrameRGB) sums r, g and b in one pass; each channel's sum must keep
+  // its own serial order, so the result is bit-equal to three plane passes.
+  const FrameRGB a = random_frame(37, 21, 11), b = random_frame(37, 21, 12);
+  const auto mse = [](const Plane& p, const Plane& q) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      const double d = static_cast<double>(p.data()[i]) - q.data()[i];
+      acc += d * d;
+    }
+    return acc / static_cast<double>(p.size());
+  };
+  const double m = (mse(a.r, b.r) + mse(a.g, b.g) + mse(a.b, b.b)) / 3.0;
+  EXPECT_EQ(psnr(a, b), 10.0 * std::log10(1.0 / m));
+}
+
 TEST(Metrics, PsnrDecreasesWithNoise) {
   const FrameRGB f = smooth_frame(16, 16);
   Rng rng(5);

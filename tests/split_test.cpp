@@ -2,6 +2,7 @@
 
 #include "split/segmenter.hpp"
 #include "split/shot_detector.hpp"
+#include "util/thread_pool.hpp"
 #include "video/genres.hpp"
 #include "video/source.hpp"
 
@@ -42,6 +43,22 @@ TEST(ShotDetector, DifferenceSignalSpikesAtCuts) {
       EXPECT_LT(diffs[i], 0.05) << "non-cut at " << i;
     }
   }
+}
+
+TEST(ShotDetector, DifferencesBitIdenticalAcrossThreadCounts) {
+  // Chunks of frames render concurrently, each re-rendering the frame before
+  // its first; every difference must match the serial pass bit for bit.
+  const auto video = make_genre_video(Genre::kMusicVideo, 3, 64, 48, 5.0);
+  const int saved_threads = default_thread_count();
+  set_default_pool_threads(1);
+  const auto serial = frame_differences(*video);
+  set_default_pool_threads(4);
+  const auto pooled = frame_differences(*video);
+  set_default_pool_threads(saved_threads);
+  EXPECT_EQ(serial, pooled);
+  // A one-frame video has no pairs to difference.
+  EXPECT_EQ(frame_differences(*make_genre_video(Genre::kNews, 1, 64, 48, 1.0, 1.0)),
+            std::vector<double>{0.0});
 }
 
 TEST(ShotDetector, DetectsExactBoundaries) {

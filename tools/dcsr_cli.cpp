@@ -1,12 +1,13 @@
 // dcsr_cli — command-line front end for the codec and container layers.
 //
 //   dcsr_cli synth  <out.dcv> [genre] [seed] [seconds] [crf] [slices]
-//                   [intra_period]
+//                   [intra_period] [deblock]
 //       Generates a synthetic genre video, splits it at scene changes,
 //       encodes it (optionally as multiple macroblock-row slices per frame,
-//       and with an extra I frame every intra_period frames of a segment;
-//       0, the default, puts I frames only at segment starts), and writes a
-//       .dcv container. The bytes do not depend on DCSR_THREADS.
+//       with an extra I frame every intra_period frames of a segment, 0, the
+//       default, putting I frames only at segment starts, and with the
+//       in-loop deblocking filter when deblock is 1; default 0), and writes
+//       a .dcv container. The bytes do not depend on DCSR_THREADS.
 //
 //   dcsr_cli decode <in.dcv> <out.yuv>
 //       Decodes the container and dumps raw little-endian f32 planes
@@ -78,6 +79,7 @@ int cmd_synth(int argc, char** argv) {
   const int crf = argc > 4 ? std::atoi(argv[4]) : 35;
   const int slices = argc > 5 ? std::atoi(argv[5]) : 1;
   const int intra_period = argc > 6 ? std::atoi(argv[6]) : 0;
+  const bool deblock = argc > 7 && std::atoi(argv[7]) != 0;
 
   const auto video = make_genre_video(genre, seed, kWidth, kHeight, seconds, kFps);
   const auto segments = split::variable_segments(*video);
@@ -85,6 +87,7 @@ int cmd_synth(int argc, char** argv) {
   cfg.crf = crf;
   cfg.slices = slices;
   cfg.intra_period = intra_period;
+  cfg.deblock = deblock;
   const auto encoded = codec::Encoder(cfg).encode(*video, segments);
 
   ByteWriter w;
@@ -92,9 +95,9 @@ int cmd_synth(int argc, char** argv) {
   write_file(out, w.bytes());
   std::printf(
       "wrote %s: %d frames in %zu segments, %.1f KB (crf %d, %d slices, "
-      "intra period %d)\n",
+      "intra period %d, deblock %d)\n",
       out.c_str(), encoded.frame_count(), encoded.segments.size(),
-      w.size() / 1e3, crf, slices, intra_period);
+      w.size() / 1e3, crf, slices, intra_period, deblock ? 1 : 0);
   return 0;
 }
 
@@ -103,8 +106,7 @@ int cmd_decode(int argc, char** argv) {
   ByteReader r(read_file(argv[0]));
   const codec::EncodedVideo encoded = codec::read_container(r);
 
-  codec::Decoder dec(encoded.width, encoded.height, encoded.crf);
-  dec.set_deblock(encoded.deblock);
+  codec::Decoder dec(encoded);
   ByteWriter yuv;
   int frames = 0;
   for (const auto& seg : encoded.segments) {
@@ -158,8 +160,7 @@ int cmd_verify(int argc, char** argv) {
     return 1;
   }
 
-  codec::Decoder dec(encoded.width, encoded.height, encoded.crf);
-  dec.set_deblock(encoded.deblock);
+  codec::Decoder dec(encoded);
   Table t({"segment", "frames", "mean luma PSNR"});
   int base = 0;
   for (std::size_t s = 0; s < encoded.segments.size(); ++s) {
@@ -244,7 +245,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage:\n"
                  "  dcsr_cli synth  <out.dcv> [genre] [seed] [seconds] [crf] [slices]"
-                 " [intra_period]\n"
+                 " [intra_period] [deblock]\n"
                  "  dcsr_cli decode <in.dcv> <out.yuv>\n"
                  "  dcsr_cli info   <in.dcv>\n"
                  "  dcsr_cli verify <in.dcv> [genre] [seed] [seconds]\n"

@@ -19,8 +19,9 @@
 // regression_corpus().
 //
 // --replay feeds one file to a harness (guessed from the filename prefix if
-// --harness is omitted) and reports the outcome. --write-corpus regenerates
-// the checked-in regression corpus bytes.
+// --harness is omitted, with replay_named's P/B slice shapes) and reports
+// the outcome. --write-corpus regenerates the checked-in regression corpus
+// bytes.
 
 #include <cstdint>
 #include <cstdio>
@@ -56,10 +57,13 @@ void write_file(const std::string& path, const std::vector<std::uint8_t>& b) {
           static_cast<std::streamsize>(b.size()));
 }
 
-std::optional<Harness> harness_from_filename(const std::string& path) {
+std::string file_name(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
-  const std::string name =
-      slash == std::string::npos ? path : path.substr(slash + 1);
+  return slash == std::string::npos ? path : path.substr(slash + 1);
+}
+
+std::optional<Harness> harness_from_filename(const std::string& path) {
+  const std::string name = file_name(path);
   for (const Harness h : dcsr::fuzz::all_harnesses())
     if (name.rfind(dcsr::fuzz::harness_name(h), 0) == 0) return h;
   return std::nullopt;
@@ -142,7 +146,11 @@ int main(int argc, char** argv) {
                 << "; pass --harness\n";
       return 2;
     }
-    const auto outcome = dcsr::fuzz::replay(*h, read_file(replay_path));
+    const auto bytes = read_file(replay_path);
+    const auto outcome =
+        harness_override.empty()
+            ? *dcsr::fuzz::replay_named(file_name(replay_path), bytes)
+            : dcsr::fuzz::replay(*h, bytes);
     std::cout << dcsr::fuzz::harness_name(*h) << " "
               << outcome_name(outcome) << "\n";
     return 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <initializer_list>
 #include <limits>
 #include <string>
 
@@ -293,6 +294,30 @@ ReplayOutcome replay_single_slice(const Bytes& bytes) {
   }
 }
 
+// The corpus shape of inter slice files: the bytes are the one slice
+// substream of a 32x32 P or B frame, decoded straight through
+// codec::decode_slice against two fixed references (ramps of different
+// slopes, so a sample read from the wrong place changes the prediction).
+ReplayOutcome replay_inter_slice(codec::FrameType type, const Bytes& bytes) {
+  static const auto ramp = [](float slope) {
+    FrameYUV f(32, 32);
+    for (Plane* p : {&f.y, &f.u, &f.v})
+      for (int y = 0; y < p->height(); ++y)
+        for (int x = 0; x < p->width(); ++x)
+          p->at(x, y) = slope * static_cast<float>(x + 2 * y) / 96.0f;
+    return f;
+  };
+  static const FrameYUV older = ramp(0.5f), newer = ramp(1.0f);
+  FrameYUV out(32, 32);
+  try {
+    codec::decode_slice(type, out, {&older, &newer}, codec::Quantizer(28),
+                        bytes.data(), bytes.size(), {0, 2});
+    return ReplayOutcome::kParsed;
+  } catch (const codec::BitstreamError&) {
+    return ReplayOutcome::kTypedError;
+  }
+}
+
 // ---- Slice harness ---------------------------------------------------------
 
 // One real slice substream and the frame type and partition entry it was
@@ -441,6 +466,17 @@ ReplayOutcome replay(Harness h, const Bytes& bytes) {
   return ReplayOutcome::kParsed;
 }
 
+std::optional<ReplayOutcome> replay_named(std::string_view name,
+                                          const Bytes& bytes) {
+  if (name.starts_with("slice-p-"))
+    return replay_inter_slice(codec::FrameType::kP, bytes);
+  if (name.starts_with("slice-b-"))
+    return replay_inter_slice(codec::FrameType::kB, bytes);
+  for (const Harness h : all_harnesses())
+    if (name.starts_with(harness_name(h))) return replay(h, bytes);
+  return std::nullopt;
+}
+
 FuzzStats run(Harness h, std::uint64_t seed, std::uint64_t iters,
               std::uint64_t start) {
   FuzzStats stats;
@@ -496,7 +532,7 @@ FuzzStats run(Harness h, std::uint64_t seed, std::uint64_t iters,
           }
         }
         try {
-          codec::Decoder dec(encoded.width, encoded.height, encoded.crf);
+          codec::Decoder dec(encoded);
           (void)dec.decode_segment(seg);
           outcome = ReplayOutcome::kParsed;
         } catch (const codec::BitstreamError&) {
@@ -642,6 +678,52 @@ std::vector<std::pair<std::string, Bytes>> regression_corpus() {
     bw.put_ue(2);
     bw.put_bits(3, 2);  // intra mode 3 does not exist
     out.emplace_back("slice-bad-mode-after-resync.bin", bw.finish());
+  }
+
+  // codec slices, inter: the one slice of a 32x32 P or B frame (2x2
+  // macroblocks), whose first three macroblocks carry vectors pointing 1-3
+  // pixels past every frame edge (left and top from the top-left MB, right
+  // from the top-right, bottom from the bottom-left), so the replay predicts
+  // through the clamped border path of motion compensation as well as the
+  // row path. The last macroblock carries the rejected element the entry
+  // pins. Every block codes no coefficients (EOB only). The resync header
+  // is decoder_slice's.
+  const auto no_coefficients = [](codec::BitWriter& bw) {
+    for (int b = 0; b < 6; ++b) bw.put_ue(64);
+  };
+  {  // codec slices: P vectors past every edge, then one past the decoder's
+     // range. A P macroblock codes its vector minus its left neighbour's;
+     // the predictor resets to (0, 0) at each MB row.
+    codec::BitWriter bw = decoder_slice();
+    const auto mb = [&](int dx, int dy) {
+      bw.put_bit(false);  // not skipped
+      bw.put_se(dx);
+      bw.put_se(dy);
+    };
+    mb(-6, -5);  // (-6, -5): past the left and top edges
+    no_coefficients(bw);
+    mb(11, 3);  // (5, -2): past the right and top edges
+    no_coefficients(bw);
+    mb(-2, 6);  // (-2, 6), second row: past the left and bottom edges
+    no_coefficients(bw);
+    mb(1 << 19, 0);  // (2^19 - 2, 6): out of range
+    out.emplace_back("slice-p-mv-past-edges.bin", bw.finish());
+  }
+  {  // codec slices: B macroblocks predicting bidirectionally, backward and
+     // forward from past every edge, then prediction mode 3.
+    codec::BitWriter bw = decoder_slice();
+    const auto mb = [&](std::uint32_t mode, std::initializer_list<int> mvs) {
+      bw.put_bit(false);  // not skipped
+      bw.put_bits(mode, 2);
+      for (const int v : mvs) bw.put_se(v);
+      no_coefficients(bw);
+    };
+    mb(2, {-6, -5, -5, -6});  // bi: both vectors past the left and top edges
+    mb(1, {6, -3});           // backward: past the right and top edges
+    mb(0, {-3, 5});           // forward: past the left and bottom edges
+    bw.put_bit(false);
+    bw.put_bits(3, 2);  // B prediction mode 3 does not exist
+    out.emplace_back("slice-b-mv-past-edges.bin", bw.finish());
   }
 
   {  // stream/playlist: unknown directive.

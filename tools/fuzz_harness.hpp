@@ -42,6 +42,13 @@ enum class ReplayOutcome {
 /// Anything other than a clean parse or an acceptable rejection propagates.
 ReplayOutcome replay(Harness h, const std::vector<std::uint8_t>& bytes);
 
+/// Feeds one regression-corpus file to the harness its name starts with.
+/// A `slice-p-` or `slice-b-` file is the one slice substream of a 32x32 P
+/// or B frame, decoded against two fixed references; every other file
+/// replays as replay() does. nullopt when no harness name prefixes `name`.
+std::optional<ReplayOutcome> replay_named(std::string_view name,
+                                          const std::vector<std::uint8_t>& bytes);
+
 /// The valid serialised artefact the fuzz loop mutates — a well-formed
 /// container/playlist/bundle (or exp-Golomb stream for kBits).
 /// Empty for kDecoder, whose base is a real encode done inside run(). For
@@ -89,9 +96,9 @@ FuzzStats run(Harness h, std::uint64_t seed, std::uint64_t iters,
               std::uint64_t start = 0);
 
 /// The checked-in regression corpus: minimal deterministic inputs, one per
-/// hardened failure mode, each of which must replay to kTypedError. The
-/// files under tests/corpus/ are exactly these bytes (fuzz_corpus_test
-/// pins both directions).
+/// hardened failure mode, each of which must replay (replay_named) to
+/// kTypedError. The files under tests/corpus/ are exactly these bytes
+/// (fuzz_corpus_test pins both directions).
 std::vector<std::pair<std::string, std::vector<std::uint8_t>>>
 regression_corpus();
 

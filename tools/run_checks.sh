@@ -51,7 +51,11 @@
 #               slice counts 1/2/4, decode every container under both
 #               DCSR_THREADS=1 and =4, and byte-diff all six raw-YUV dumps
 #               against each other — decoded output must be bit-identical
-#               across slice counts AND thread counts. Also synthesises an
+#               across slice counts AND thread counts. Then the same
+#               six-way comparison on a deblocked, intra-period-5 video
+#               (synth's deblock argument): the one place a loop-filtered
+#               stream is decoded through the CLI, its P and B frames
+#               predicting from filtered references. Also synthesises an
 #               intra-period-12 video under DCSR_THREADS=1 and =4 and
 #               byte-compares the two containers (the encoder's closed GOPs
 #               run concurrently, replayed by the containment auditor), and
@@ -321,6 +325,26 @@ run_leg() {
         done
       done
       echo "decode-smoke: YUV bit-identical across slices {1,2,4} x threads {1,4}"
+      # The same check on a loop-filtered stream with an I frame every 5
+      # frames: its P frames predict from deblocked references.
+      ref=""
+      for s in 1 2 4; do
+        "$cli" synth "$build/decode-smoke-db-s$s.dcv" sports 7 2 30 "$s" 5 1 \
+          >/dev/null || return 1
+        for t in 1 4; do
+          env DCSR_THREADS="$t" "$cli" decode "$build/decode-smoke-db-s$s.dcv" \
+            "$build/decode-smoke-db-s$s-t$t.yuv" >/dev/null || return 1
+          if [ -z "$ref" ]; then
+            ref="$build/decode-smoke-db-s$s-t$t.yuv"
+          elif ! cmp -s "$ref" "$build/decode-smoke-db-s$s-t$t.yuv"; then
+            echo "decode-smoke: deblocked slices=$s DCSR_THREADS=$t output" \
+                 "differs from $ref" >&2
+            return 1
+          fi
+        done
+      done
+      echo "decode-smoke: deblocked intra-period-5 YUV bit-identical across" \
+           "slices {1,2,4} x threads {1,4}"
       # Container v2 (sliceless frames) is no longer read: a container whose
       # magic says v2 must fail with exit status 1 and an error naming v2.
       local v2="$build/decode-smoke-v2.dcv" rc=0
