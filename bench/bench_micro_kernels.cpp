@@ -33,6 +33,7 @@
 #include "util/alloc_check.hpp"
 #include "util/thread_pool.hpp"
 #include "video/genres.hpp"
+#include "video/scene.hpp"
 
 namespace dcsr {
 namespace {
@@ -517,6 +518,26 @@ void BM_Ssim(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(ssim(a, b));
 }
 BENCHMARK(BM_Ssim);
+
+// One frame of a scene with background `bg` (sprites as random_scene draws
+// them) at range(0) x range(1): the ground-truth render behind every
+// quality metric, the encoder's input and the server's training pairs.
+void BM_RenderScene(benchmark::State& state, Background bg) {
+  Rng rng(12);
+  SceneSpec spec = random_scene(rng, 1.0f, 0.5f);
+  spec.background = bg;
+  const int w = static_cast<int>(state.range(0));
+  const int h = static_cast<int>(state.range(1));
+  for (auto _ : state) benchmark::DoNotOptimize(render_scene(spec, 1.0, w, h));
+}
+BENCHMARK_CAPTURE(BM_RenderScene, gradient, Background::kGradient)
+    ->Args({320, 192})->Args({1280, 720});
+BENCHMARK_CAPTURE(BM_RenderScene, texture, Background::kTexture)
+    ->Args({320, 192})->Args({1280, 720});
+BENCHMARK_CAPTURE(BM_RenderScene, stripes, Background::kStripes)
+    ->Args({320, 192})->Args({1280, 720});
+BENCHMARK_CAPTURE(BM_RenderScene, checkerboard, Background::kCheckerboard)
+    ->Args({320, 192})->Args({1280, 720});
 
 void BM_ResizeBicubic(benchmark::State& state) {
   Plane p(96, 64);

@@ -64,47 +64,83 @@ double psnr(const FrameRGB& a, const FrameRGB& b) {
 
 double psnr_luma(const FrameYUV& a, const FrameYUV& b) { return psnr(a.y, b.y); }
 
-double ssim(const Plane& a, const Plane& b) {
-  if (!a.same_size(b)) throw std::invalid_argument("ssim: plane size mismatch");
-  constexpr int kWin = 8;
+namespace {
+
+constexpr int kSsimWin = 8;
+// Dense sliding window with stride 4 — dense enough to be stable, cheap
+// enough to run inside per-frame loops of the quality benches.
+constexpr int kSsimStride = 4;
+
+// Adds the SSIM of the `Lanes` horizontally adjacent windows at
+// (wx + l * stride, wy) to `total`, in window order. Each window has its own
+// accumulators and sums its samples in (y, x) order, so every window's value
+// is the one a window-at-a-time loop computes; the windows' addition chains
+// run side by side.
+template <int Lanes>
+void add_window_ssims(const Plane& a, const Plane& b, int wx, int wy, double& total) {
   constexpr double kC1 = 0.01 * 0.01;  // (K1 * L)^2 with L = 1
   constexpr double kC2 = 0.03 * 0.03;
-  const int W = a.width(), H = a.height();
-  if (W < kWin || H < kWin) throw std::invalid_argument("ssim: plane too small");
+  constexpr double kN = kSsimWin * kSsimWin;
+  const auto row = static_cast<std::size_t>(a.width());
+  const float* pa = a.ptr(wx, wy);
+  const float* pb = b.ptr(wx, wy);
+  // The windows' samples with the lane innermost, ta[y][x][l] = a at
+  // (wx + l * stride + x, wy + y), so each (y, x) step adds one contiguous
+  // group of `Lanes` values (a copy: no float operation changes).
+  float ta[kSsimWin][kSsimWin][Lanes], tb[kSsimWin][kSsimWin][Lanes];
+  for (int y = 0; y < kSsimWin; ++y)
+    for (int l = 0; l < Lanes; ++l)
+      for (int x = 0; x < kSsimWin; ++x) {
+        ta[y][x][l] = pa[y * row + l * kSsimStride + x];
+        tb[y][x][l] = pb[y * row + l * kSsimStride + x];
+      }
+  double ma[Lanes] = {}, mb[Lanes] = {};
+  for (int y = 0; y < kSsimWin; ++y)
+    for (int x = 0; x < kSsimWin; ++x)
+      for (int l = 0; l < Lanes; ++l) {
+        ma[l] += ta[y][x][l];
+        mb[l] += tb[y][x][l];
+      }
+  for (int l = 0; l < Lanes; ++l) {
+    ma[l] /= kN;
+    mb[l] /= kN;
+  }
+  double va[Lanes] = {}, vb[Lanes] = {}, cov[Lanes] = {};
+  for (int y = 0; y < kSsimWin; ++y)
+    for (int x = 0; x < kSsimWin; ++x)
+      for (int l = 0; l < Lanes; ++l) {
+        const double da = ta[y][x][l] - ma[l];
+        const double db = tb[y][x][l] - mb[l];
+        va[l] += da * da;
+        vb[l] += db * db;
+        cov[l] += da * db;
+      }
+  for (int l = 0; l < Lanes; ++l) {
+    va[l] /= kN - 1;
+    vb[l] /= kN - 1;
+    cov[l] /= kN - 1;
+    const double num = (2 * ma[l] * mb[l] + kC1) * (2 * cov[l] + kC2);
+    const double den = (ma[l] * ma[l] + mb[l] * mb[l] + kC1) * (va[l] + vb[l] + kC2);
+    total += num / den;
+  }
+}
 
+}  // namespace
+
+double ssim(const Plane& a, const Plane& b) {
+  if (!a.same_size(b)) throw std::invalid_argument("ssim: plane size mismatch");
+  const int W = a.width(), H = a.height();
+  if (W < kSsimWin || H < kSsimWin) throw std::invalid_argument("ssim: plane too small");
+
+  constexpr int kLanes = 4;
   double total = 0.0;
   long count = 0;
-  // Dense sliding window with stride 4 — dense enough to be stable, cheap
-  // enough to run inside per-frame loops of the quality benches.
-  constexpr int kStride = 4;
-  for (int wy = 0; wy + kWin <= H; wy += kStride) {
-    for (int wx = 0; wx + kWin <= W; wx += kStride) {
-      double ma = 0.0, mb = 0.0;
-      for (int y = 0; y < kWin; ++y)
-        for (int x = 0; x < kWin; ++x) {
-          ma += a.at(wx + x, wy + y);
-          mb += b.at(wx + x, wy + y);
-        }
-      constexpr double kN = kWin * kWin;
-      ma /= kN;
-      mb /= kN;
-      double va = 0.0, vb = 0.0, cov = 0.0;
-      for (int y = 0; y < kWin; ++y)
-        for (int x = 0; x < kWin; ++x) {
-          const double da = a.at(wx + x, wy + y) - ma;
-          const double db = b.at(wx + x, wy + y) - mb;
-          va += da * da;
-          vb += db * db;
-          cov += da * db;
-        }
-      va /= kN - 1;
-      vb /= kN - 1;
-      cov /= kN - 1;
-      const double num = (2 * ma * mb + kC1) * (2 * cov + kC2);
-      const double den = (ma * ma + mb * mb + kC1) * (va + vb + kC2);
-      total += num / den;
-      ++count;
-    }
+  for (int wy = 0; wy + kSsimWin <= H; wy += kSsimStride) {
+    int wx = 0;
+    for (; wx + (kLanes - 1) * kSsimStride + kSsimWin <= W; wx += kLanes * kSsimStride)
+      add_window_ssims<kLanes>(a, b, wx, wy, total);
+    for (; wx + kSsimWin <= W; wx += kSsimStride) add_window_ssims<1>(a, b, wx, wy, total);
+    count += (W - kSsimWin) / kSsimStride + 1;
   }
   return total / static_cast<double>(count);
 }

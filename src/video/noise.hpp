@@ -19,6 +19,15 @@ class ValueNoise {
   /// Fractal sum of `octaves` octaves with persistence 0.5, in [0,1].
   float fbm(float x, float y, float base_scale, int octaves) const noexcept;
 
+  /// fbm over the grid xs[0..nx) x ys[0..ny): writes
+  /// out[j * nx + i] = fbm(xs[i], ys[j], base_scale, octaves), bit for bit.
+  /// Each octave's cell index and smoothstep weight are computed once per
+  /// column and once per row; the lattice hashes and the two x lerps once
+  /// per column per lattice row, so a pixel costs one lerp and an add per
+  /// octave. `fbm` stays the per-sample oracle.
+  void fbm_grid(const float* xs, int nx, const float* ys, int ny, float base_scale,
+                int octaves, float* out) const;
+
  private:
   float lattice(std::int64_t ix, std::int64_t iy) const noexcept;
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "video/noise.hpp"
 
@@ -13,42 +15,97 @@ Color lerp(const Color& a, const Color& b, float t) noexcept {
   return {a.r + (b.r - a.r) * t, a.g + (b.g - a.g) * t, a.b + (b.b - a.b) * t};
 }
 
-Color background_color(const SceneSpec& spec, const ValueNoise& noise, float px,
-                       float py, int width, int height) {
+// std::clamp(v, 0.0f, 1.0f) on values rather than references, which lets
+// the compiler turn the loops below into vector min/max.
+inline float clamp01(float v) noexcept { return v < 0.0f ? 0.0f : (1.0f < v ? 1.0f : v); }
+
+// Writes `c` scaled by the flicker gain and clamped to [0,1] as sample i.
+inline void put(float* r, float* g, float* b, std::size_t i, const Color& c, float flick) {
+  r[i] = clamp01(c.r * flick);
+  g[i] = clamp01(c.g * flick);
+  b[i] = clamp01(c.b * flick);
+}
+
+// Renders the background into `frame`. Every sample keeps the expression of
+// a per-pixel evaluation at (px[x], py[y]); terms that depend on one
+// coordinate only are computed once per column or once per row.
+void render_background(const SceneSpec& spec, const std::vector<float>& px,
+                       const std::vector<float>& py, float flick, FrameRGB& frame) {
+  const int width = frame.width(), height = frame.height();
+  const auto W = static_cast<std::size_t>(width);
   // Scale texture coordinates so a scene looks the same (just sharper) at any
   // render resolution; 1080 rows is the reference. The floor keeps features
   // at least a few pixels wide — real video downscaled this far is smooth,
   // not pixel noise, and pixel noise is not super-resolvable content.
   const float res_scale = static_cast<float>(height) / 1080.0f;
   const float scale = std::max(6.0f, spec.texture_scale * res_scale);
+  // Locals, so the compiler need not reload them after each store.
+  const Color ca = spec.color_a, cb = spec.color_b;
+  float* r = frame.r.data();
+  float* g = frame.g.data();
+  float* b = frame.b.data();
   switch (spec.background) {
     case Background::kGradient: {
-      const float t = 0.5f * (px / static_cast<float>(width) +
-                              py / static_cast<float>(height));
-      return lerp(spec.color_a, spec.color_b, std::clamp(t, 0.0f, 1.0f));
+      std::vector<float> col(W);
+      for (std::size_t x = 0; x < W; ++x) col[x] = px[x] / static_cast<float>(width);
+      for (int y = 0; y < height; ++y) {
+        const float row = py[static_cast<std::size_t>(y)] / static_cast<float>(height);
+        const std::size_t o = static_cast<std::size_t>(y) * W;
+        for (std::size_t x = 0; x < W; ++x) {
+          const float t = 0.5f * (col[x] + row);
+          put(r, g, b, o + x, lerp(ca, cb, clamp01(t)),
+              flick);
+        }
+      }
+      return;
     }
     case Background::kTexture: {
-      const float n = noise.fbm(px, py, scale, spec.texture_octaves);
-      return lerp(spec.color_a, spec.color_b, n);
+      // The b plane holds the noise until each sample's lerp overwrites it.
+      ValueNoise(spec.seed).fbm_grid(px.data(), width, py.data(), height, scale,
+                                     spec.texture_octaves, b);
+      for (std::size_t i = 0; i < W * static_cast<std::size_t>(height); ++i)
+        put(r, g, b, i, lerp(ca, cb, b[i]), flick);
+      return;
     }
     case Background::kStripes: {
-      const float phase = std::sin(2.0f * 3.14159265f * px / (scale * 2.0f));
-      return phase > 0.0f ? spec.color_a : spec.color_b;
+      // The colour depends on x alone: render row 0, then copy it.
+      for (std::size_t x = 0; x < W; ++x) {
+        const float phase = std::sin(2.0f * 3.14159265f * px[x] / (scale * 2.0f));
+        put(r, g, b, x, phase > 0.0f ? ca : cb, flick);
+      }
+      for (Plane* p : {&frame.r, &frame.g, &frame.b})
+        for (int y = 1; y < height; ++y)
+          std::copy_n(p->data(), W, p->data() + static_cast<std::size_t>(y) * W);
+      return;
     }
     case Background::kCheckerboard: {
-      const int cx = static_cast<int>(std::floor(px / scale));
-      const int cy = static_cast<int>(std::floor(py / scale));
-      return ((cx + cy) & 1) ? spec.color_a : spec.color_b;
+      std::vector<int> col(W);
+      for (std::size_t x = 0; x < W; ++x)
+        col[x] = static_cast<int>(std::floor(px[x] / scale));
+      for (int y = 0; y < height; ++y) {
+        const int cy = static_cast<int>(std::floor(py[static_cast<std::size_t>(y)] / scale));
+        const std::size_t o = static_cast<std::size_t>(y) * W;
+        for (std::size_t x = 0; x < W; ++x)
+          put(r, g, b, o + x, ((col[x] + cy) & 1) ? ca : cb, flick);
+      }
+      return;
     }
   }
-  return spec.color_a;
+  for (std::size_t i = 0; i < W * static_cast<std::size_t>(height); ++i)
+    put(r, g, b, i, ca, flick);
 }
 
 }  // namespace
 
+void validate_scene(const SceneSpec& spec, const std::string& where) {
+  if (spec.background == Background::kTexture && spec.texture_octaves < 1)
+    throw std::invalid_argument(where + ": texture background needs texture_octaves >= 1, got " +
+                                std::to_string(spec.texture_octaves));
+}
+
 FrameRGB render_scene(const SceneSpec& spec, double t, int width, int height) {
+  validate_scene(spec, "render_scene");
   FrameRGB frame(width, height);
-  const ValueNoise noise(spec.seed);
   const ValueNoise sprite_noise(spec.seed ^ 0xabcdef1234ULL);
 
   const float pan_x = static_cast<float>(spec.pan_vx * t) * static_cast<float>(width);
@@ -56,22 +113,15 @@ FrameRGB render_scene(const SceneSpec& spec, double t, int width, int height) {
   const float flick =
       1.0f + spec.flicker * std::sin(static_cast<float>(t) * 6.0f);
 
-  for (int y = 0; y < height; ++y) {
-    for (int x = 0; x < width; ++x) {
-      const float px = static_cast<float>(x) + pan_x;
-      const float py = static_cast<float>(y) + pan_y;
-      Color c = background_color(spec, noise, px, py, width, height);
-      c.r = std::clamp(c.r * flick, 0.0f, 1.0f);
-      c.g = std::clamp(c.g * flick, 0.0f, 1.0f);
-      c.b = std::clamp(c.b * flick, 0.0f, 1.0f);
-      frame.r.at(x, y) = c.r;
-      frame.g.at(x, y) = c.g;
-      frame.b.at(x, y) = c.b;
-    }
-  }
+  std::vector<float> px(static_cast<std::size_t>(std::max(width, 0)));
+  std::vector<float> py(static_cast<std::size_t>(std::max(height, 0)));
+  for (std::size_t x = 0; x < px.size(); ++x) px[x] = static_cast<float>(x) + pan_x;
+  for (std::size_t y = 0; y < py.size(); ++y) py[y] = static_cast<float>(y) + pan_y;
+  render_background(spec, px, py, flick, frame);
 
   // Foreground sprites, drawn back-to-front in declaration order. Sprites
   // bounce off frame edges so long shots keep their content on screen.
+  std::vector<float> offsets, noise;
   for (const auto& s : spec.sprites) {
     auto bounce = [](float start, float v, double tt) {
       float pos = start + static_cast<float>(v * tt);
@@ -87,7 +137,24 @@ FrameRGB render_scene(const SceneSpec& spec, double t, int width, int height) {
     const int x1 = std::min(width - 1, static_cast<int>(cx + hw));
     const int y0 = std::max(0, static_cast<int>(cy - hh));
     const int y1 = std::min(height - 1, static_cast<int>(cy + hh));
+    const int bw = x1 - x0 + 1, bh = y1 - y0 + 1;
+    if (bw <= 0 || bh <= 0) continue;
+    const bool textured = s.texture_amount > 0.0f;
+    if (textured) {
+      // The sprite's noise over its box, at offsets from the box corner.
+      offsets.resize(static_cast<std::size_t>(std::max(bw, bh)));
+      for (std::size_t i = 0; i < offsets.size(); ++i) offsets[i] = static_cast<float>(i);
+      noise.resize(static_cast<std::size_t>(bw) * static_cast<std::size_t>(bh));
+      sprite_noise.fbm_grid(offsets.data(), bw, offsets.data(), bh, 8.0f, 3, noise.data());
+    }
     for (int y = y0; y <= y1; ++y) {
+      const std::size_t row = static_cast<std::size_t>(y) * static_cast<std::size_t>(width);
+      float* r = frame.r.data() + row;
+      float* g = frame.g.data() + row;
+      float* b = frame.b.data() + row;
+      const float* n =
+          textured ? noise.data() + static_cast<std::size_t>(y - y0) * static_cast<std::size_t>(bw)
+                   : nullptr;
       for (int x = x0; x <= x1; ++x) {
         if (s.shape == Sprite::Shape::kCircle) {
           const float dx = (static_cast<float>(x) - cx) / hw;
@@ -95,17 +162,15 @@ FrameRGB render_scene(const SceneSpec& spec, double t, int width, int height) {
           if (dx * dx + dy * dy > 1.0f) continue;
         }
         Color c = s.color;
-        if (s.texture_amount > 0.0f) {
-          const float n = sprite_noise.fbm(static_cast<float>(x - x0),
-                                           static_cast<float>(y - y0), 8.0f, 3);
-          const float m = 1.0f - s.texture_amount * (1.0f - n);
+        if (textured) {
+          const float m = 1.0f - s.texture_amount * (1.0f - n[x - x0]);
           c.r *= m;
           c.g *= m;
           c.b *= m;
         }
-        frame.r.at(x, y) = c.r;
-        frame.g.at(x, y) = c.g;
-        frame.b.at(x, y) = c.b;
+        r[x] = c.r;
+        g[x] = c.g;
+        b[x] = c.b;
       }
     }
   }

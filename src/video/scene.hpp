@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "image/frame.hpp"
@@ -49,7 +50,12 @@ struct SceneSpec {
   std::vector<Sprite> sprites;
 };
 
-/// Renders the scene at time `t` seconds into a frame of the given size.
+/// Throws std::invalid_argument, prefixed with `where`, for a spec that would
+/// render NaN: a texture background with fewer than one octave.
+void validate_scene(const SceneSpec& spec, const std::string& where);
+
+/// Renders the scene at time `t` seconds into a frame of the given size;
+/// throws std::invalid_argument for a spec validate_scene rejects.
 FrameRGB render_scene(const SceneSpec& spec, double t, int width, int height);
 
 /// Draws a random scene from a genre-agnostic distribution; used by tests

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace dcsr {
 
@@ -16,6 +17,10 @@ SyntheticVideo::SyntheticVideo(std::string name, std::vector<SceneSpec> scenes,
       fps_(fps) {
   if (scenes_.empty() || shots_.empty())
     throw std::invalid_argument("SyntheticVideo: empty scene library or shot list");
+  if (width_ <= 0 || height_ <= 0 || !(fps_ > 0.0))
+    throw std::invalid_argument("SyntheticVideo: width, height and fps must be positive");
+  for (std::size_t i = 0; i < scenes_.size(); ++i)
+    validate_scene(scenes_[i], "SyntheticVideo: scene " + std::to_string(i));
   shot_start_.reserve(shots_.size());
   for (const auto& shot : shots_) {
     if (shot.frame_count <= 0)

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "image/convert.hpp"
 #include "image/frame.hpp"
@@ -208,6 +210,68 @@ TEST(Metrics, SsimOrdersDegradationsLikePsnr) {
     }
   EXPECT_GT(ssim(f, mild), ssim(f, severe));
   EXPECT_LT(ssim(f, severe), 1.0);
+}
+
+// The window-at-a-time SSIM loop ssim(Plane, Plane) computed before it
+// ran adjacent windows side by side: the oracle for its bit pattern.
+double ssim_one_window_at_a_time(const Plane& a, const Plane& b) {
+  constexpr int kWin = 8;
+  constexpr double kC1 = 0.01 * 0.01;
+  constexpr double kC2 = 0.03 * 0.03;
+  constexpr int kStride = 4;
+  const int W = a.width(), H = a.height();
+  double total = 0.0;
+  long count = 0;
+  for (int wy = 0; wy + kWin <= H; wy += kStride) {
+    for (int wx = 0; wx + kWin <= W; wx += kStride) {
+      double ma = 0.0, mb = 0.0;
+      for (int y = 0; y < kWin; ++y)
+        for (int x = 0; x < kWin; ++x) {
+          ma += a.at(wx + x, wy + y);
+          mb += b.at(wx + x, wy + y);
+        }
+      constexpr double kN = kWin * kWin;
+      ma /= kN;
+      mb /= kN;
+      double va = 0.0, vb = 0.0, cov = 0.0;
+      for (int y = 0; y < kWin; ++y)
+        for (int x = 0; x < kWin; ++x) {
+          const double da = a.at(wx + x, wy + y) - ma;
+          const double db = b.at(wx + x, wy + y) - mb;
+          va += da * da;
+          vb += db * db;
+          cov += da * db;
+        }
+      va /= kN - 1;
+      vb /= kN - 1;
+      cov /= kN - 1;
+      const double num = (2 * ma * mb + kC1) * (2 * cov + kC2);
+      const double den = (ma * ma + mb * mb + kC1) * (va + vb + kC2);
+      total += num / den;
+      ++count;
+    }
+  }
+  return total / static_cast<double>(count);
+}
+
+TEST(Metrics, SsimMatchesWindowAtATimeLoopBitForBit) {
+  // Widths give 1, 2, 3, 4, 5, 7, 11 and 79 windows per row: every count of
+  // leftover windows after the groups of 4, and one row with none.
+  const int widths[] = {8, 12, 16, 20, 24, 33, 50, 320};
+  const int heights[] = {8, 13, 21};
+  std::uint64_t seed = 40;
+  for (const int w : widths)
+    for (const int h : heights) {
+      const FrameRGB fa = random_frame(w, h, ++seed);
+      FrameRGB fb = fa;
+      Rng rng(++seed);
+      for (int y = 0; y < h; ++y)
+        for (int x = 0; x < w; ++x)
+          fb.r.at(x, y) += static_cast<float>(rng.normal(0, 0.05));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(ssim(fa.r, fb.r)),
+                std::bit_cast<std::uint64_t>(ssim_one_window_at_a_time(fa.r, fb.r)))
+          << w << "x" << h;
+    }
 }
 
 TEST(Metrics, MismatchedSizesThrow) {
