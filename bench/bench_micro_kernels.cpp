@@ -92,9 +92,9 @@ void BM_DequantIdct8x8(benchmark::State& state) {
 }
 BENCHMARK(BM_DequantIdct8x8);
 
-// im2col on an inference-shaped conv (c=8, 48x48, 3x3, stride 1, pad 1):
-// ~80% of a small conv's wall time, and the biggest single SIMD lever in
-// BM_EdsrEnhanceSteadyState.
+// im2col of one 48x48 item of c channels (3x3, stride 1, pad 1): the
+// column builder Conv2d runs for geometries the direct 3x3 kernels do not
+// cover.
 void BM_Im2col(benchmark::State& state) {
   const int c = static_cast<int>(state.range(0));
   Rng rng(5);
@@ -107,8 +107,9 @@ void BM_Im2col(benchmark::State& state) {
 }
 BENCHMARK(BM_Im2col)->Arg(8)->Arg(32);
 
-// col2im_add, the scatter at the end of Conv2d::backward, on a training
-// patch (c channels, 24x24, 3x3, stride 1, pad 1): one row-wise add pass.
+// col2im_add, the scatter at the end of Conv2d::backward for geometries
+// the direct 3x3 kernels do not cover, on a 24x24 patch of c channels: one
+// row-wise add pass.
 void BM_Col2imAdd(benchmark::State& state) {
   const int c = static_cast<int>(state.range(0));
   Rng rng(5);
@@ -165,11 +166,13 @@ void BM_MatmulThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulThreads)->Arg(1)->Arg(sweep_threads());
 
+// Training forward of one c -> c 3x3 conv on a batch of 4 48x48 items, the
+// input BM_Conv2dBackward differentiates, so the two time the same work.
 void BM_Conv2dForward(benchmark::State& state) {
   const int c = static_cast<int>(state.range(0));
   Rng rng(5);
   nn::Conv2d conv(c, c, 3, rng);
-  const Tensor x = Tensor::randn({1, c, 48, 48}, rng);
+  const Tensor x = Tensor::randn({4, c, 48, 48}, rng);
   for (auto _ : state) benchmark::DoNotOptimize(conv.forward(x));
 }
 BENCHMARK(BM_Conv2dForward)->Arg(8)->Arg(16)->Arg(32);
@@ -201,8 +204,8 @@ BENCHMARK(BM_Conv2dInfer)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Backward pass on a batch: the im2col matrices built by forward are reused,
-// so backward pays only for the three GEMMs and the col2im scatter.
+// Backward of BM_Conv2dForward's conv and batch: the weight, input and bias
+// gradients from the padded input that forward keeps.
 void BM_Conv2dBackward(benchmark::State& state) {
   const int c = static_cast<int>(state.range(0));
   Rng rng(5);
@@ -213,6 +216,22 @@ void BM_Conv2dBackward(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(conv.backward(go));
 }
 BENCHMARK(BM_Conv2dBackward)->Arg(8)->Arg(16)->Arg(32);
+
+// One training step of one c -> c 3x3 conv at the server's shape: forward
+// and backward of a single 24x24 patch item, as each lockstep unit runs
+// them (the quickstart micro models train on 24-pixel patches).
+void BM_Conv2dTrainStep(benchmark::State& state) {
+  const int c = static_cast<int>(state.range(0));
+  Rng rng(5);
+  nn::Conv2d conv(c, c, 3, rng);
+  const Tensor x = Tensor::randn({1, c, 24, 24}, rng);
+  const Tensor go = Tensor::randn({1, c, 24, 24}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(conv.forward(x));
+    benchmark::DoNotOptimize(conv.backward(go));
+  }
+}
+BENCHMARK(BM_Conv2dTrainStep)->Arg(8)->Arg(16);
 
 // Lockstep training of k = 2 quickstart micro models (8 filters, 2
 // ResBlocks, patch 24, batch 4) for 20 steps, across thread counts: each

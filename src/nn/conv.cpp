@@ -40,6 +40,21 @@ Shape Conv2d::out_shape(const Shape& in) const {
           conv_out_size_checked(in[3], kernel_, stride_, pad_, "Conv2d")};
 }
 
+void Conv2d::run_item(const Tensor& x, int n, Tensor& scratch, float* out,
+                      bool fuse_relu) const {
+  if (direct()) {
+    conv3x3_into(x, n, weight_.value, bias_.value.data(), fuse_relu, scratch,
+                 out);
+    return;
+  }
+  const int oh = conv_out_size(x.dim(2), kernel_, stride_, pad_);
+  const int ow = conv_out_size(x.dim(3), kernel_, stride_, pad_);
+  scratch.reset({in_channels_ * kernel_ * kernel_, oh * ow});
+  im2col_into(x, n, kernel_, stride_, pad_, scratch);
+  matmul_bias_into(weight_.value, scratch, bias_.value.data(),
+                   MutMat(out, out_channels_, oh * ow), fuse_relu);
+}
+
 Tensor Conv2d::forward(const Tensor& x) {
   if (x.rank() != 4 || x.dim(1) != in_channels_)
     throw std::invalid_argument("Conv2d: bad input shape " + x.shape().str());
@@ -47,21 +62,13 @@ Tensor Conv2d::forward(const Tensor& x) {
   const int oh = conv_out_size_checked(x.dim(2), kernel_, stride_, pad_, "Conv2d");
   const int ow = conv_out_size_checked(x.dim(3), kernel_, stride_, pad_, "Conv2d");
   cached_in_shape_ = x.shape();
-  cached_cols_.resize(static_cast<std::size_t>(N));
+  cached_.resize(static_cast<std::size_t>(N));
   Tensor out({N, out_channels_, oh, ow});
-  // The kernels of infer_into — im2col_into, then one GEMM with the bias
-  // folded into its epilogue, written straight into the item's output
-  // planes — so the outputs are bit-identical. The columns land in the
-  // item's cache slot for backward instead of a workspace checkout.
   const std::size_t item_floats =
       static_cast<std::size_t>(out_channels_) * oh * ow;
-  for (int n = 0; n < N; ++n) {
-    Tensor& cols = cached_cols_[static_cast<std::size_t>(n)];
-    cols.reset({in_channels_ * kernel_ * kernel_, oh * ow});
-    im2col_into(x, n, kernel_, stride_, pad_, cols);
-    matmul_bias_into(weight_.value, cols, bias_.value.data(),
-                     MutMat(out.data() + n * item_floats, out_channels_, oh * ow));
-  }
+  for (int n = 0; n < N; ++n)
+    run_item(x, n, cached_[static_cast<std::size_t>(n)],
+             out.data() + n * item_floats, /*fuse_relu=*/false);
   FiniteCheckGuard{*this, out};
   return out;
 }
@@ -83,31 +90,16 @@ void Conv2d::infer_into(const Tensor& x, Tensor& out, Workspace& ws,
   out.reset({N, out_channels_, oh, ow});
   const std::size_t item_floats =
       static_cast<std::size_t>(out_channels_) * oh * ow;
-  // All scratch comes from the caller's workspace, so a warm workspace makes
-  // the whole call allocation-free. Inference batches are almost always
-  // size 1, so items run one after another.
-  if (kernel_ == 3 && stride_ == 1 && pad_ == 1) {
-    // The SR models' convs: the direct kernel reads a zero-bordered copy of
-    // the item instead of a 9x column matrix, bit-identical to the GEMM path
-    // below (see conv3x3_into). It runs each item on the calling thread.
-    WorkspaceTensor padded = ws.acquire({in_channels_, oh + 2, ow + 2});
-    for (int n = 0; n < N; ++n)
-      conv3x3_into(x, n, weight_.value, bias_.value.data(), fuse_relu,
-                   *padded, out.data() + n * item_floats);
-  } else {
-    // im2col then one GEMM per item, the GEMM writing each item's plane
-    // block in place with the bias (and optional ReLU) folded into its
-    // epilogue; the parallelism comes from inside im2col_into and the GEMM.
-    WorkspaceTensor cols =
-        ws.acquire({in_channels_ * kernel_ * kernel_, oh * ow});
-    for (int n = 0; n < N; ++n) {
-      im2col_into(x, n, kernel_, stride_, pad_, *cols);
-      matmul_bias_into(weight_.value, *cols, bias_.value.data(),
-                       MutMat(out.data() + n * item_floats, out_channels_,
-                              oh * ow),
-                       fuse_relu);
-    }
-  }
+  // All scratch comes from the caller's workspace, checked out at the size
+  // run_item resets it to, so a warm workspace makes the whole call
+  // allocation-free. Inference batches are almost always size 1, so items
+  // run one after another; the direct kernel runs on the calling thread,
+  // and im2col + GEMM parallelise inside.
+  WorkspaceTensor scratch =
+      direct() ? ws.acquire({in_channels_, oh + 2, ow + 2})
+               : ws.acquire({in_channels_ * kernel_ * kernel_, oh * ow});
+  for (int n = 0; n < N; ++n)
+    run_item(x, n, *scratch, out.data() + n * item_floats, fuse_relu);
   FiniteCheckGuard{*this, out};
 }
 
@@ -124,25 +116,24 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
                                 grad_out.shape().str() + " does not match " +
                                 "cached forward output");
   Tensor grad_in(x);
-  // Weight and bias gradients accumulate item by item, in item order; the
-  // column gradient is consumed by col2im before the next item needs it.
+  // Weight and bias gradients accumulate item by item, in item order.
   Tensor dw, dcols;
   for (int n = 0; n < N; ++n) {
+    const Tensor& cached = cached_[static_cast<std::size_t>(n)];
+    bias_grad_add(grad_out, n, bias_.grad);
+    if (direct()) {
+      conv3x3_weight_grad_add(cached, grad_out, n, weight_.grad);
+      conv3x3_data_grad_into(weight_.value, grad_out, n, grad_padded_, grad_in);
+      continue;
+    }
     // This item's slice of grad_out is already a contiguous
     // (outC) x (oh*ow) matrix, so view it in place instead of copying.
-    const float* src = grad_out.data() +
-                       static_cast<std::size_t>(n) * out_channels_ * oh * ow;
-    const ConstMat go(src, out_channels_, oh * ow);
-
-    // dW += dY * cols^T ; db += rowsum(dY) ; dX_n = col2im(W^T * dY).
-    matmul_nt_into(go, cached_cols_[static_cast<std::size_t>(n)], dw);
+    // dW += dY * cols^T ; dX_n = col2im(W^T * dY).
+    const ConstMat go(grad_out.data() +
+                          static_cast<std::size_t>(n) * out_channels_ * oh * ow,
+                      out_channels_, oh * ow);
+    matmul_nt_into(go, cached, dw);
     weight_.grad.add_(dw);
-    for (int c = 0; c < out_channels_; ++c) {
-      float acc = 0.0f;
-      const float* row = src + static_cast<std::size_t>(c) * oh * ow;
-      for (int i = 0; i < oh * ow; ++i) acc += row[i];
-      bias_.grad[static_cast<std::size_t>(c)] += acc;
-    }
     matmul_tn_into(weight_.value, go, dcols);
     col2im_add(dcols, grad_in, n, kernel_, stride_, pad_);
   }

@@ -7,13 +7,16 @@ namespace dcsr::nn {
 
 /// 2-D convolution over NCHW tensors.
 ///
-/// Training (forward/backward) always runs im2col + GEMM: backward needs the
-/// column matrix for dW anyway, so forward builds it once per step and keeps
-/// it. Inference (infer_into) runs the direct 3x3 kernel (conv3x3_into) when
-/// kernel = 3, stride = 1 and pad = 1, the geometry of every SR-model conv,
-/// and im2col + GEMM for any other geometry (the VAE's stride-2 convs, for
-/// example). Both paths perform the same float ops per output element, so
-/// infer_into is bit-identical to forward (Infer.MatchesForwardBitwisePerLayer).
+/// One path per geometry, shared by training and inference. Kernel 3,
+/// stride 1, pad 1 (every SR-model conv and the VAE decoder's) runs the
+/// direct 3x3 kernels: conv3x3_into forward and inference, and backward
+/// conv3x3_weight_grad_add and conv3x3_data_grad_into over the zero-bordered
+/// input that forward keeps, with no column matrix. Any other geometry (the
+/// VAE's stride-2 convs, for example) runs im2col + GEMM, and forward keeps
+/// the columns for backward's dW. The direct kernels perform the float ops
+/// of im2col + GEMM per element, so every path computes the same bits:
+/// infer_into matches forward (Infer.MatchesForwardBitwisePerLayer), and
+/// trained weights match the GEMM path's (Trainer.BitIdentical*).
 ///
 /// Weight layout is (out_channels) x (in_channels * k * k), i.e. the GEMM
 /// left operand; bias is one scalar per output channel. He-normal init.
@@ -44,14 +47,24 @@ class Conv2d final : public Module {
   Param& bias() noexcept { return bias_; }
 
  private:
+  bool direct() const noexcept {
+    return kernel_ == 3 && stride_ == 1 && pad_ == 1;
+  }
+  // Item n of x through this layer's path into `out`: the direct kernel
+  // reading a zero-bordered copy it leaves in `scratch`, or im2col into
+  // `scratch` then one GEMM with the bias (and ReLU) in its epilogue.
+  void run_item(const Tensor& x, int n, Tensor& scratch, float* out,
+                bool fuse_relu) const;
+
   int in_channels_, out_channels_, kernel_, stride_, pad_;
   Param weight_;
   Param bias_;
-  Shape cached_in_shape_;  // shape of the dX that col2im scatters into
-  // im2col of each batch item, built by forward and reused by backward so
-  // the columns are computed once per step instead of twice. Each slot is
-  // reset in place, so its capacity carries over from step to step.
-  std::vector<Tensor> cached_cols_;
+  Shape cached_in_shape_;  // shape of the dX that backward writes
+  // What forward's run_item left in scratch for each batch item, the
+  // operand of backward's dW: the padded input or the column matrix. Each
+  // slot is reset in place, so its capacity carries over from step to step.
+  std::vector<Tensor> cached_;
+  Tensor grad_padded_;  // backward scratch: one zero-bordered dY item
 };
 
 }  // namespace dcsr::nn

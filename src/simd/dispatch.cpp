@@ -78,6 +78,9 @@ const char* family_name(int family) noexcept {
     case kFamGemm: return "gemm";
     case kFamIm2col: return "im2col";
     case kFamConv3x3: return "conv3x3";
+    case kFamConv3x3Dw: return "conv3x3_dw";
+    case kFamConv3x3Dx: return "conv3x3_dx";
+    case kFamRowSum: return "row_sum";
     case kFamYuvToRgb: return "yuv2rgb";
     case kFamRgbToYuv: return "rgb2yuv";
     case kFamChromaBox: return "chroma_box";

@@ -27,6 +27,9 @@ enum Family : int {
   kFamGemm,
   kFamIm2col,
   kFamConv3x3,
+  kFamConv3x3Dw,
+  kFamConv3x3Dx,
+  kFamRowSum,
   kFamYuvToRgb,
   kFamRgbToYuv,
   kFamChromaBox,
@@ -42,10 +45,12 @@ const char* family_name(int family) noexcept;
 /// Bit-exactness contract per family (enforced by tests/simd_test.cpp):
 /// every entry must produce byte-identical output to the scalar oracle for
 /// all finite inputs in the documented domain. For the float-accumulating
-/// families (dct/idct/dequant_idct/gemm/conv3x3/yuv) the oracle is written as
-/// explicit std::fma chains in ascending index order and compiled without
-/// contraction, so overriding backends must use FMA intrinsics at the same
-/// steps and in the same order, and round every other multiply.
+/// families (dct/idct/dequant_idct/gemm/conv3x3/conv3x3_dx/yuv) the oracle is
+/// written as explicit std::fma chains in ascending index order and compiled
+/// without contraction, so overriding backends must use FMA intrinsics at
+/// the same steps and in the same order, and round every other multiply.
+/// conv3x3_dw fuses nothing (each product rounds before its add) and
+/// row_sum only adds.
 struct KernelTable {
   // 8x8 forward / inverse DCT on raster-order 64-float blocks. in/out must
   // not alias.
@@ -97,6 +102,41 @@ struct KernelTable {
   void (*conv3x3)(const float* in, std::size_t in_rs, int c, int h, int w,
                   const float* wt, const float* bias, int o, bool relu,
                   int y0, int y1, float* out);
+
+  // Weight gradient of that convolution for one image, added into `dwt`
+  // (o rows of 9c, the layout of `wt`). `in` is the zero-bordered input as
+  // conv3x3 reads it; `dy` holds o planes of h x w output gradients,
+  // contiguous. Each (k, ci, ky, kx) entry is the dot product of dy plane k
+  // with the tap's implicit column col[i] = in(ci, y + ky, x + kx) over the
+  // flattened output index i = y*w + x, in the order of the im2col + GEMM
+  // path's dot tile: eight lane sums from +0, lane l taking
+  // acc_l = acc_l + dy[i] * col[i] (the product rounds) for i = l, l + 8,
+  // ... below n8 = h*w - h*w % 8; then s = 0 + acc_0 + ... + acc_7 in
+  // series, then s = s + dy[i] * col[i] for the n8 <= i < h*w tail, then
+  // dwt += s. When w % 8 != 0, some lane chunks span two or more image
+  // rows.
+  void (*conv3x3_dw)(const float* in, std::size_t in_rs, int c, int h, int w,
+                     const float* dy, int o, float* dwt);
+
+  // Input gradient of that convolution for one image. `dy` holds o
+  // zero-bordered planes of (h+2) rows x dy_rs floats (dy_rs >= w+2, plane
+  // stride (h+2)*dy_rs): padded row r, column s is output gradient
+  // (r-1, s-1). `wt` is the forward weight, o rows of 9c. Writes planes
+  // [c0, c1) (0 <= c0 <= c1 <= c) of the c planes of `dx` (h x w floats
+  // each, contiguous) and nothing else. Each dx element starts at +0 and,
+  // for the taps (ky, kx) in ascending order, adds t = one fma chain from
+  // +0 over k = 0..o-1 of wt[k][ci, ky, kx] * dy(k, y + 1 - ky, x + 1 - kx):
+  // the GEMM of the transposed weight with dy followed by col2im's per-tap
+  // adds. A tap that falls on the zero border has t = +0 for finite
+  // weights, and adding +0 is exact because the sum starts at +0 and so is
+  // never -0.
+  void (*conv3x3_dx)(const float* dy, std::size_t dy_rs, int o, int h, int w,
+                     const float* wt, int c, int c0, int c1, float* dx);
+
+  // Row sums added into `out`: for each of `rows` rows of n contiguous
+  // floats (row stride n), s = 0 + x[0] + x[1] + ... + x[n-1] in series,
+  // then out[r] += s. Conv2d's bias gradient.
+  void (*row_sum)(const float* x, int rows, int n, float* out);
 
   // One output row of YUV420 -> RGB with bilinear chroma upsampling.
   // yrow: w lumas; u0/u1 (v0/v1): the two vertically-neighbouring chroma

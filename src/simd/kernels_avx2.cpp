@@ -3,13 +3,15 @@
 // both avx2 and fma.
 //
 // Bit-exactness strategy per family:
-//   - dct/idct/dequant_idct/gemm/conv3x3/yuv: the scalar oracle writes its
-//     fused steps as std::fma, so these kernels replay the same chains — same
-//     terms, same ascending accumulation order — with _mm256_fmadd_ps and
-//     friends, vectorised across the *independent* outputs (the 8 lanes of a
-//     block row / C-tile columns / pixels of a row), never across an
-//     accumulation. With contraction off, every _mm256_mul_ps rounds exactly
-//     where the oracle's plain multiply does.
+//   - dct/idct/dequant_idct/gemm/conv3x3/conv3x3_dx/yuv: the scalar oracle
+//     writes its fused steps as std::fma, so these kernels replay the same
+//     chains — same terms, same ascending accumulation order — with
+//     _mm256_fmadd_ps and friends, vectorised across the *independent*
+//     outputs (the 8 lanes of a block row / C-tile columns / pixels of a
+//     row), never across an accumulation. With contraction off, every
+//     _mm256_mul_ps rounds exactly where the oracle's plain multiply does.
+//   - conv3x3_dw/row_sum: the oracle's lanes (or rows) are the vector lanes,
+//     each one the same serial chain of rounded multiplies and adds.
 //   - quant/dequant/im2col: exact math (division + exact lround
 //     emulation, single multiplies, copies).
 // Edge pixels and tail lanes reuse the kernels_inline.hpp helpers — the
@@ -454,6 +456,246 @@ void conv3x3_avx2(const float* in, std::size_t in_rs, int c, int h, int w,
     }
 }
 
+// --- Direct 3x3 convolution: weight gradient --------------------------------
+//
+// A block of OB <= 4 output channels and one (ci, ky) input row triple
+// keeps OB x 3 (kx) accumulators of 8 lanes, lane l summing the products of
+// the output pixels i = l (mod 8), as the GEMM path's dot tile does over
+// the column matrix. A lane chunk i .. i+7 reads each tap's columns from
+// one padded row when it lies in one output row; a chunk that crosses rows
+// (only when w % 8 != 0) gathers them. Each product rounds before its add.
+// The lanes then reduce in series with the scalar tail, as in the oracle.
+
+template <int OB>
+void conv3x3_dw_block(const float* in, std::size_t in_rs, std::size_t in_ps,
+                      int c, int h, int w, const float* dy, float* dwt,
+                      std::size_t w_rs) {
+  const int n = h * w;
+  const int n8 = n - n % 8;
+  for (int ci = 0; ci < c; ++ci)
+    for (int ky = 0; ky < 3; ++ky) {
+      const float* p = in + static_cast<std::size_t>(ci) * in_ps +
+                       static_cast<std::size_t>(ky) * in_rs;
+      __m256 acc[OB][3];
+#pragma GCC unroll 4
+      for (int k = 0; k < OB; ++k)
+#pragma GCC unroll 3
+        for (int kx = 0; kx < 3; ++kx) acc[k][kx] = _mm256_setzero_ps();
+      int y = 0, x = 0;  // output pixel of lane 0
+      for (int i = 0; i < n8; i += 8) {
+        __m256 col[3];
+        if (x + 8 <= w) {
+          const float* q = p + static_cast<std::size_t>(y) * in_rs + x;
+#pragma GCC unroll 3
+          for (int kx = 0; kx < 3; ++kx) col[kx] = _mm256_loadu_ps(q + kx);
+        } else {
+          std::int32_t off[8];
+          for (int l = 0, yy = y, xx = x; l < 8; ++l) {
+            off[l] = static_cast<std::int32_t>(yy * in_rs + xx);
+            if (++xx == w) xx = 0, ++yy;
+          }
+          const __m256i idx = load_epi32(off);
+#pragma GCC unroll 3
+          for (int kx = 0; kx < 3; ++kx)
+            col[kx] = _mm256_i32gather_ps(p + kx, idx, 4);
+        }
+#pragma GCC unroll 4
+        for (int k = 0; k < OB; ++k) {
+          const __m256 g = _mm256_loadu_ps(dy + static_cast<std::size_t>(k) * n + i);
+#pragma GCC unroll 3
+          for (int kx = 0; kx < 3; ++kx)
+            acc[k][kx] = _mm256_add_ps(acc[k][kx], _mm256_mul_ps(g, col[kx]));
+        }
+        x += 8;
+        while (x >= w) x -= w, ++y;
+      }
+      alignas(32) float lane[OB][3][8];
+#pragma GCC unroll 4
+      for (int k = 0; k < OB; ++k)
+#pragma GCC unroll 3
+        for (int kx = 0; kx < 3; ++kx) _mm256_store_ps(lane[k][kx], acc[k][kx]);
+      for (int k = 0; k < OB; ++k) {
+        const float* g = dy + static_cast<std::size_t>(k) * n;
+        for (int kx = 0; kx < 3; ++kx) {
+          float s = 0.0f;
+          for (int l = 0; l < 8; ++l) s += lane[k][kx][l];
+          for (int i = n8; i < n; ++i)
+            s += g[i] * p[static_cast<std::size_t>(i / w) * in_rs + i % w + kx];
+          dwt[static_cast<std::size_t>(k) * w_rs + ci * 9 + ky * 3 + kx] += s;
+        }
+      }
+    }
+}
+
+void conv3x3_dw_avx2(const float* in, std::size_t in_rs, int c, int h, int w,
+                     const float* dy, int o, float* dwt) {
+  const std::size_t in_ps = static_cast<std::size_t>(h + 2) * in_rs;
+  const std::size_t w_rs = static_cast<std::size_t>(9) * c;
+  const std::size_t plane = static_cast<std::size_t>(h) * w;
+  using BlockFn = void (*)(const float*, std::size_t, std::size_t, int, int,
+                           int, const float*, float*, std::size_t);
+  constexpr BlockFn kBlock[4] = {&conv3x3_dw_block<1>, &conv3x3_dw_block<2>,
+                                 &conv3x3_dw_block<3>, &conv3x3_dw_block<4>};
+  for (int k = 0; k < o; k += 4)
+    kBlock[std::min(4, o - k) - 1](in, in_rs, in_ps, c, h, w, dy + k * plane,
+                                   dwt + k * w_rs, w_rs);
+}
+
+// --- Direct 3x3 convolution: input gradient ---------------------------------
+//
+// A register tile is CB <= 4 input channels x NV vectors of 8 consecutive
+// pixels of one dx row. Per tap (ky, kx), in order, it runs CB*NV fma chains
+// from +0 over the o output channels (NV dy loads and CB weight broadcasts
+// per channel), then adds each chain into its dx pixels, which start as
+// +0 + the first tap. A masked tile (NV == 1) covers the last w % 8 pixels;
+// its masked-off lanes load zero and are never stored.
+
+template <int CB, int NV, bool kMasked>
+inline void conv3x3_dx_tile(const float* dy, std::size_t dy_rs,
+                            std::size_t dy_ps, int o, const float* wt,
+                            std::size_t w_rs, float* dst, std::size_t dx_ps,
+                            __m256i mask) {
+  for (int tap = 0; tap < 9; ++tap) {
+    const int ky = tap / 3, kx = tap % 3;
+    const float* src =
+        dy + static_cast<std::size_t>(2 - ky) * dy_rs + (2 - kx);
+    const float* wk = wt + tap;
+    __m256 t[CB][NV];
+#pragma GCC unroll 4
+    for (int cb = 0; cb < CB; ++cb)
+#pragma GCC unroll 2
+      for (int v = 0; v < NV; ++v) t[cb][v] = _mm256_setzero_ps();
+    for (int k = 0; k < o; ++k, src += dy_ps, wk += w_rs) {
+      __m256 dv[NV];
+#pragma GCC unroll 2
+      for (int v = 0; v < NV; ++v)
+        dv[v] = kMasked ? _mm256_maskload_ps(src, mask)
+                        : _mm256_loadu_ps(src + 8 * v);
+#pragma GCC unroll 4
+      for (int cb = 0; cb < CB; ++cb) {
+        const __m256 wv = _mm256_broadcast_ss(wk + 9 * cb);
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v)
+          t[cb][v] = _mm256_fmadd_ps(wv, dv[v], t[cb][v]);
+      }
+    }
+#pragma GCC unroll 4
+    for (int cb = 0; cb < CB; ++cb)
+#pragma GCC unroll 2
+      for (int v = 0; v < NV; ++v) {
+        float* d = dst + cb * dx_ps + 8 * v;
+        const __m256 acc = tap == 0 ? _mm256_setzero_ps()
+                           : kMasked ? _mm256_maskload_ps(d, mask)
+                                     : _mm256_loadu_ps(d);
+        const __m256 r = _mm256_add_ps(acc, t[cb][v]);
+        if (kMasked)
+          _mm256_maskstore_ps(d, mask, r);
+        else
+          _mm256_storeu_ps(d, r);
+      }
+  }
+}
+
+// All rows of CB dx planes: tiles of 16 pixels, then one vector, then one
+// masked tail.
+template <int CB>
+void conv3x3_dx_block(const float* dy, std::size_t dy_rs, std::size_t dy_ps,
+                      int o, int h, int w, const float* wt, std::size_t w_rs,
+                      float* dx) {
+  const __m256i tail = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(w % 8), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  const std::size_t dx_ps = static_cast<std::size_t>(h) * w;
+  for (int y = 0; y < h; ++y) {
+    const float* src = dy + static_cast<std::size_t>(y) * dy_rs;
+    float* dst = dx + static_cast<std::size_t>(y) * w;
+    int x = 0;
+    for (; x + 16 <= w; x += 16)
+      conv3x3_dx_tile<CB, 2, false>(src + x, dy_rs, dy_ps, o, wt, w_rs,
+                                    dst + x, dx_ps, tail);
+    for (; x + 8 <= w; x += 8)
+      conv3x3_dx_tile<CB, 1, false>(src + x, dy_rs, dy_ps, o, wt, w_rs,
+                                    dst + x, dx_ps, tail);
+    if (x < w)
+      conv3x3_dx_tile<CB, 1, true>(src + x, dy_rs, dy_ps, o, wt, w_rs,
+                                   dst + x, dx_ps, tail);
+  }
+}
+
+void conv3x3_dx_avx2(const float* dy, std::size_t dy_rs, int o, int h, int w,
+                     const float* wt, int c, int c0, int c1, float* dx) {
+  const std::size_t dy_ps = static_cast<std::size_t>(h + 2) * dy_rs;
+  const std::size_t w_rs = static_cast<std::size_t>(9) * c;
+  const std::size_t dx_ps = static_cast<std::size_t>(h) * w;
+  using BlockFn = void (*)(const float*, std::size_t, std::size_t, int, int,
+                           int, const float*, std::size_t, float*);
+  constexpr BlockFn kBlock[4] = {&conv3x3_dx_block<1>, &conv3x3_dx_block<2>,
+                                 &conv3x3_dx_block<3>, &conv3x3_dx_block<4>};
+  for (int ci = c0; ci < c1; ci += 4)
+    kBlock[std::min(4, c1 - ci) - 1](dy, dy_rs, dy_ps, o, h, w, wt + ci * 9,
+                                    w_rs, dx + ci * dx_ps);
+}
+
+// --- Row sums ---------------------------------------------------------------
+//
+// Eight rows at a time, one per lane: each 8 x 8 block of the rows is
+// transposed so that vector j holds element i + j of every row, and the
+// lane sums take those vectors in order, each row's chain in its own lane.
+// A block of fewer than 8 rows repeats its last row in the spare lanes and
+// drops them.
+
+inline void transpose8(__m256 v[8]) {
+  const __m256 t0 = _mm256_unpacklo_ps(v[0], v[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(v[0], v[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(v[2], v[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(v[2], v[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(v[4], v[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(v[4], v[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(v[6], v[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(v[6], v[7]);
+  const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  v[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
+  v[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
+  v[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
+  v[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
+  v[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
+  v[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
+  v[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
+  v[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
+}
+
+void row_sum_avx2(const float* x, int rows, int n, float* out) {
+  for (int r0 = 0; r0 < rows; r0 += 8) {
+    const int rb = std::min(8, rows - r0);
+    const float* row[8];
+    for (int j = 0; j < 8; ++j)
+      row[j] = x + static_cast<std::size_t>(r0 + std::min(j, rb - 1)) * n;
+    __m256 acc = _mm256_setzero_ps();
+    int i = 0;
+    for (; i + 8 <= n; i += 8) {
+      __m256 v[8];
+#pragma GCC unroll 8
+      for (int j = 0; j < 8; ++j) v[j] = _mm256_loadu_ps(row[j] + i);
+      transpose8(v);
+#pragma GCC unroll 8
+      for (int j = 0; j < 8; ++j) acc = _mm256_add_ps(acc, v[j]);
+    }
+    for (; i < n; ++i)
+      acc = _mm256_add_ps(acc, _mm256_setr_ps(row[0][i], row[1][i], row[2][i],
+                                              row[3][i], row[4][i], row[5][i],
+                                              row[6][i], row[7][i]));
+    alignas(32) float s[8];
+    _mm256_store_ps(s, acc);
+    for (int j = 0; j < rb; ++j) out[r0 + j] += s[j];
+  }
+}
+
 // --- YUV <-> RGB rows -------------------------------------------------------
 
 void yuv_to_rgb_row_avx2(const float* yrow, const float* u0, const float* u1,
@@ -593,6 +835,9 @@ bool populate_avx2(KernelTable& t) noexcept {
   t.gemm_tile = &gemm_tile_avx2;
   t.im2col_row = &im2col_row_avx2;
   t.conv3x3 = &conv3x3_avx2;
+  t.conv3x3_dw = &conv3x3_dw_avx2;
+  t.conv3x3_dx = &conv3x3_dx_avx2;
+  t.row_sum = &row_sum_avx2;
   t.yuv_to_rgb_row = &yuv_to_rgb_row_avx2;
   t.rgb_to_yuv_row = &rgb_to_yuv_row_avx2;
   t.chroma_box_row = &chroma_box_row_avx2;

@@ -168,6 +168,71 @@ void conv3x3_scalar(const float* in, std::size_t in_rs, int c, int h, int w,
       }
 }
 
+// The dot tile of the im2col + GEMM weight gradient over an implicit
+// column: eight lane sums over the flattened output index, each product
+// rounded before its add, then the lanes in series, the tail, and the add
+// into dwt. (y, x) walks the output pixels in raster order alongside i.
+void conv3x3_dw_scalar(const float* in, std::size_t in_rs, int c, int h,
+                       int w, const float* dy, int o, float* dwt) {
+  const std::size_t in_ps = static_cast<std::size_t>(h + 2) * in_rs;
+  const int n = h * w;
+  const int n8 = n - n % 8;
+  for (int k = 0; k < o; ++k) {
+    const float* g = dy + static_cast<std::size_t>(k) * n;
+    for (int ci = 0; ci < c; ++ci)
+      for (int ky = 0; ky < 3; ++ky)
+        for (int kx = 0; kx < 3; ++kx) {
+          const float* p = in + ci * in_ps + static_cast<std::size_t>(ky) * in_rs + kx;
+          float acc[8] = {};
+          int i = 0, y = 0, x = 0;
+          const auto term = [&] {
+            const float v = g[i] * p[static_cast<std::size_t>(y) * in_rs + x];
+            if (++x == w) x = 0, ++y;
+            return v;
+          };
+          for (; i < n8; ++i) acc[i % 8] += term();
+          float s = 0.0f;
+          for (int l = 0; l < 8; ++l) s += acc[l];
+          for (; i < n; ++i) s += term();
+          dwt[static_cast<std::size_t>(k) * 9 * c + ci * 9 + ky * 3 + kx] += s;
+        }
+  }
+}
+
+// col2im of the transposed-weight GEMM, gathered per input pixel: one fma
+// chain from +0 per tap, the taps added in (ky, kx) order into a sum from +0.
+void conv3x3_dx_scalar(const float* dy, std::size_t dy_rs, int o, int h,
+                       int w, const float* wt, int c, int c0, int c1,
+                       float* dx) {
+  const std::size_t dy_ps = static_cast<std::size_t>(h + 2) * dy_rs;
+  const std::size_t w_rs = static_cast<std::size_t>(9) * c;
+  for (int ci = c0; ci < c1; ++ci)
+    for (int y = 0; y < h; ++y)
+      for (int x = 0; x < w; ++x) {
+        float acc = 0.0f;
+        for (int ky = 0; ky < 3; ++ky)
+          for (int kx = 0; kx < 3; ++kx) {
+            const float* p = dy + static_cast<std::size_t>(y + 2 - ky) * dy_rs +
+                             (x + 2 - kx);
+            const float* wk = wt + static_cast<std::size_t>(ci) * 9 + ky * 3 + kx;
+            float t = 0.0f;
+            for (int k = 0; k < o; ++k)
+              t = std::fma(wk[k * w_rs], p[k * dy_ps], t);
+            acc += t;
+          }
+        dx[(static_cast<std::size_t>(ci) * h + y) * w + x] = acc;
+      }
+}
+
+void row_sum_scalar(const float* x, int rows, int n, float* out) {
+  for (int r = 0; r < rows; ++r) {
+    const float* row = x + static_cast<std::size_t>(r) * n;
+    float s = 0.0f;
+    for (int i = 0; i < n; ++i) s += row[i];
+    out[r] += s;
+  }
+}
+
 void yuv_to_rgb_row_scalar(const float* yrow, const float* u0, const float* u1,
                            const float* v0, const float* v1, float fy, int W,
                            int cw, float* r, float* g, float* b) {
@@ -195,6 +260,9 @@ KernelTable make_scalar_table() noexcept {
   t.gemm_tile = &gemm_tile_scalar;
   t.im2col_row = &im2col_row_scalar;
   t.conv3x3 = &conv3x3_scalar;
+  t.conv3x3_dw = &conv3x3_dw_scalar;
+  t.conv3x3_dx = &conv3x3_dx_scalar;
+  t.row_sum = &row_sum_scalar;
   t.yuv_to_rgb_row = &yuv_to_rgb_row_scalar;
   t.rgb_to_yuv_row = &rgb_to_yuv_row_scalar;
   t.chroma_box_row = &chroma_box_row_scalar;

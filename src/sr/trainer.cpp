@@ -28,11 +28,17 @@ void validate(const std::vector<TrainJob>& jobs, const TrainOptions& opts) {
     const std::string job = "job " + std::to_string(j);
     const int scale = jobs[j].model.config().scale;
     if (jobs[j].samples.empty()) reject(job + ": no samples");
-    for (const auto& s : jobs[j].samples) {
+    for (std::size_t i = 0; i < jobs[j].samples.size(); ++i) {
+      const TrainSample& s = jobs[j].samples[i];
+      const std::string sample = job + ", sample " + std::to_string(i);
+      // fill_patch reads every plane at the r plane's extent.
+      for (const FrameRGB* f : {&s.lo, &s.hi})
+        if (!f->r.same_size(f->g) || !f->r.same_size(f->b))
+          reject(sample + ": planes of different sizes");
       if (s.hi.width() != s.lo.width() * scale || s.hi.height() != s.lo.height() * scale)
-        reject(job + ": lo/hi size mismatch for scale");
+        reject(sample + ": lo/hi size mismatch for scale");
       if (s.lo.width() < opts.patch_size || s.lo.height() < opts.patch_size)
-        reject(job + ": frame smaller than patch");
+        reject(sample + ": frame smaller than patch");
     }
   }
 }

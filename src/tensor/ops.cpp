@@ -32,6 +32,54 @@ void require_item(const Tensor& t, int n, const char* what) {
   }
 }
 
+[[noreturn]] void shape_error(const char* what, const std::string& detail) {
+  AllocAllowScope allow;
+  throw std::invalid_argument(std::string(what) + ": " + detail);
+}
+
+void require_nchw_item(const Tensor& t, int n, const char* what) {
+  if (t.rank() != 4) shape_error(what, "expected NCHW, got " + t.shape().str());
+  require_item(t, n, what);
+}
+
+// Start of item n of an NCHW tensor.
+const float* item_data(const Tensor& t, int n) {
+  return t.data() + static_cast<std::size_t>(n) * t.dim(1) * t.dim(2) * t.dim(3);
+}
+float* item_data(Tensor& t, int n) {
+  return t.data() + static_cast<std::size_t>(n) * t.dim(1) * t.dim(2) * t.dim(3);
+}
+
+// Grain of a region over a direct conv kernel's 4-channel blocks, from the
+// flops of one block: each chunk carries at least ~1 MFLOP, so a small conv
+// stays on the calling thread. Inside another region (a training unit) the
+// region runs inline anyway.
+std::int64_t conv_block_grain(std::int64_t flops_per_block) {
+  return std::max<std::int64_t>(1, (1LL << 20) / std::max<std::int64_t>(1, flops_per_block) + 1);
+}
+
+// Copies item n of an NCHW tensor into `padded`, reshaped in place to
+// C x (H+2) x (W+2), inside a zero border: the operand layout of the
+// direct 3x3 kernels.
+void pad_item(const Tensor& t, int n, Tensor& padded) {
+  const int C = t.dim(1), H = t.dim(2), W = t.dim(3);
+  padded.reset({C, H + 2, W + 2});
+  const std::size_t pw = static_cast<std::size_t>(W) + 2;
+  const float* src = item_data(t, n);
+  float* p = padded.data();
+  for (int c = 0; c < C; ++c) {
+    std::fill(p, p + pw, 0.0f);
+    p += pw;
+    for (int y = 0; y < H; ++y, p += pw, src += W) {
+      p[0] = 0.0f;
+      std::copy(src, src + W, p + 1);
+      p[W + 1] = 0.0f;
+    }
+    std::fill(p, p + pw, 0.0f);
+    p += pw;
+  }
+}
+
 // Output positions [lo, hi) along one conv axis whose kernel tap `k` reads
 // an in-bounds input sample: 0 <= i * stride + k - pad < in.
 std::pair<int, int> valid_outputs(int in, int out, int k, int stride, int pad) {
@@ -315,23 +363,91 @@ void conv3x3_into(const Tensor& input, int n, ConstMat weight,
   }
   const simd::KernelTable& kt = simd::active();
   HotPathGuard alloc_guard("tensor/ops.cpp:conv3x3_into");
-  padded.reset({C, H + 2, W + 2});
-  const std::size_t pw = static_cast<std::size_t>(W) + 2;
-  const float* src = input.data() + static_cast<std::size_t>(n) * C * H * W;
-  float* p = padded.data();
-  for (int c = 0; c < C; ++c) {
-    std::fill(p, p + pw, 0.0f);
-    p += pw;
-    for (int y = 0; y < H; ++y, p += pw, src += W) {
-      p[0] = 0.0f;
-      std::copy(src, src + W, p + 1);
-      p[W + 1] = 0.0f;
-    }
-    std::fill(p, p + pw, 0.0f);
-    p += pw;
-  }
-  kt.conv3x3(padded.data(), pw, C, H, W, weight.data, bias, weight.rows, relu,
-             0, H, out);
+  pad_item(input, n, padded);
+  kt.conv3x3(padded.data(), static_cast<std::size_t>(W) + 2, C, H, W,
+             weight.data, bias, weight.rows, relu, 0, H, out);
+}
+
+void conv3x3_weight_grad_add(const Tensor& padded, const Tensor& grad_out,
+                             int n, Tensor& weight_grad) {
+  require_nchw_item(grad_out, n, "conv3x3_weight_grad_add");
+  const int O = grad_out.dim(1), H = grad_out.dim(2), W = grad_out.dim(3);
+  const int C = padded.rank() == 3 ? padded.dim(0) : 0;
+  if (padded.rank() != 3 || padded.dim(1) != H + 2 || padded.dim(2) != W + 2 ||
+      weight_grad.rank() != 2 || weight_grad.dim(0) != O ||
+      weight_grad.dim(1) != 9 * C)
+    shape_error("conv3x3_weight_grad_add", "padded input " +
+                                               padded.shape().str() +
+                                               " and weight gradient " +
+                                               weight_grad.shape().str() +
+                                               " do not fit gradient " +
+                                               grad_out.shape().str());
+  const simd::KernelTable& kt = simd::active();
+  const std::size_t plane = static_cast<std::size_t>(H) * W;
+  const std::size_t w_rs = static_cast<std::size_t>(9) * C;
+  const float* dy = item_data(grad_out, n);
+  float* dwt = weight_grad.data();
+  // Chunks own blocks of 4 weight rows (output channels), disjoint rows of
+  // weight_grad that each sum over the whole image.
+  const auto row = [O](std::int64_t block) {
+    return static_cast<std::size_t>(std::min<std::int64_t>(4 * block, O));
+  };
+  parallel_for_writes(
+      0, (O + 3) / 4, conv_block_grain(8LL * w_rs * plane),
+      [&](std::int64_t lo, std::int64_t hi) {
+        return span_of(dwt + row(lo) * w_rs, (row(hi) - row(lo)) * w_rs);
+      },
+      [&](std::int64_t lo, std::int64_t hi) {
+        kt.conv3x3_dw(padded.data(), static_cast<std::size_t>(W) + 2, C, H, W,
+                      dy + row(lo) * plane, static_cast<int>(row(hi) - row(lo)),
+                      dwt + row(lo) * w_rs);
+      },
+      "tensor/ops.cpp:conv3x3_weight_grad_add");
+}
+
+void conv3x3_data_grad_into(ConstMat weight, const Tensor& grad_out, int n,
+                            Tensor& padded_grad, Tensor& grad_in) {
+  require_nchw_item(grad_out, n, "conv3x3_data_grad_into");
+  const int O = grad_out.dim(1), H = grad_out.dim(2), W = grad_out.dim(3);
+  const int C = weight.cols / 9;
+  if (weight.rows != O || weight.cols != 9 * C || grad_in.rank() != 4 ||
+      grad_in.dim(1) != C || grad_in.dim(2) != H || grad_in.dim(3) != W ||
+      n >= grad_in.dim(0))
+    shape_error("conv3x3_data_grad_into",
+                "weight " + std::to_string(weight.rows) + "x" +
+                    std::to_string(weight.cols) + " and input gradient " +
+                    grad_in.shape().str() + " do not fit gradient " +
+                    grad_out.shape().str() + " item " + std::to_string(n));
+  const simd::KernelTable& kt = simd::active();
+  pad_item(grad_out, n, padded_grad);
+  const std::size_t plane = static_cast<std::size_t>(H) * W;
+  float* dx = item_data(grad_in, n);
+  // Chunks own blocks of 4 contiguous input-gradient planes.
+  const auto chan = [C](std::int64_t block) {
+    return static_cast<int>(std::min<std::int64_t>(4 * block, C));
+  };
+  parallel_for_writes(
+      0, (C + 3) / 4, conv_block_grain(72LL * O * plane),
+      [&](std::int64_t lo, std::int64_t hi) {
+        return span_of(dx + chan(lo) * plane,
+                       static_cast<std::size_t>(chan(hi) - chan(lo)) * plane);
+      },
+      [&](std::int64_t lo, std::int64_t hi) {
+        kt.conv3x3_dx(padded_grad.data(), static_cast<std::size_t>(W) + 2, O,
+                      H, W, weight.data, C, chan(lo), chan(hi), dx);
+      },
+      "tensor/ops.cpp:conv3x3_data_grad_into");
+}
+
+void bias_grad_add(const Tensor& grad_out, int n, Tensor& bias_grad) {
+  require_nchw_item(grad_out, n, "bias_grad_add");
+  const int O = grad_out.dim(1);
+  if (bias_grad.size() != static_cast<std::size_t>(O))
+    shape_error("bias_grad_add", "bias gradient " + bias_grad.shape().str() +
+                                     " does not fit gradient " +
+                                     grad_out.shape().str());
+  simd::active().row_sum(item_data(grad_out, n), O,
+                         grad_out.dim(2) * grad_out.dim(3), bias_grad.data());
 }
 
 void col2im_add(const Tensor& cols, Tensor& out, int n, int kernel, int stride,

@@ -88,6 +88,35 @@ void im2col_into(const Tensor& input, int n, int kernel, int stride, int pad,
 void conv3x3_into(const Tensor& input, int n, ConstMat weight,
                   const float* bias, bool relu, Tensor& padded, float* out);
 
+/// Backward of conv3x3_into for the n-th item of the NCHW output gradient
+/// `grad_out` (N x O x H x W). Each writes or adds exactly the floats of the
+/// im2col + GEMM backward it replaces, without a column matrix:
+///
+/// conv3x3_weight_grad_add: weight_grad (O x 9C) += grad_out[n] *
+/// im2col(item)^T, the sums in matmul_nt_into's order, then Tensor::add_'s.
+/// `padded` is the item's zero-bordered copy, C x (H+2) x (W+2), as
+/// conv3x3_into leaves it.
+///
+/// conv3x3_data_grad_into: item n of grad_in (N x C x H x W, pre-shaped) =
+/// col2im_add(matmul_tn(weight, grad_out[n])) into a zeroed item, for
+/// finite weights. `padded_grad` is caller scratch, reshaped in place to
+/// O x (H+2) x (W+2) and filled with the gradient item inside a zero border.
+///
+/// Both split their output's 4-channel blocks across the default pool when
+/// a block carries about 1 MFLOP or more (inline inside another region),
+/// with the same bits at any thread count, and throw std::invalid_argument
+/// on any shape mismatch or a bad n before writing anything.
+void conv3x3_weight_grad_add(const Tensor& padded, const Tensor& grad_out,
+                             int n, Tensor& weight_grad);
+void conv3x3_data_grad_into(ConstMat weight, const Tensor& grad_out, int n,
+                            Tensor& padded_grad, Tensor& grad_in);
+
+/// Bias gradient of a conv: bias_grad[o] += the serial sum, from +0, of
+/// channel o's plane in item n of the NCHW `grad_out`. Throws
+/// std::invalid_argument unless bias_grad has one float per channel and
+/// 0 <= n < N, before writing.
+void bias_grad_add(const Tensor& grad_out, int n, Tensor& bias_grad);
+
 /// Adjoint of im2col: scatter-adds columns back into a C x H x W gradient
 /// image (written into the n-th item of `out`, which must be pre-shaped).
 /// Adds row by row in (c, ky, kx, y, x) order, so each output element sums

@@ -632,10 +632,11 @@ TEST(Conv2d, RejectsDegenerateOutputGeometry) {
 }
 
 TEST(Conv2d, ColumnCacheReuseLeaksNoStaleColumns) {
-  // forward keeps each batch item's im2col columns for backward and resets
+  // forward keeps each batch item's backward operand (for this 3x3 conv the
+  // zero-bordered input; im2col columns for other geometries) and resets
   // the slots in place, so a step reuses the previous step's capacity. A
   // smaller second step (fewer items, smaller image) must not see any of the
-  // first step's columns: its gradients must equal a fresh layer's bitwise.
+  // first step's operands: its gradients must equal a fresh layer's bitwise.
   Rng data_rng(37);
   const Tensor big = Tensor::randn({3, 2, 8, 8}, data_rng);
   const Tensor small = Tensor::randn({1, 2, 6, 5}, data_rng);

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -281,6 +282,61 @@ TEST(Simd, ScalarOracleGoldenCrc) {
     }
   }
 
+  // The training kernels draw from their own generator too. Their CRCs were
+  // recorded from the im2col + GEMM training path on the same inputs before
+  // the families existed: matmul_nt_into then Tensor::add_ for the weight
+  // gradient, matmul_tn_into then col2im_add into a zeroed image for the
+  // input gradient, and Conv2d::backward's serial row loop for the bias.
+  // Odd widths make the weight gradient's lane chunks span rows (w = 3
+  // spans three), and h*w % 8 != 0 gives it a tail.
+  std::vector<std::uint8_t> dw, dx, row_sum;
+  {
+    Rng trng(0xd7d7d7ULL);
+    const auto tuni = [&trng](double lo, double hi) {
+      const auto q = trng.uniform_int(std::llround(std::ldexp(lo, 22)),
+                                      std::llround(std::ldexp(hi, 22)));
+      return std::ldexp(static_cast<float>(q), -22);
+    };
+    struct Geo {
+      int c, o, h, w;
+    };
+    for (const Geo g : {Geo{3, 8, 5, 13}, Geo{8, 8, 4, 24}, Geo{16, 3, 3, 17},
+                        Geo{8, 16, 6, 12}, Geo{5, 4, 7, 3}}) {
+      const std::size_t rs = static_cast<std::size_t>(g.w) + 2;
+      const std::size_t hw = static_cast<std::size_t>(g.h) * g.w;
+      std::vector<float> in(static_cast<std::size_t>(g.c) * (g.h + 2) * rs);
+      for (int c = 0; c < g.c; ++c)
+        for (int y = 0; y < g.h; ++y)
+          for (int x = 0; x < g.w; ++x)
+            in[(static_cast<std::size_t>(c) * (g.h + 2) + y + 1) * rs + x + 1] =
+                tuni(-2.0, 2.0);
+      std::vector<float> dy(static_cast<std::size_t>(g.o) * hw);
+      for (auto& v : dy) v = tuni(-2.0, 2.0);
+      std::vector<float> wt(static_cast<std::size_t>(g.o) * 9 * g.c);
+      for (auto& v : wt) v = tuni(-2.0, 2.0);
+      std::vector<float> dwt(wt.size());
+      for (auto& v : dwt) v = tuni(-1.0, 1.0);
+      std::vector<float> bias_grad(static_cast<std::size_t>(g.o));
+      for (auto& v : bias_grad) v = tuni(-1.0, 1.0);
+      std::vector<float> dy_padded(static_cast<std::size_t>(g.o) * (g.h + 2) * rs);
+      for (int k = 0; k < g.o; ++k)
+        for (int y = 0; y < g.h; ++y)
+          std::copy_n(dy.data() + k * hw + static_cast<std::size_t>(y) * g.w,
+                      g.w,
+                      dy_padded.data() +
+                          (static_cast<std::size_t>(k) * (g.h + 2) + y + 1) * rs +
+                          1);
+      sc.conv3x3_dw(in.data(), rs, g.c, g.h, g.w, dy.data(), g.o, dwt.data());
+      append_bytes(dw, dwt.data(), dwt.size());
+      std::vector<float> din(static_cast<std::size_t>(g.c) * hw);
+      sc.conv3x3_dx(dy_padded.data(), rs, g.o, g.h, g.w, wt.data(), g.c, 0,
+                    g.c, din.data());
+      append_bytes(dx, din.data(), din.size());
+      sc.row_sum(dy.data(), g.o, static_cast<int>(hw), bias_grad.data());
+      append_bytes(row_sum, bias_grad.data(), bias_grad.size());
+    }
+  }
+
   EXPECT_EQ(crc_of(dct), 0x5abb88cdu) << "dct";
   EXPECT_EQ(crc_of(idct), 0x3cb76327u) << "idct";
   EXPECT_EQ(crc_of(dequant_idct), 0xac54e690u) << "dequant_idct";
@@ -289,6 +345,9 @@ TEST(Simd, ScalarOracleGoldenCrc) {
   EXPECT_EQ(crc_of(rgb2yuv), 0xc2c486f7u) << "rgb2yuv";
   EXPECT_EQ(crc_of(box), 0x36f51ba9u) << "chroma_box";
   EXPECT_EQ(crc_of(conv), 0xa3b9eb97u) << "conv3x3";
+  EXPECT_EQ(crc_of(dw), 0xb7c12832u) << "conv3x3_dw";
+  EXPECT_EQ(crc_of(dx), 0xbdcbe55du) << "conv3x3_dx";
+  EXPECT_EQ(crc_of(row_sum), 0x6fe42b0bu) << "row_sum";
 }
 
 // --- 8x8 transforms: exhaustive impulses + random sweeps --------------------
@@ -549,6 +608,101 @@ TEST(Simd, Conv3x3MatchesScalarOracleBitwise) {
             }
         }
       }
+}
+
+// --- direct 3x3 conv backward: channel, width and height sweep -------------
+
+// The zero-bordered layout the conv kernels read: c planes of (h+2) rows of
+// rs floats, the h x w interior drawn from dist, the border zero.
+std::vector<float> padded_planes(int c, int h, int w, std::size_t rs,
+                                 std::mt19937& rng,
+                                 std::uniform_real_distribution<float>& dist) {
+  std::vector<float> p(static_cast<std::size_t>(c) * (h + 2) * rs, 0.0f);
+  for (int ci = 0; ci < c; ++ci)
+    for (int y = 0; y < h; ++y)
+      for (int x = 0; x < w; ++x)
+        p[(static_cast<std::size_t>(ci) * (h + 2) + y + 1) * rs + x + 1] =
+            dist(rng);
+  return p;
+}
+
+TEST(Simd, Conv3x3BackwardMatchesScalarOracleBitwise) {
+  const auto& sc = simd::scalar_table();
+  std::mt19937 rng(31);
+  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
+  constexpr float kCanary = -12345.0f;
+  // o and c cover full and partial 4-channel blocks. Widths below 8 put
+  // several rows in one weight-gradient lane chunk, other widths off the
+  // multiple of 8 make chunks cross one row and give dx masked tails; h*w
+  // % 8 != 0 gives the weight gradient a scalar tail. A row stride wider
+  // than w + 2 checks that in_rs and dy_rs are honoured.
+  for (int C : {1, 3, 8, 9})
+    for (int O : {1, 3, 4, 8, 16})
+      for (int W : {1, 3, 7, 8, 12, 13, 17, 24, 40})
+        for (int H : {1, 2, 5}) {
+          const std::size_t rs = static_cast<std::size_t>(W) + 2 + (W % 3);
+          const std::size_t plane = static_cast<std::size_t>(H) * W;
+          const std::vector<float> in = padded_planes(C, H, W, rs, rng, dist);
+          const std::vector<float> dyp = padded_planes(O, H, W, rs, rng, dist);
+          std::vector<float> dy(static_cast<std::size_t>(O) * plane);
+          for (auto& v : dy) v = dist(rng);
+          std::vector<float> wt(static_cast<std::size_t>(O) * 9 * C);
+          for (auto& v : wt) v = dist(rng);
+          // dwt and the row sums add into their outputs, so they start at
+          // random values; dx is written, so it starts at the canary. Each
+          // buffer has a trailing canary guard.
+          std::vector<float> dwt0(wt.size() + 8, kCanary);
+          std::vector<float> sums0(static_cast<std::size_t>(O) + 8, kCanary);
+          for (std::size_t i = 0; i < wt.size(); ++i) dwt0[i] = dist(rng);
+          for (int k = 0; k < O; ++k) sums0[static_cast<std::size_t>(k)] = dist(rng);
+          const std::vector<float> dx0(static_cast<std::size_t>(C) * plane + 8,
+                                       kCanary);
+          // dx also writes a plane range alone; its other planes keep the
+          // canary.
+          std::vector<std::pair<int, int>> planes{{0, C}};
+          if (C >= 3) planes.emplace_back(1, C - 1);
+          std::vector<float> dwt_ref = dwt0, sums_ref = sums0;
+          sc.conv3x3_dw(in.data(), rs, C, H, W, dy.data(), O, dwt_ref.data());
+          sc.row_sum(dy.data(), O, static_cast<int>(plane), sums_ref.data());
+          std::vector<std::vector<float>> dx_ref;
+          for (const auto& [c0, c1] : planes) {
+            dx_ref.push_back(dx0);
+            sc.conv3x3_dx(dyp.data(), rs, O, H, W, wt.data(), C, c0, c1,
+                          dx_ref.back().data());
+            for (std::size_t i = 0; i < dx0.size(); ++i) {
+              const auto ci = static_cast<int>(i / plane);
+              if (ci < c0 || ci >= c1) {
+                ASSERT_EQ(dx_ref.back()[i], kCanary)
+                    << "scalar dx wrote element " << i;
+              }
+            }
+          }
+          const auto where = [&] {
+            return "C=" + std::to_string(C) + " O=" + std::to_string(O) +
+                   " W=" + std::to_string(W) + " H=" + std::to_string(H);
+          };
+          for (Backend b : simd_backends()) {
+            const simd::KernelTable* t = simd::table_for(b);
+            std::vector<float> dwt = dwt0, sums = sums0;
+            t->conv3x3_dw(in.data(), rs, C, H, W, dy.data(), O, dwt.data());
+            t->row_sum(dy.data(), O, static_cast<int>(plane), sums.data());
+            ASSERT_TRUE(BitsEq(dwt_ref.data(), dwt.data(), dwt.size(),
+                               "conv3x3_dw", b))
+                << where();
+            ASSERT_TRUE(BitsEq(sums_ref.data(), sums.data(), sums.size(),
+                               "row_sum", b))
+                << where();
+            for (std::size_t r = 0; r < planes.size(); ++r) {
+              std::vector<float> dx = dx0;
+              t->conv3x3_dx(dyp.data(), rs, O, H, W, wt.data(), C,
+                            planes[r].first, planes[r].second, dx.data());
+              ASSERT_TRUE(BitsEq(dx_ref[r].data(), dx.data(), dx.size(),
+                                 "conv3x3_dx", b))
+                  << where() << " planes=[" << planes[r].first << ","
+                  << planes[r].second << ")";
+            }
+          }
+        }
 }
 
 // --- YUV rows: width sweep including tails ----------------------------------

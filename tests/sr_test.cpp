@@ -275,6 +275,26 @@ std::vector<std::uint8_t> param_bytes(Edsr& model) {
   return w.bytes();
 }
 
+TEST(Trainer, BitIdenticalAtUnalignedPatch) {
+  // A 13-pixel patch is not a multiple of the 8-float vector: the conv
+  // kernels' tail lanes and, in the weight gradient, lane chunks that span
+  // two rows of the patch all run. The CRC was recorded with the im2col +
+  // GEMM training path, so it pins the direct kernels to its arithmetic.
+  const int saved_threads = default_thread_count();
+  for (const int threads : {1, 4}) {
+    set_default_pool_threads(threads);
+    Rng rng(131);
+    const TrainSample pair = degraded_pair(textured_frame(32, 32, 132));
+    Edsr model({.n_filters = 8, .n_resblocks = 2, .scale = 1}, rng);
+    const TrainOptions opts{.iterations = 6, .patch_size = 13, .batch_size = 2};
+    train_sr_model(model, {pair}, opts, rng);
+    const std::vector<std::uint8_t> bytes = param_bytes(model);
+    EXPECT_EQ(codec::crc32(bytes.data(), bytes.size()), 0x27696a74u)
+        << "threads=" << threads;
+  }
+  set_default_pool_threads(saved_threads);
+}
+
 // Three models with their own configs (the third at scale 2), pairs and Rng
 // seeds: the lockstep trainer's jobs.
 struct LockstepCase {
@@ -389,6 +409,30 @@ TEST(Trainer, EmptyJobLeavesEveryModelUntouched) {
                std::invalid_argument);
   for (std::size_t j = 0; j < c.models.size(); ++j)
     EXPECT_EQ(param_bytes(*c.models[j]), before[j]) << "model " << j;
+}
+
+TEST(Trainer, RejectsSampleWithMismatchedPlanes) {
+  // fill_patch reads all three planes of lo and hi at the r plane's extent,
+  // so a sample whose g or b plane is smaller is rejected, naming its job
+  // and sample, before any model is touched.
+  for (const int plane : {1, 2})
+    for (const bool in_hi : {false, true}) {
+      LockstepCase c = make_lockstep_case();
+      TrainSample& s = c.data[2][1];
+      FrameRGB& f = in_hi ? s.hi : s.lo;
+      (plane == 1 ? f.g : f.b) = Plane(f.width() / 2, f.height());
+      std::vector<std::vector<std::uint8_t>> before;
+      for (auto& m : c.models) before.push_back(param_bytes(*m));
+      try {
+        train_sr_models(c.jobs(), {.iterations = 3, .patch_size = 12});
+        ADD_FAILURE() << "accepted plane " << plane << " in_hi=" << in_hi;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("job 2, sample 1"), std::string::npos)
+            << e.what();
+      }
+      for (std::size_t j = 0; j < c.models.size(); ++j)
+        EXPECT_EQ(param_bytes(*c.models[j]), before[j]) << "model " << j;
+    }
 }
 
 TEST(Edsr, InferMatchesForwardBitwise) {

@@ -335,6 +335,145 @@ TEST(Ops, Im2colAndCol2imRejectBadBatchIndexAndRank) {
   EXPECT_EQ(grad.at(1, 0, 2, 2), 9.0f);  // interior: all nine taps land
 }
 
+TEST(Ops, Conv3x3BackwardMatchesIm2colGemmBitwise) {
+  // The direct backward entry points write exactly the floats of the
+  // im2col + GEMM backward they replace, for any item of a batch and at any
+  // thread count (they split channel blocks across the pool): dW through
+  // matmul_nt_into then Tensor::add_, dX through matmul_tn_into then
+  // col2im_add into a zeroed item, the bias through a serial row sum.
+  // Widths off the multiple of 8 reach the kernels' row-crossing lane
+  // chunks and masked tails; 16 channels at 24 x 21 make 4 blocks that
+  // the pool splits in two chunks.
+  const int saved_threads = default_thread_count();
+  Rng rng(43);
+  struct Geo {
+    int c, o, h, w;
+  };
+  for (const Geo g : {Geo{3, 8, 7, 13}, Geo{8, 8, 6, 24}, Geo{16, 16, 24, 21},
+                      Geo{5, 3, 4, 5}})
+    for (const int threads : {1, 4}) {
+      set_default_pool_threads(threads);
+      const Tensor x = Tensor::randn({2, g.c, g.h, g.w}, rng);
+      const Tensor dy = Tensor::randn({2, g.o, g.h, g.w}, rng);
+      const Tensor wt = Tensor::randn({g.o, 9 * g.c}, rng);
+      const Tensor dw0 = Tensor::randn({g.o, 9 * g.c}, rng);
+      const Tensor db0 = Tensor::randn({g.o, 1}, rng);
+      const std::size_t hw = static_cast<std::size_t>(g.h) * g.w;
+      const int n = 1;
+      const ConstMat go(dy.data() + n * g.o * hw, g.o, static_cast<int>(hw));
+
+      Tensor cols({9 * g.c, static_cast<int>(hw)}), prod, dcols;
+      im2col_into(x, n, 3, 1, 1, cols);
+      Tensor dw_want = dw0;
+      matmul_nt_into(go, cols, prod);
+      dw_want.add_(prod);
+      matmul_tn_into(wt, go, dcols);
+      Tensor dx_want({2, g.c, g.h, g.w});
+      col2im_add(dcols, dx_want, n, 3, 1, 1);
+      Tensor db_want = db0;
+      for (int k = 0; k < g.o; ++k) {
+        float acc = 0.0f;
+        for (std::size_t i = 0; i < hw; ++i) acc += go.data[k * hw + i];
+        db_want[static_cast<std::size_t>(k)] += acc;
+      }
+
+      // conv3x3_into leaves the item's zero-bordered copy in `padded`.
+      Tensor padded, padded_grad, out({1, g.o, g.h, g.w});
+      conv3x3_into(x, n, wt, db0.data(), false, padded, out.data());
+      Tensor dw_got = dw0, db_got = db0;
+      Tensor dx_got = Tensor::full({2, g.c, g.h, g.w}, 7.0f);
+      conv3x3_weight_grad_add(padded, dy, n, dw_got);
+      conv3x3_data_grad_into(wt, dy, n, padded_grad, dx_got);
+      bias_grad_add(dy, n, db_got);
+      const auto bits_equal = [](const float* a, const float* b, std::size_t k) {
+        return std::memcmp(a, b, k * sizeof(float)) == 0;
+      };
+      const std::string where = "c=" + std::to_string(g.c) + " o=" +
+                                std::to_string(g.o) + " w=" +
+                                std::to_string(g.w) + " threads=" +
+                                std::to_string(threads);
+      EXPECT_TRUE(bits_equal(dw_got.data(), dw_want.data(), dw_want.size()))
+          << "weight gradient " << where;
+      EXPECT_TRUE(bits_equal(dx_got.data() + n * g.c * hw,
+                             dx_want.data() + n * g.c * hw, g.c * hw))
+          << "input gradient " << where;
+      for (std::size_t i = 0; i < g.c * hw; ++i)  // item 0 is not written
+        ASSERT_EQ(dx_got[i], 7.0f) << where;
+      EXPECT_TRUE(bits_equal(db_got.data(), db_want.data(), db_want.size()))
+          << "bias gradient " << where;
+    }
+  set_default_pool_threads(saved_threads);
+}
+
+TEST(Ops, Conv3x3BackwardRejectsMismatchedShapes) {
+  // Each backward entry point checks every operand against the gradient
+  // before it writes: a mismatch is a std::invalid_argument and leaves the
+  // outputs as they were.
+  Rng rng(44);
+  const Tensor dy = Tensor::randn({2, 4, 6, 5}, rng);
+  const Tensor wt = Tensor::randn({4, 9 * 3}, rng);
+  Tensor padded = Tensor::randn({3, 8, 7}, rng);
+  Tensor dw = Tensor::full({4, 27}, 1.0f);
+  Tensor dx = Tensor::full({2, 3, 6, 5}, 1.0f);
+  Tensor db = Tensor::full({4, 1}, 1.0f);
+  Tensor scratch;
+  const auto untouched = [](const Tensor& t) {
+    for (std::size_t i = 0; i < t.size(); ++i)
+      if (t[i] != 1.0f) return false;
+    return true;
+  };
+  Tensor wrong_dw = Tensor::full({4, 26}, 1.0f);
+  Tensor small_padded = Tensor::randn({3, 8, 6}, rng);
+  Tensor flat_padded = Tensor::randn({3, 56}, rng);
+  EXPECT_THROW(conv3x3_weight_grad_add(padded, dy, 0, wrong_dw),
+               std::invalid_argument);
+  EXPECT_THROW(conv3x3_weight_grad_add(small_padded, dy, 0, dw),
+               std::invalid_argument);
+  EXPECT_THROW(conv3x3_weight_grad_add(flat_padded, dy, 0, dw),
+               std::invalid_argument);
+  EXPECT_THROW(conv3x3_weight_grad_add(padded, dy, 2, dw),
+               std::invalid_argument);
+  EXPECT_THROW(conv3x3_weight_grad_add(padded, dy.reshaped({2, 4, 30}), 0, dw),
+               std::invalid_argument);
+  EXPECT_TRUE(untouched(dw));
+  EXPECT_TRUE(untouched(wrong_dw));
+
+  const Tensor wt_rows = Tensor::randn({3, 27}, rng);  // o != 4
+  const Tensor wt_cols = Tensor::randn({4, 26}, rng);  // not 9 x c
+  Tensor dx_chans = Tensor::full({2, 2, 6, 5}, 1.0f);
+  Tensor dx_small = Tensor::full({1, 3, 6, 5}, 1.0f);
+  Tensor dx_height = Tensor::full({2, 3, 5, 5}, 1.0f);
+  EXPECT_THROW(conv3x3_data_grad_into(wt_rows, dy, 0, scratch, dx),
+               std::invalid_argument);
+  EXPECT_THROW(conv3x3_data_grad_into(wt_cols, dy, 0, scratch, dx),
+               std::invalid_argument);
+  EXPECT_THROW(conv3x3_data_grad_into(wt, dy, 0, scratch, dx_chans),
+               std::invalid_argument);
+  EXPECT_THROW(conv3x3_data_grad_into(wt, dy, 1, scratch, dx_small),
+               std::invalid_argument);
+  EXPECT_THROW(conv3x3_data_grad_into(wt, dy, 0, scratch, dx_height),
+               std::invalid_argument);
+  EXPECT_THROW(conv3x3_data_grad_into(wt, dy, -1, scratch, dx),
+               std::invalid_argument);
+  for (const Tensor* t : {&dx, &dx_chans, &dx_small, &dx_height})
+    EXPECT_TRUE(untouched(*t));
+
+  Tensor db_wrong = Tensor::full({3, 1}, 1.0f);
+  EXPECT_THROW(bias_grad_add(dy, 0, db_wrong), std::invalid_argument);
+  EXPECT_THROW(bias_grad_add(dy, 2, db), std::invalid_argument);
+  EXPECT_THROW(bias_grad_add(dy.reshaped({2, 4, 30}), 0, db),
+               std::invalid_argument);
+  EXPECT_TRUE(untouched(db));
+  EXPECT_TRUE(untouched(db_wrong));
+
+  // The matching calls go through.
+  conv3x3_weight_grad_add(padded, dy, 1, dw);
+  conv3x3_data_grad_into(wt, dy, 1, scratch, dx);
+  bias_grad_add(dy, 1, db);
+  EXPECT_FALSE(untouched(dw));
+  EXPECT_FALSE(untouched(db));
+}
+
 TEST(Ops, ConvOutSizeCheckedThrowsNamingGeometry) {
   // The happy path agrees with the unchecked helper.
   EXPECT_EQ(conv_out_size_checked(8, 3, 1, 1, "conv"), conv_out_size(8, 3, 1, 1));

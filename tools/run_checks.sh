@@ -64,7 +64,10 @@
 #               "v2" on stderr. Last, deploys the news video under
 #               DCSR_THREADS=1 and =4 and compares the per-model CRC-32 lines
 #               of the fp32 weights deploy prints, and the two models.bin
-#               (lockstep micro-model training).
+#               (lockstep micro-model training), then deploys it once more
+#               under DCSR_SIMD=scalar and compares its CRC-32 lines with
+#               the default backend's (the training kernels' oracles
+#               against their AVX2 overrides, through the whole server).
 #   tidy        clang-tidy over every translation unit in src/ against the
 #               checked-in .clang-tidy, driven by the default build's
 #               compile_commands.json; any diagnostic fails the leg. If
@@ -386,6 +389,23 @@ run_leg() {
       fi
       echo "decode-smoke: deployed micro models (fp32 CRCs and models.bin)" \
            "bit-identical across threads {1,4}"
+      # The same deploy on the scalar oracle: every kernel the server runs,
+      # the direct conv training kernels included, must train the bits of
+      # the default backend (avx2 on an AVX2 host).
+      rm -rf "$build/decode-smoke-deploy-scalar"
+      env DCSR_SIMD=scalar "$cli" deploy "$build/decode-smoke-deploy-scalar" \
+        news 5 60 | grep '^model ' >"$build/decode-smoke-deploy-scalar.crc" \
+        || return 1
+      if ! cmp -s "$build/decode-smoke-deploy-t1.crc" \
+                  "$build/decode-smoke-deploy-scalar.crc"; then
+        echo "decode-smoke: fp32 micro-model CRCs differ between" \
+             "DCSR_SIMD=scalar and the default backend" >&2
+        diff "$build/decode-smoke-deploy-t1.crc" \
+             "$build/decode-smoke-deploy-scalar.crc" >&2
+        return 1
+      fi
+      echo "decode-smoke: deployed micro models bit-identical on the scalar" \
+           "oracle and the default backend"
       return 0
       ;;
     tidy)
