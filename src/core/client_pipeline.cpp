@@ -30,28 +30,6 @@ void guarded_after_warmup(bool warm, const char* site, Fn&& fn) {
   }
 }
 
-// Converts a decoded segment to RGB with one task per frame, writing into a
-// caller-owned vector: warm slots keep their plane buffers, so converting
-// segment after segment of the same resolution stops touching the
-// allocator. Conversion is pure per-frame work, so it overlaps freely; the
-// metric accumulation that follows stays serial and in display order.
-void convert_segment_into(const std::vector<FrameYUV>& frames,
-                          std::vector<FrameRGB>& rgb) {
-  rgb.resize(frames.size());
-  // Each chunk owns the FrameRGB slots [lo, hi) it converts into.
-  parallel_for_writes(
-      0, static_cast<std::int64_t>(frames.size()), 1,
-      [&](std::int64_t lo, std::int64_t hi) {
-        return span_of(rgb.data() + lo, static_cast<std::size_t>(hi - lo));
-      },
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i)
-          yuv420_to_rgb_into(frames[static_cast<std::size_t>(i)],
-                             rgb[static_cast<std::size_t>(i)]);
-      },
-      "core/client_pipeline.cpp:convert_segment");
-}
-
 // Accumulates per-frame metrics against the pristine source. Strides are
 // keyed off the *display index*, never off how many frames a playback path
 // happened to visit: every method must evaluate SSIM on the same frames or
@@ -85,11 +63,11 @@ class MetricsCollector {
 
 // Runs `produce(s)` for each segment index with one segment of lookahead:
 // while segment s's frames flow through `consume` (serial, display order —
-// the metric path), segment s+1 already decodes, enhances its I frame and
-// converts to RGB on the producer thread. Exactly one producer task is in
-// flight at a time, so producers may share decoder state without locking;
-// consumption order — and therefore every accumulated metric — is identical
-// to the serial program.
+// the metric path), segment s+1 already decodes and enhances its I frame on
+// the producer thread. Exactly one producer task is in flight at a time, so
+// producers may share decoder state without locking; consumption order —
+// and therefore every accumulated metric — is identical to the serial
+// program.
 //
 // All lookahead work runs on ONE persistent PipelineThread for the whole
 // playback. std::async handed every segment to a fresh thread, so the
@@ -148,25 +126,30 @@ PlaybackResult decode_and_measure(const codec::EncodedVideo& encoded,
                display_index - encoded.segments[segment].first_frame);
         },
         include_p_frames);
-  // Two rotating segment buffers: produce(s) refills buffer s%2 while the
-  // consumer still reads s-1's (the other one), so the single-lookahead
-  // pipeline reuses the same frame storage for the whole playback instead of
-  // allocating a fresh vector per segment.
-  std::array<std::vector<FrameRGB>, 2> rgb_bufs;
+  // Two rotating YUV segment buffers: produce(s) decodes into buffer s%2
+  // while the consumer still reads s-1's (the other one), so the
+  // single-lookahead pipeline reuses the same frame storage for the whole
+  // playback. The producer only decodes (and enhances in-loop); the consumer
+  // converts one frame at a time into one warm RGB frame and scores it while
+  // it is still in cache, so no segment ever exists in RGB.
+  std::array<std::vector<FrameYUV>, 2> yuv_bufs;
   const auto produce = [&](std::size_t s) {
     segment = s;
-    std::vector<FrameRGB>& buf = rgb_bufs[s % 2];
-    convert_segment_into(decoder.decode_segment(encoded.segments[s]), buf);
+    std::vector<FrameYUV>& buf = yuv_bufs[s % 2];
+    decoder.decode_segment_into(encoded.segments[s], buf);
     return &buf;
   };
 
+  FrameRGB rgb;
   int frame_base = 0;  // display index of the consumed segment's first frame
-  pipeline_segments<std::vector<FrameRGB>*>(
+  pipeline_segments<std::vector<FrameYUV>*>(
       encoded.segments.size(), produce,
-      [&](std::vector<FrameRGB>* rgb, std::size_t) {
-        for (std::size_t i = 0; i < rgb->size(); ++i)
-          collector.measure_rgb((*rgb)[i], frame_base + static_cast<int>(i));
-        frame_base += static_cast<int>(rgb->size());
+      [&](std::vector<FrameYUV>* frames, std::size_t) {
+        for (std::size_t i = 0; i < frames->size(); ++i) {
+          yuv420_to_rgb_into((*frames)[i], rgb);
+          collector.measure_rgb(rgb, frame_base + static_cast<int>(i));
+        }
+        frame_base += static_cast<int>(frames->size());
       });
   return collector.finish();
 }

@@ -20,15 +20,28 @@ bool cpu_supports_avx2_fma() noexcept {
 #endif
 }
 
-// Both backend tables, built once: avx2 overlays a copy of the scalar
-// oracle. Building a table never executes that backend's instructions —
-// populate_avx2 only stores function pointers — so constructing it on an
-// unsupported host is safe; host gating happens in table_for().
+bool cpu_supports_avx512() noexcept {
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+  // The tier's own kernels need only avx512f; every other family runs the
+  // AVX2 kernels, so the AVX2 tier's bits are required as well.
+  return cpu_supports_avx2_fma() && __builtin_cpu_supports("avx512f");
+#else
+  return false;
+#endif
+}
+
+// Every backend table, built once: avx2 overlays a copy of the scalar
+// oracle and avx512 a copy of avx2. Building a table never executes that
+// backend's instructions — the populate functions only store function
+// pointers — so constructing it on an unsupported host is safe; host gating
+// happens in table_for().
 struct Tables {
-  KernelTable scalar, avx2;
-  bool compiled_avx2;
-  Tables() noexcept : scalar(scalar_table()), avx2(scalar) {
+  KernelTable scalar, avx2, avx512;
+  bool compiled_avx2, compiled_avx512;
+  Tables() noexcept : scalar(scalar_table()), avx2(scalar), avx512(scalar) {
     compiled_avx2 = populate_avx2(avx2);
+    avx512 = avx2;
+    compiled_avx512 = compiled_avx2 && populate_avx512(avx512);
   }
 };
 
@@ -53,8 +66,9 @@ const KernelTable* resolve_from_env() {
     }
     return t;
   }
-  // Best supported backend, avx2 > scalar.
-  if (const KernelTable* t = table_for(Backend::kAvx2)) return t;
+  // Best supported backend, avx512 > avx2 > scalar.
+  for (const Backend b : {Backend::kAvx512, Backend::kAvx2})
+    if (const KernelTable* t = table_for(b)) return t;
   return &tables().scalar;
 }
 
@@ -94,15 +108,16 @@ const char* backend_name(Backend b) noexcept {
     case Backend::kSse2: return "sse2";
     case Backend::kAvx2: return "avx2";
     case Backend::kNeon: return "neon";
+    case Backend::kAvx512: return "avx512";
   }
   return "?";
 }
 
 Backend parse_backend(const std::string& value) {
-  for (const Backend b : {Backend::kScalar, Backend::kAvx2})
+  for (const Backend b : {Backend::kScalar, Backend::kAvx2, Backend::kAvx512})
     if (value == backend_name(b)) return b;
   throw SimdDispatchError("DCSR_SIMD: unknown backend '" + value +
-                          "' (expected scalar|avx2)");
+                          "' (expected scalar|avx2|avx512)");
 }
 
 bool host_supports(Backend b) noexcept {
@@ -110,6 +125,8 @@ bool host_supports(Backend b) noexcept {
     case Backend::kScalar: return true;
     case Backend::kAvx2:
       return tables().compiled_avx2 && cpu_supports_avx2_fma();
+    case Backend::kAvx512:
+      return tables().compiled_avx512 && cpu_supports_avx512();
     case Backend::kSse2:
     case Backend::kNeon: return false;
   }
@@ -121,6 +138,7 @@ const KernelTable* table_for(Backend b) noexcept {
   switch (b) {
     case Backend::kScalar: return &tables().scalar;
     case Backend::kAvx2: return &tables().avx2;
+    case Backend::kAvx512: return &tables().avx512;
     case Backend::kSse2:
     case Backend::kNeon: break;
   }

@@ -9,22 +9,27 @@ namespace dcsr::simd {
 
 /// Runtime-dispatched SIMD kernel backends.
 ///
-/// Two backends exist: the scalar kernels in kernels_scalar.cpp, which are
-/// the bit-exact reference oracle, and AVX2+FMA, which overrides every
-/// kernel family with byte-identical outputs. The oracle writes each fused
-/// multiply-add as std::fma and the tree compiles with -ffp-contract=off
-/// (root CMakeLists.txt), so the kernels' bits do not depend on the build
-/// type or -march, and the backend is an invisible implementation detail:
-/// results are bit-identical across backends. Simd.ScalarOracleGoldenCrc
-/// pins the oracle's own bits, the other Simd.* tests pin AVX2 against it,
-/// and tools/run_checks.sh's `simd` leg re-runs the whole tier-1 suite once
-/// per host-supported backend.
+/// Three backends exist: the scalar kernels in kernels_scalar.cpp, which are
+/// the bit-exact reference oracle; AVX2+FMA, which overrides every kernel
+/// family with byte-identical outputs; and AVX-512, a tier on top of AVX2
+/// that overrides the two direct-conv families whose lanes are output
+/// pixels (conv3x3, conv3x3_dx) and keeps the AVX2 kernel for every other
+/// family. The oracle writes each fused multiply-add as std::fma and the
+/// tree compiles with -ffp-contract=off (root CMakeLists.txt), so the
+/// kernels' bits do not depend on the build type or -march, and the backend
+/// is an invisible implementation detail: results are bit-identical across
+/// backends. Simd.ScalarOracleGoldenCrc pins the oracle's own bits, the
+/// other Simd.* tests pin every other backend against it, and
+/// tools/run_checks.sh's `simd` leg re-runs the whole tier-1 suite once per
+/// host-supported backend.
 ///
 /// Selection happens once, on first use:
-///   - `DCSR_SIMD=scalar|avx2` forces a backend. Naming a backend the host
-///     cannot run (or an unknown value) throws SimdDispatchError — loud, so
-///     perf numbers are never silently attributed to the wrong backend.
-///   - Unset: avx2 when the host supports it (cpuid), else scalar.
+///   - `DCSR_SIMD=scalar|avx2|avx512` forces a backend. Naming a backend
+///     the host cannot run (or an unknown value) throws SimdDispatchError —
+///     loud, so perf numbers are never silently attributed to the wrong
+///     backend.
+///   - Unset: the best one the host supports (cpuid), avx512 > avx2 >
+///     scalar.
 ///
 /// Intrinsics are confined to src/simd/ (lint rule [raw-intrinsics]); all
 /// call sites go through active(). Kernels compose with the existing
@@ -38,7 +43,7 @@ class SimdDispatchError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Display / env-var name of a backend ("scalar", "avx2").
+/// Display / env-var name of a backend ("scalar", "avx2", "avx512").
 const char* backend_name(Backend b) noexcept;
 
 /// Parses a DCSR_SIMD value. Throws SimdDispatchError on unknown names; the

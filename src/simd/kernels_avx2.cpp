@@ -420,6 +420,10 @@ void conv3x3_row(const float* src, std::size_t in_rs, std::size_t in_ps,
 // (paper-scale 1280x720 frames). Each block packs its weights once per band.
 constexpr int kConvBandPixels = 4096;
 
+}  // namespace
+
+// Exported (kernels.hpp): the AVX-512 tier runs its o % 8 remainder
+// channels here.
 void conv3x3_avx2(const float* in, std::size_t in_rs, int c, int h, int w,
                   const float* wt, const float* bias, int o, bool relu,
                   int y0, int y1, float* out) {
@@ -455,6 +459,8 @@ void conv3x3_avx2(const float* in, std::size_t in_rs, int c, int h, int w,
       }
     }
 }
+
+namespace {
 
 // --- Direct 3x3 convolution: weight gradient --------------------------------
 //
@@ -621,6 +627,10 @@ void conv3x3_dx_block(const float* dy, std::size_t dy_rs, std::size_t dy_ps,
   }
 }
 
+}  // namespace
+
+// Exported (kernels.hpp): the AVX-512 tier runs its c % 8 remainder
+// channels here.
 void conv3x3_dx_avx2(const float* dy, std::size_t dy_rs, int o, int h, int w,
                      const float* wt, int c, int c0, int c1, float* dx) {
   const std::size_t dy_ps = static_cast<std::size_t>(h + 2) * dy_rs;
@@ -634,6 +644,8 @@ void conv3x3_dx_avx2(const float* dy, std::size_t dy_rs, int o, int h, int w,
     kBlock[std::min(4, c1 - ci) - 1](dy, dy_rs, dy_ps, o, h, w, wt + ci * 9,
                                     w_rs, dx + ci * dx_ps);
 }
+
+namespace {
 
 // --- Row sums ---------------------------------------------------------------
 //

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <queue>
 
 #include "stream/manifest.hpp"  // kNoModel
@@ -65,11 +66,18 @@ DurationHistogram::DurationHistogram(double bin_seconds, std::size_t bins)
     : counts_(bins, 0), bin_seconds_(bin_seconds) {}
 
 void DurationHistogram::add(double seconds) noexcept {
+  // A NaN duration counts as +inf: it lands in the overflow bucket and a
+  // percentile that falls there reports +inf, so a broken sample shows
+  // instead of vanishing. Negative durations count as 0.
+  if (std::isnan(seconds)) seconds = std::numeric_limits<double>::infinity();
   seconds = std::max(seconds, 0.0);
   max_seen_ = std::max(max_seen_, seconds);
-  const auto bin = static_cast<std::size_t>(seconds / bin_seconds_);
-  if (bin < counts_.size())
-    ++counts_[bin];
+  // Compare before casting: a quotient at or past the bin count (+inf and
+  // values past SIZE_MAX included) never reaches the cast, which would be
+  // undefined for it.
+  const double bin = seconds / bin_seconds_;
+  if (bin < static_cast<double>(counts_.size()))
+    ++counts_[static_cast<std::size_t>(bin)];
   else
     ++overflow_;
   ++total_;

@@ -58,6 +58,7 @@ class DurationHistogram {
  public:
   DurationHistogram(double bin_seconds, std::size_t bins);
 
+  /// Negative samples count as 0; NaN counts as +inf (an overflow sample).
   void add(double seconds) noexcept;
 
   /// p in [0, 100]; returns the midpoint of the bin holding the p-th

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "codec/decoder.hpp"
@@ -9,6 +10,7 @@
 #include "core/baselines.hpp"
 #include "core/client_pipeline.hpp"
 #include "core/server_pipeline.hpp"
+#include "simd/dispatch.hpp"
 #include "sr/min_model.hpp"
 #include "image/convert.hpp"
 #include "image/metrics.hpp"
@@ -345,6 +347,60 @@ TEST(ClientPipeline, PlaybackBitIdenticalAcrossThreadCounts) {
     for (std::size_t i = 0; i < serial[p].frame_ssim.size(); ++i)
       EXPECT_EQ(serial[p].frame_ssim[i], threaded[p].frame_ssim[i])
           << "path " << p << " ssim sample " << i;
+  }
+}
+
+TEST(ClientPipeline, PlaybackBitIdenticalAcrossBackendsAndThreadCounts) {
+  // A whole in-loop dcSR pass must score the same bits on every kernel
+  // backend the host runs (swapped in before the pass starts) and for
+  // DCSR_THREADS=1 and =4. The model has 9 filters, so the AVX-512 tier runs
+  // both its 8-channel zmm blocks and its AVX2 remainder, and the 48-pixel
+  // rows end in a 16-lane tail. A fresh model's tail conv is zero, which
+  // makes enhancement the identity, so every weight is redrawn: each conv's
+  // bits then reach the scored frames.
+  PlaybackSetup s = make_playback_setup(33);
+  Rng rng(8);
+  auto model = std::make_unique<sr::Edsr>(
+      sr::EdsrConfig{.n_filters = 9, .n_resblocks = 1, .scale = 1}, rng);
+  for (nn::Param* p : model->params()) {
+    float* w = p->value.data();
+    for (std::size_t i = 0; i < p->count(); ++i)
+      w[i] = static_cast<float>(rng.uniform(-0.1, 0.1));
+  }
+  s.models.front() = std::move(model);
+
+  const int saved_threads = default_thread_count();
+  struct Run {
+    std::string name;
+    PlaybackResult result;
+  };
+  std::vector<Run> runs;
+  for (const simd::Backend b : {simd::Backend::kScalar, simd::Backend::kAvx2,
+                                simd::Backend::kAvx512}) {
+    if (simd::table_for(b) == nullptr) continue;
+    const simd::ScopedBackendForTest backend(b);
+    for (const int threads : {1, 4}) {
+      set_default_pool_threads(threads);
+      runs.push_back({std::string(simd::backend_name(b)) + " threads=" +
+                          std::to_string(threads),
+                      play_dcsr(s.encoded, s.labels, s.models, *s.video)});
+    }
+  }
+  set_default_pool_threads(saved_threads);
+
+  const auto same_bits = [](const std::vector<double>& a,
+                            const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  const PlaybackResult& ref = runs.front().result;
+  ASSERT_FALSE(ref.frame_psnr.empty());
+  ASSERT_FALSE(ref.frame_ssim.empty());
+  for (const Run& run : runs) {
+    EXPECT_TRUE(same_bits(run.result.frame_psnr, ref.frame_psnr))
+        << run.name << " vs " << runs.front().name;
+    EXPECT_TRUE(same_bits(run.result.frame_ssim, ref.frame_ssim))
+        << run.name << " vs " << runs.front().name;
   }
 }
 

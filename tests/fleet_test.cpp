@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 
 #include "stream/fleet.hpp"
 #include "stream/workload.hpp"
@@ -158,6 +159,30 @@ TEST(DurationHistogram, OverflowReportsTheExactMaximum) {
   h.add(0.05);
   h.add(42.0);
   EXPECT_DOUBLE_EQ(h.percentile(99.0), 42.0);
+}
+
+TEST(DurationHistogram, NonFiniteAndHugeSamplesOverflow) {
+  // NaN, +inf and a quotient far past SIZE_MAX bins must land in the
+  // overflow bucket, never in a bin; a NaN sample counts as +inf.
+  DurationHistogram h(0.5, 4);  // binned range ends at 2 s
+  h.add(1.2);
+  h.add(1e300);
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_DOUBLE_EQ(h.percentile(50.0), 1.25);
+  EXPECT_DOUBLE_EQ(h.percentile(100.0), 1e300);
+  h.add(std::numeric_limits<double>::infinity());
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_EQ(h.percentile(100.0), std::numeric_limits<double>::infinity());
+
+  DurationHistogram n(0.5, 4);
+  n.add(std::numeric_limits<double>::quiet_NaN());
+  n.add(0.1);
+  EXPECT_EQ(n.count(), 2u);
+  EXPECT_DOUBLE_EQ(n.percentile(50.0), 0.25);
+  EXPECT_EQ(n.percentile(100.0), std::numeric_limits<double>::infinity());
+  n.add(-std::numeric_limits<double>::infinity());  // negative: counts as 0
+  EXPECT_EQ(n.count(), 3u);
+  EXPECT_DOUBLE_EQ(n.percentile(0.0), 0.25);
 }
 
 TEST(DurationHistogram, EmptyHistogramReportsZeroEverywhere) {

@@ -36,8 +36,8 @@ using simd::Backend;
 
 std::vector<Backend> available_backends() {
   std::vector<Backend> out;
-  for (Backend b :
-       {Backend::kScalar, Backend::kSse2, Backend::kAvx2, Backend::kNeon})
+  for (Backend b : {Backend::kScalar, Backend::kSse2, Backend::kAvx2,
+                    Backend::kNeon, Backend::kAvx512})
     if (simd::table_for(b) != nullptr) out.push_back(b);
   return out;
 }
@@ -65,17 +65,20 @@ template <typename T>
 TEST(Simd, ParseBackendAcceptsExactNamesOnly) {
   EXPECT_EQ(simd::parse_backend("scalar"), Backend::kScalar);
   EXPECT_EQ(simd::parse_backend("avx2"), Backend::kAvx2);
+  EXPECT_EQ(simd::parse_backend("avx512"), Backend::kAvx512);
   // No SSE2 or NEON backend exists; their names are unknown backends.
   EXPECT_THROW(simd::parse_backend("sse2"), simd::SimdDispatchError);
   EXPECT_THROW(simd::parse_backend("neon"), simd::SimdDispatchError);
   EXPECT_THROW(simd::parse_backend(""), simd::SimdDispatchError);
   EXPECT_THROW(simd::parse_backend("AVX2"), simd::SimdDispatchError);
   EXPECT_THROW(simd::parse_backend("avx2 "), simd::SimdDispatchError);
-  EXPECT_THROW(simd::parse_backend("avx512"), simd::SimdDispatchError);
+  EXPECT_THROW(simd::parse_backend("AVX512"), simd::SimdDispatchError);
+  EXPECT_THROW(simd::parse_backend("avx512f"), simd::SimdDispatchError);
+  EXPECT_THROW(simd::parse_backend("avx51"), simd::SimdDispatchError);
 }
 
 TEST(Simd, BackendNamesRoundTrip) {
-  for (Backend b : {Backend::kScalar, Backend::kAvx2})
+  for (Backend b : {Backend::kScalar, Backend::kAvx2, Backend::kAvx512})
     EXPECT_EQ(simd::parse_backend(simd::backend_name(b)), b);
   for (Backend b : {Backend::kSse2, Backend::kNeon})
     EXPECT_THROW(simd::parse_backend(simd::backend_name(b)),
@@ -89,8 +92,8 @@ TEST(Simd, ScalarAlwaysAvailable) {
 }
 
 TEST(Simd, TableMatchesHostSupport) {
-  for (Backend b :
-       {Backend::kScalar, Backend::kSse2, Backend::kAvx2, Backend::kNeon})
+  for (Backend b : {Backend::kScalar, Backend::kSse2, Backend::kAvx2,
+                    Backend::kNeon, Backend::kAvx512})
     EXPECT_EQ(simd::table_for(b) != nullptr, simd::host_supports(b))
         << simd::backend_name(b);
 }
@@ -100,10 +103,11 @@ TEST(Simd, UnsupportedBackendScopedSwapThrows) {
     EXPECT_FALSE(simd::host_supports(b)) << simd::backend_name(b);
     EXPECT_THROW(simd::ScopedBackendForTest guard(b), simd::SimdDispatchError);
   }
-  if (!simd::host_supports(Backend::kAvx2)) {
-    EXPECT_THROW(simd::ScopedBackendForTest guard(Backend::kAvx2),
-                 simd::SimdDispatchError);
-  }
+  for (Backend b : {Backend::kAvx2, Backend::kAvx512})
+    if (!simd::host_supports(b)) {
+      EXPECT_THROW(simd::ScopedBackendForTest guard(b),
+                   simd::SimdDispatchError);
+    }
 }
 
 TEST(Simd, ScopedSwapChangesAndRestoresActiveBackend) {
@@ -125,15 +129,23 @@ TEST(Simd, ReportNamesActiveBackendAndEveryFamily) {
 }
 
 TEST(Simd, EveryFamilyOriginIsInstalled) {
-  // Every table installs its own kernel for every family: no family of a
-  // supported backend silently falls back to the scalar oracle, whatever the
-  // build type.
+  // The scalar and avx2 tables install their own kernel for every family;
+  // the avx512 tier installs its own for exactly the two direct-conv
+  // families it overrides and keeps the avx2 kernel for every other one. No
+  // family of a supported backend silently falls back to the scalar oracle,
+  // whatever the build type.
+  const auto expected_origin = [](Backend b, int f) {
+    if (b != Backend::kAvx512) return b;
+    return f == simd::kFamConv3x3 || f == simd::kFamConv3x3Dx
+               ? Backend::kAvx512
+               : Backend::kAvx2;
+  };
   for (Backend b : available_backends()) {
     const simd::KernelTable* t = simd::table_for(b);
     EXPECT_EQ(t->id, b);
     for (int f = 0; f < simd::kNumFamilies; ++f) {
       EXPECT_NE(simd::family_name(f), nullptr);
-      EXPECT_EQ(t->origin[f], b)
+      EXPECT_EQ(t->origin[f], expected_origin(b, f))
           << simd::backend_name(b) << ' ' << simd::family_name(f);
     }
   }
@@ -557,12 +569,14 @@ TEST(Simd, Conv3x3MatchesScalarOracleBitwise) {
   std::mt19937 rng(29);
   std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
   constexpr float kCanary = -12345.0f;
-  // c = 40 crosses the AVX2 kernel's 32-channel chunk; o covers full and
-  // partial 4-channel blocks; w covers tiles, single vectors and masked
-  // tails; a wider row stride than w + 2 checks in_rs is honoured.
+  // c = 40 crosses the kernels' 32-channel chunk; o covers full and
+  // partial 4- and 8-channel blocks; w covers tiles, single vectors and
+  // masked tails of 8 and 16 lanes (48 and 63 end the AVX-512 rows in a
+  // full and a 31-pixel tail); a wider row stride than w + 2 checks in_rs
+  // is honoured.
   for (int C : {1, 3, 8, 16, 40})
     for (int O : {1, 3, 7, 8, 9, 16, 24})
-      for (int W : {1, 2, 7, 8, 9, 15, 16, 17, 24, 37, 320}) {
+      for (int W : {1, 2, 7, 8, 9, 15, 16, 17, 24, 37, 48, 63, 320}) {
         if (C == 40 && W == 320) continue;
         for (int H : {1, 2, 5}) {
           const std::size_t rs = static_cast<std::size_t>(W) + 2 + (W % 3);
@@ -631,14 +645,14 @@ TEST(Simd, Conv3x3BackwardMatchesScalarOracleBitwise) {
   std::mt19937 rng(31);
   std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
   constexpr float kCanary = -12345.0f;
-  // o and c cover full and partial 4-channel blocks. Widths below 8 put
-  // several rows in one weight-gradient lane chunk, other widths off the
-  // multiple of 8 make chunks cross one row and give dx masked tails; h*w
-  // % 8 != 0 gives the weight gradient a scalar tail. A row stride wider
-  // than w + 2 checks that in_rs and dy_rs are honoured.
-  for (int C : {1, 3, 8, 9})
+  // o and c cover full and partial 4- and 8-channel blocks. Widths below 8
+  // put several rows in one weight-gradient lane chunk, other widths off the
+  // multiple of 8 make chunks cross one row and give dx masked tails of 8
+  // and 16 lanes; h*w % 8 != 0 gives the weight gradient a scalar tail. A
+  // row stride wider than w + 2 checks that in_rs and dy_rs are honoured.
+  for (int C : {1, 3, 8, 9, 16})
     for (int O : {1, 3, 4, 8, 16})
-      for (int W : {1, 3, 7, 8, 12, 13, 17, 24, 40})
+      for (int W : {1, 3, 7, 8, 12, 13, 17, 24, 40, 63})
         for (int H : {1, 2, 5}) {
           const std::size_t rs = static_cast<std::size_t>(W) + 2 + (W % 3);
           const std::size_t plane = static_cast<std::size_t>(H) * W;

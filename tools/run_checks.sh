@@ -25,7 +25,7 @@
 #               pool, the segment pipeline and the shared-model inference
 #               paths actually run multi-threaded under the detector
 #   simd        full ctest suite once per SIMD backend the host supports
-#               (DCSR_SIMD=scalar/avx2 in the default build), so every
+#               (DCSR_SIMD=scalar/avx2/avx512 in the default build), so every
 #               kernel backend — not just the one the dispatcher would pick
 #               — passes the whole tree. Also asserts the negative path:
 #               requesting an unknown backend name must fail loudly. Then
@@ -34,7 +34,9 @@
 #               -march=native), cmp's the synth/decode/deploy outputs of
 #               dcsr_cli, the quickstart stdout and the dcsr_fleet --json
 #               summary against the default build's, and, on an AVX2 host,
-#               fails if the Release dispatch line names any family =scalar.
+#               fails if the Release dispatch line names any family =scalar
+#               (on an AVX-512 host, also unless conv3x3 and conv3x3_dx
+#               read =avx512).
 #   bench-smoke every microbenchmark for a single iteration in the default
 #               build — catches bench bit-rot (and exercises the
 #               steady-state workspace counters) without a timed run
@@ -169,7 +171,7 @@ run_leg() {
         return 1
       fi
       local b ran=0
-      for b in scalar avx2; do
+      for b in scalar avx2 avx512; do
         if env DCSR_SIMD="$b" \
             "$probe" --benchmark_list_tests=true >/dev/null 2>&1; then
           echo "--- simd leg: full suite with DCSR_SIMD=$b ---"
@@ -229,6 +231,17 @@ run_leg() {
           echo "simd leg: Release build on an AVX2 host has no dispatch" \
                "line or dispatches a family to scalar" >&2
           return 1
+        fi
+        if env DCSR_SIMD=avx512 \
+            "$probe" --benchmark_list_tests=true >/dev/null 2>&1; then
+          local fam
+          for fam in conv3x3 conv3x3_dx; do
+            if [[ " $line " != *" $fam=avx512 "* ]]; then
+              echo "simd leg: Release build on an AVX-512 host does not" \
+                   "dispatch $fam to avx512" >&2
+              return 1
+            fi
+          done
         fi
       fi
       return 0
@@ -391,7 +404,7 @@ run_leg() {
            "bit-identical across threads {1,4}"
       # The same deploy on the scalar oracle: every kernel the server runs,
       # the direct conv training kernels included, must train the bits of
-      # the default backend (avx2 on an AVX2 host).
+      # the default backend (the best one the host supports).
       rm -rf "$build/decode-smoke-deploy-scalar"
       env DCSR_SIMD=scalar "$cli" deploy "$build/decode-smoke-deploy-scalar" \
         news 5 60 | grep '^model ' >"$build/decode-smoke-deploy-scalar.crc" \
