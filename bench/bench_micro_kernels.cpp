@@ -310,9 +310,9 @@ void BM_EdsrEnhanceSteadyState(benchmark::State& state) {
 BENCHMARK(BM_EdsrEnhanceSteadyState);
 
 // Whole-frame enhancement through the stateless infer path, one shared model
-// across the pool, swept over pool sizes — the play_nas fan-out in
-// isolation. 8 frames per iteration, each a parallel_for_writes task that
-// claims its own output frame slot.
+// across the pool, swept over pool sizes — the playback loop's out-of-loop
+// (NAS) fan-out in isolation. 8 frames per iteration, each a
+// parallel_for_writes task that claims its own output frame slot.
 void BM_EdsrEnhanceThreads(benchmark::State& state) {
   const int dflt = base_threads();
   Rng rng(6);

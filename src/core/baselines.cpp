@@ -18,9 +18,10 @@ std::vector<sr::TrainSample> collect_whole_video_pairs(
 
   std::vector<sr::TrainSample> pairs;
   codec::Decoder decoder(encoded);
+  std::vector<FrameYUV> frames;
   int frame_base = 0;
   for (const auto& seg : encoded.segments) {
-    const auto frames = decoder.decode_segment(seg);
+    decoder.decode_segment_into(seg, frames);
     for (std::size_t i = 0; i < frames.size(); ++i) {
       const int display = frame_base + static_cast<int>(i);
       if (display % stride != 0 ||

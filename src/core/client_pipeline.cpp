@@ -1,7 +1,7 @@
 #include "core/client_pipeline.hpp"
 
 #include <array>
-#include <functional>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -14,21 +14,6 @@
 namespace dcsr::core {
 
 namespace {
-
-// Runs `fn` under a hot-path guard once playback is past its warm-up
-// segment: segment 0 legitimately grows frame slots, workspace tensors and
-// pool scratch, but every later segment of the same resolution must be
-// heap-silent (sanctioned growth aside), and the guard makes a regression
-// throw instead of silently costing a malloc per frame.
-template <typename Fn>
-void guarded_after_warmup(bool warm, const char* site, Fn&& fn) {
-  if (warm) {
-    HotPathGuard alloc_guard(site);
-    fn();
-  } else {
-    fn();
-  }
-}
 
 // Accumulates per-frame metrics against the pristine source. Strides are
 // keyed off the *display index*, never off how many frames a playback path
@@ -62,96 +47,180 @@ class MetricsCollector {
 };
 
 // Runs `produce(s)` for each segment index with one segment of lookahead:
-// while segment s's frames flow through `consume` (serial, display order —
-// the metric path), segment s+1 already decodes and enhances its I frame on
-// the producer thread. Exactly one producer task is in flight at a time, so
+// while segment s's frames flow through `consume(s)` (serial, display order
+// — the metric path), segment s+1 already decodes and enhances on the
+// producer thread. Exactly one producer task is in flight at a time, so
 // producers may share decoder state without locking; consumption order —
 // and therefore every accumulated metric — is identical to the serial
 // program.
 //
 // All lookahead work runs on ONE persistent PipelineThread for the whole
-// playback. std::async handed every segment to a fresh thread, so the
-// producer's thread-local Workspace arena started cold each segment and the
-// steady-state zero-miss guarantee stopped at segment boundaries (the PR-4
-// caveat); with a persistent thread the arena warms once and every later
-// segment of the same resolution replays out of cache.
-template <typename T, typename Produce, typename Consume>
+// playback, so the producer's thread-local Workspace arena warms once and
+// every later segment of the same resolution replays out of cache.
+template <typename Produce, typename Consume>
 void pipeline_segments(std::size_t count, Produce produce, Consume consume) {
   if (count == 0) return;
   std::size_t next_index = 0;
-  T next_result{};
   // Named lambda, alive for the whole playback: PipelineThread::run takes a
   // non-owning FunctionRef, so the callable must outlive every run/wait pair.
-  const auto task = [&] { next_result = produce(next_index); };
+  const auto task = [&] { produce(next_index); };
   // Declared AFTER everything the worker touches: if `consume` throws while a
   // lookahead task is in flight, unwinding must run ~PipelineThread (which
-  // finishes the task and joins) before `task`/`next_result`/`next_index` die.
+  // finishes the task and joins) before `task`/`next_index` die.
   PipelineThread producer;
+  produce(0);
   for (std::size_t s = 0; s < count; ++s) {
-    T current{};
-    if (s == 0) {
-      current = produce(0);
-    } else {
-      producer.wait();
-      current = std::move(next_result);
-    }
+    if (s > 0) producer.wait();
     if (s + 1 < count) {
       next_index = s + 1;
       producer.run(task);
     }
-    consume(std::move(current), s);
+    consume(s);
   }
 }
 
-// Called on each reference the playback decoder hands out: every I frame,
-// and every P frame too when asked for. `segment` indexes encoded.segments;
-// `local` is the frame's display index within that segment.
-using PlaybackHook = std::function<void(FrameYUV& frame, codec::FrameType type,
-                                        std::size_t segment, int local)>;
+// Which frames a playback enhances, with which model, and where: the only
+// thing the five play_* entry points differ in.
+struct EnhancementPolicy {
+  // models[s] enhances segment s; empty for the degraded stream.
+  std::vector<const sr::Edsr*> models;
+  // In loop, each P reference whose display index within its segment is a
+  // multiple of this is enhanced too (NEMO-style anchors); <= 0 enhances
+  // I frames only.
+  int anchor_period = 0;
+  // Enhance displayed frames after decoding (NAS), scoring only those whose
+  // display index is a multiple of nas_eval_stride, instead of enhancing
+  // references in the decoder loop.
+  bool out_of_loop = false;
+};
 
-// The in-loop playback loop: decodes every segment with the given reference
-// hook (may be empty) and feeds all display frames to the collector.
-PlaybackResult decode_and_measure(const codec::EncodedVideo& encoded,
-                                  const VideoSource& original,
-                                  const PlaybackOptions& opts,
-                                  const PlaybackHook& hook,
-                                  bool include_p_frames = false) {
+// One segment between producer and consumer: its decoded frames and, out of
+// loop, the enhanced RGB of its sampled frames in display order.
+struct SegmentFrames {
+  std::vector<FrameYUV> yuv;
+  std::vector<FrameRGB> enhanced;
+};
+
+// The playback loop: decodes every segment, enhances what `policy` asks
+// for, and feeds the displayed frames to the metrics in display order.
+AnchorPlaybackResult play(const codec::EncodedVideo& encoded,
+                          const VideoSource& original,
+                          const PlaybackOptions& opts,
+                          const EnhancementPolicy& policy) {
+  if (opts.ssim_stride <= 0 || opts.nas_eval_stride <= 0)
+    throw std::invalid_argument(
+        "play: ssim_stride and nas_eval_stride must be positive");
+  const bool in_loop = !policy.models.empty() && !policy.out_of_loop;
+  const bool anchors = in_loop && policy.anchor_period > 0;
+  const int stride = opts.nas_eval_stride;
+  // Out of loop, segment s enhances and scores its frames first_sampled(s),
+  // first_sampled(s) + stride, ...: those whose display index is a multiple
+  // of the stride.
+  const auto first_sampled = [&](std::size_t s) {
+    return (stride - encoded.segments[s].first_frame % stride) % stride;
+  };
+
+  AnchorPlaybackResult result;
   MetricsCollector collector(original, opts);
   codec::Decoder decoder(encoded);
   std::size_t segment = 0;  // the segment being decoded; producer side only
-  if (hook)
+  // Anchors must be enhanced from the *vanilla* decode: the micro model
+  // was trained on plainly decoded frames, and re-enhancing an
+  // already-enhanced chain compounds the correction until it diverges
+  // (this is why NEMO keeps its anchor inputs on the un-enhanced path).
+  codec::Decoder vanilla_decoder(encoded);
+  std::vector<FrameYUV> vanilla;  // display order, segment `segment`
+  if (in_loop)
     decoder.set_reference_hook(
         [&](FrameYUV& f, codec::FrameType type, int display_index) {
-          hook(f, type, segment,
-               display_index - encoded.segments[segment].first_frame);
+          if (type == codec::FrameType::kP) {
+            // P anchor: replace the drifted reference with the enhanced
+            // vanilla reconstruction — an I-refresh that costs an inference
+            // instead of bits.
+            const int local =
+                display_index - encoded.segments[segment].first_frame;
+            if (local % policy.anchor_period != 0) return;
+            f = vanilla[static_cast<std::size_t>(local)];
+          }
+          enhance_reference_frame(f, *policy.models[segment]);
+          ++result.inferences;
         },
-        include_p_frames);
-  // Two rotating YUV segment buffers: produce(s) decodes into buffer s%2
-  // while the consumer still reads s-1's (the other one), so the
-  // single-lookahead pipeline reuses the same frame storage for the whole
-  // playback. The producer only decodes (and enhances in-loop); the consumer
-  // converts one frame at a time into one warm RGB frame and scores it while
-  // it is still in cache, so no segment ever exists in RGB.
-  std::array<std::vector<FrameYUV>, 2> yuv_bufs;
+        anchors);
+
+  // Two rotating segment buffers: produce(s) decodes (and enhances) into
+  // buffer s%2 while the consumer still reads s-1's, so the single-lookahead
+  // pipeline reuses the same frame storage for the whole playback. In loop,
+  // the consumer converts one frame at a time into one warm RGB frame and
+  // scores it while it is still in cache, so no segment ever exists in RGB.
+  std::array<SegmentFrames, 2> bufs;
   const auto produce = [&](std::size_t s) {
+    // Segment 0 legitimately grows frame slots, workspace tensors and pool
+    // scratch, but every later segment of the same resolution must be
+    // heap-silent (sanctioned growth aside): the guard makes a regression
+    // throw instead of silently costing a malloc per frame.
+    std::optional<HotPathGuard> warm;
+    if (s > 0) warm.emplace("core/client_pipeline.cpp:play(warm)");
     segment = s;
-    std::vector<FrameYUV>& buf = yuv_bufs[s % 2];
-    decoder.decode_segment_into(encoded.segments[s], buf);
-    return &buf;
+    SegmentFrames& buf = bufs[s % 2];
+    if (anchors)
+      vanilla_decoder.decode_segment_into(encoded.segments[s], vanilla);
+    decoder.decode_segment_into(encoded.segments[s], buf.yuv);
+    if (!policy.out_of_loop) return;
+
+    // Out of loop, the sampled frames fan out across the pool: each is
+    // converted and super-resolved independently against the one shared
+    // model (infer touches no member state, so concurrent calls are safe),
+    // each task writing only its own output frames.
+    const int len = static_cast<int>(buf.yuv.size());
+    const int first = first_sampled(s);
+    const int n = first < len ? (len - 1 - first) / stride + 1 : 0;
+    if (buf.enhanced.size() < static_cast<std::size_t>(n)) {
+      AllocAllowScope allow;
+      buf.enhanced.resize(static_cast<std::size_t>(n));
+    }
+    const sr::Edsr& model = *policy.models[s];
+    parallel_for_writes(
+        0, n, 1,
+        [&](std::int64_t lo, std::int64_t hi) {
+          return span_of(buf.enhanced.data() + lo,
+                         static_cast<std::size_t>(hi - lo));
+        },
+        [&](std::int64_t lo, std::int64_t hi) {
+          thread_local FrameRGB rgb;
+          for (std::int64_t k = lo; k < hi; ++k) {
+            yuv420_to_rgb_into(
+                buf.yuv[static_cast<std::size_t>(first + k * stride)], rgb);
+            model.enhance_into(rgb, buf.enhanced[static_cast<std::size_t>(k)]);
+          }
+        },
+        "core/client_pipeline.cpp:play(out-of-loop)");
   };
 
   FrameRGB rgb;
-  int frame_base = 0;  // display index of the consumed segment's first frame
-  pipeline_segments<std::vector<FrameYUV>*>(
-      encoded.segments.size(), produce,
-      [&](std::vector<FrameYUV>* frames, std::size_t) {
-        for (std::size_t i = 0; i < frames->size(); ++i) {
-          yuv420_to_rgb_into((*frames)[i], rgb);
-          collector.measure_rgb(rgb, frame_base + static_cast<int>(i));
-        }
-        frame_base += static_cast<int>(frames->size());
-      });
-  return collector.finish();
+  pipeline_segments(encoded.segments.size(), produce, [&](std::size_t s) {
+    const SegmentFrames& buf = bufs[s % 2];
+    const int base = encoded.segments[s].first_frame;
+    const int len = static_cast<int>(buf.yuv.size());
+    if (policy.out_of_loop) {
+      std::size_t k = 0;
+      for (int i = first_sampled(s); i < len; i += stride)
+        collector.measure_rgb(buf.enhanced[k++], base + i);
+      return;
+    }
+    for (int i = 0; i < len; ++i) {
+      yuv420_to_rgb_into(buf.yuv[static_cast<std::size_t>(i)], rgb);
+      collector.measure_rgb(rgb, base + i);
+    }
+  });
+  result.playback = collector.finish();
+  return result;
+}
+
+// The policy that enhances every segment with one model.
+EnhancementPolicy one_model(const codec::EncodedVideo& encoded,
+                            const sr::Edsr& model, bool out_of_loop) {
+  return {std::vector<const sr::Edsr*>(encoded.segments.size(), &model), 0,
+          out_of_loop};
 }
 
 }  // namespace
@@ -182,75 +251,19 @@ PlaybackResult play_dcsr(const codec::EncodedVideo& encoded,
 
 PlaybackResult play_nemo(const codec::EncodedVideo& encoded, const sr::Edsr& big_model,
                          const VideoSource& original, const PlaybackOptions& opts) {
-  return decode_and_measure(
-      encoded, original, opts,
-      [&](FrameYUV& f, codec::FrameType, std::size_t, int) {
-        enhance_reference_frame(f, big_model);
-      });
+  return play(encoded, original, opts, one_model(encoded, big_model, false))
+      .playback;
 }
 
 PlaybackResult play_nas(const codec::EncodedVideo& encoded, const sr::Edsr& big_model,
                         const VideoSource& original, const PlaybackOptions& opts) {
-  MetricsCollector collector(original, opts);
-  codec::Decoder decoder(encoded);
-  // One slot per sampled frame, hoisted out of the segment loop so the
-  // conversion and enhancement buffers stay warm from segment to segment.
-  // Grouping a task's buffers in one struct keeps the parallel section's
-  // write claim a single contiguous span over the slots it owns.
-  struct NasSlot {
-    int display = 0;
-    const FrameYUV* yuv = nullptr;  // borrowed from this segment's decode
-    FrameRGB rgb;                   // YUV->RGB scratch
-    FrameRGB enhanced;              // model output
-  };
-  std::vector<NasSlot> slots;
-  int frame_base = 0;
-  std::size_t seg_index = 0;
-  for (const auto& seg : encoded.segments) {
-    const auto frames = decoder.decode_segment(seg);
-    std::size_t sampled = 0;
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      const int display = frame_base + static_cast<int>(i);
-      if (display % opts.nas_eval_stride != 0) continue;
-      if (sampled == slots.size()) slots.emplace_back();
-      slots[sampled].display = display;
-      slots[sampled].yuv = &frames[i];
-      ++sampled;
-    }
-    // Out-of-loop enhancement fans out across the pool: every sampled frame
-    // is YUV->RGB converted and super-resolved independently against the one
-    // shared model (infer touches no member state, so concurrent calls are
-    // safe), each task writing only its own slots. Metrics then accumulate
-    // serially in display order, keeping results bit-identical for any
-    // DCSR_THREADS.
-    guarded_after_warmup(
-        seg_index > 0, "core/client_pipeline.cpp:play_nas(warm)", [&] {
-          parallel_for_writes(
-              0, static_cast<std::int64_t>(sampled), 1,
-              [&](std::int64_t lo, std::int64_t hi) {
-                return span_of(slots.data() + lo,
-                               static_cast<std::size_t>(hi - lo));
-              },
-              [&](std::int64_t lo, std::int64_t hi) {
-                for (std::int64_t i = lo; i < hi; ++i) {
-                  NasSlot& slot = slots[static_cast<std::size_t>(i)];
-                  yuv420_to_rgb_into(*slot.yuv, slot.rgb);
-                  big_model.enhance_into(slot.rgb, slot.enhanced);
-                }
-              },
-              "core/client_pipeline.cpp:play_nas");
-        });
-    for (std::size_t i = 0; i < sampled; ++i)
-      collector.measure_rgb(slots[i].enhanced, slots[i].display);
-    frame_base += static_cast<int>(frames.size());
-    ++seg_index;
-  }
-  return collector.finish();
+  return play(encoded, original, opts, one_model(encoded, big_model, true))
+      .playback;
 }
 
 PlaybackResult play_low(const codec::EncodedVideo& encoded,
                         const VideoSource& original, const PlaybackOptions& opts) {
-  return decode_and_measure(encoded, original, opts, {});
+  return play(encoded, original, opts, {}).playback;
 }
 
 AnchorPlaybackResult play_dcsr_anchors(
@@ -259,44 +272,13 @@ AnchorPlaybackResult play_dcsr_anchors(
     const VideoSource& original, int anchor_period, const PlaybackOptions& opts) {
   if (labels.size() != encoded.segments.size())
     throw std::invalid_argument("play_dcsr: one label per segment required");
-  for (const int l : labels)
+  EnhancementPolicy policy{{}, anchor_period, false};
+  for (const int l : labels) {
     if (l < 0 || static_cast<std::size_t>(l) >= models.size())
       throw std::invalid_argument("play_dcsr: label out of range");
-
-  AnchorPlaybackResult result;
-  const bool anchors = anchor_period > 0;
-  // Anchors must be enhanced from the *vanilla* decode: the micro model
-  // was trained on plainly decoded frames, and re-enhancing an
-  // already-enhanced chain compounds the correction until it diverges
-  // (this is why NEMO keeps its anchor inputs on the un-enhanced path).
-  codec::Decoder vanilla_decoder(encoded);
-  std::vector<FrameYUV> vanilla;  // display order, segment `vanilla_of`
-  std::size_t vanilla_of = encoded.segments.size();
-  result.playback = decode_and_measure(
-      encoded, original, opts,
-      [&](FrameYUV& f, codec::FrameType type, std::size_t s, int local) {
-        // A segment's first hook call is its leading I frame. The vanilla
-        // decode grows frame slots, so it stays outside the warm guard.
-        if (anchors && vanilla_of != s) {
-          vanilla_decoder.decode_segment_into(encoded.segments[s], vanilla);
-          vanilla_of = s;
-        }
-        guarded_after_warmup(
-            s > 0, "core/client_pipeline.cpp:play_dcsr(warm)", [&] {
-              if (type == codec::FrameType::kP) {
-                // P anchor: replace the drifted reference with the enhanced
-                // vanilla reconstruction — an I-refresh that costs an
-                // inference instead of bits.
-                if (local % anchor_period != 0) return;
-                f = vanilla[static_cast<std::size_t>(local)];
-              }
-              enhance_reference_frame(
-                  f, *models[static_cast<std::size_t>(labels[s])]);
-              ++result.inferences;
-            });
-      },
-      /*include_p_frames=*/anchors);
-  return result;
+    policy.models.push_back(models[static_cast<std::size_t>(l)].get());
+  }
+  return play(encoded, original, opts, policy);
 }
 
 }  // namespace dcsr::core

@@ -8,7 +8,9 @@
 
 namespace dcsr::core {
 
-/// Quality-measurement options for playback runs.
+/// Quality-measurement options for playback runs. Both strides must be
+/// positive: every play_* function throws std::invalid_argument, before
+/// decoding anything, otherwise.
 struct PlaybackOptions {
   /// Measure PSNR on every frame but SSIM only every `ssim_stride` frames
   /// (SSIM is the expensive metric).
@@ -53,9 +55,12 @@ PlaybackResult play_nemo(const codec::EncodedVideo& encoded,
                          const PlaybackOptions& opts = {});
 
 /// NAS baseline: a single big model applied out-of-loop to every decoded
-/// frame before display. Sampled frames are enhanced concurrently across the
-/// pool (the model's infer path is stateless); results are bit-identical
-/// for any DCSR_THREADS.
+/// frame before display, so references stay un-enhanced. Only the frames
+/// sampled by `nas_eval_stride` are enhanced and scored. The same loop as
+/// the in-loop playbacks: while the consumer scores segment s, the producer
+/// decodes segment s+1 into a warm buffer and enhances its sampled frames
+/// concurrently across the pool (the model's infer path is stateless);
+/// results are bit-identical for any DCSR_THREADS.
 PlaybackResult play_nas(const codec::EncodedVideo& encoded,
                         const sr::Edsr& big_model,
                         const VideoSource& original,
@@ -70,9 +75,9 @@ PlaybackResult play_low(const codec::EncodedVideo& encoded,
 /// model also enhances each P-frame *reference* whose display index is a
 /// multiple of `anchor_period` — bounding drift with extra inferences
 /// instead of extra I-frame bits. Anchors are enhanced from a second,
-/// un-enhanced decode of the segment, made only when anchor_period > 0;
-/// anchor_period <= 0 is plain dcSR. Returns quality plus the number of
-/// inferences spent.
+/// un-enhanced decode of each segment, made on the producer side before the
+/// enhanced decode and only when anchor_period > 0; anchor_period <= 0 is
+/// plain dcSR. Returns quality plus the number of inferences spent.
 struct AnchorPlaybackResult {
   PlaybackResult playback;
   int inferences = 0;

@@ -316,9 +316,9 @@ TEST(ClientPipeline, AllPathsMeasureSsimOnSameFrames) {
 }
 
 TEST(ClientPipeline, PlaybackBitIdenticalAcrossThreadCounts) {
-  // The client's new concurrency (segment-pipelined decode, fanned-out NAS
-  // enhancement, parallel im2col) must never change results: same floats for
-  // DCSR_THREADS=1 and =4.
+  // The client's concurrency (segment-pipelined decode, fanned-out NAS
+  // enhancement, parallel im2col) must never change results: every
+  // policy scores the same floats for DCSR_THREADS=1 and =4.
   const PlaybackSetup s = make_playback_setup(32);
   PlaybackOptions opts;
   opts.nas_eval_stride = 3;
@@ -329,6 +329,8 @@ TEST(ClientPipeline, PlaybackBitIdenticalAcrossThreadCounts) {
     std::vector<PlaybackResult> out;
     out.push_back(play_dcsr(s.encoded, s.labels, s.models, *s.video, opts));
     out.push_back(play_nas(s.encoded, *s.models[0], *s.video, opts));
+    out.push_back(play_nemo(s.encoded, *s.models[0], *s.video, opts));
+    out.push_back(play_low(s.encoded, *s.video, opts));
     out.push_back(play_dcsr_anchors(s.encoded, s.labels, s.models, *s.video,
                                     /*anchor_period=*/4, opts)
                       .playback);
@@ -419,6 +421,32 @@ TEST(ClientPipeline, PlayDcsrValidatesLabels) {
   // Label out of range.
   std::vector<int> bad(encoded.segments.size(), 5);
   EXPECT_THROW(play_dcsr(encoded, bad, models, *video), std::invalid_argument);
+}
+
+TEST(ClientPipeline, RejectsNonPositiveStrides) {
+  // Both strides are taken modulo a display index: a zero stride would divide
+  // by zero and a negative one would act as its absolute value. Every entry
+  // point rejects either before decoding anything.
+  const PlaybackSetup s = make_playback_setup(34);
+  const sr::Edsr& model = *s.models[0];
+  for (const int bad : {0, -1}) {
+    for (const bool ssim : {true, false}) {
+      PlaybackOptions opts;
+      (ssim ? opts.ssim_stride : opts.nas_eval_stride) = bad;
+      SCOPED_TRACE((ssim ? "ssim_stride=" : "nas_eval_stride=") +
+                   std::to_string(bad));
+      EXPECT_THROW(play_low(s.encoded, *s.video, opts), std::invalid_argument);
+      EXPECT_THROW(play_dcsr(s.encoded, s.labels, s.models, *s.video, opts),
+                   std::invalid_argument);
+      EXPECT_THROW(play_nemo(s.encoded, model, *s.video, opts),
+                   std::invalid_argument);
+      EXPECT_THROW(play_nas(s.encoded, model, *s.video, opts),
+                   std::invalid_argument);
+      EXPECT_THROW(play_dcsr_anchors(s.encoded, s.labels, s.models, *s.video,
+                                     /*anchor_period=*/4, opts),
+                   std::invalid_argument);
+    }
+  }
 }
 
 }  // namespace

@@ -637,9 +637,9 @@ TEST(Edsr, EnhanceIsConstAndPreservesTrainingMode) {
 }
 
 TEST(Edsr, ConcurrentEnhanceOnSharedModelMatchesSerial) {
-  // One trained-model instance, many frames in flight: the client's play_nas
-  // fan-out. Frame-for-frame the concurrent results must be bit-identical to
-  // enhancing serially.
+  // One trained-model instance, many frames in flight: the playback loop's
+  // out-of-loop (NAS) fan-out over a segment's sampled frames. Frame for
+  // frame the concurrent results must be bit-identical to enhancing serially.
   Rng rng(94);
   const Edsr model({.n_filters = 4, .n_resblocks = 1, .scale = 1}, rng);
   std::vector<FrameRGB> frames;

@@ -70,6 +70,9 @@
 #               under DCSR_SIMD=scalar and compares its CRC-32 lines with
 #               the default backend's (the training kernels' oracles
 #               against their AVX2 overrides, through the whole server).
+#               Finally plays the DCSR_THREADS=1 deployment with dcsr_cli
+#               play under DCSR_THREADS=1 and =4 and byte-compares the two
+#               stdouts (LOW and dcSR PSNR/SSIM).
 #   tidy        clang-tidy over every translation unit in src/ against the
 #               checked-in .clang-tidy, driven by the default build's
 #               compile_commands.json; any diagnostic fails the leg. If
@@ -419,6 +422,22 @@ run_leg() {
       fi
       echo "decode-smoke: deployed micro models bit-identical on the scalar" \
            "oracle and the default backend"
+      # Client playback through the CLI: LOW and dcSR over the deployed
+      # stream and models, whose printed PSNR/SSIM must not depend on the
+      # thread count.
+      for t in 1 4; do
+        env DCSR_THREADS="$t" "$cli" play "$build/decode-smoke-deploy-t1" \
+          news 5 60 >"$build/decode-smoke-play-t$t.txt" || return 1
+      done
+      if ! cmp -s "$build/decode-smoke-play-t1.txt" \
+                  "$build/decode-smoke-play-t4.txt"; then
+        echo "decode-smoke: dcsr_cli play output differs between" \
+             "DCSR_THREADS=1 and =4" >&2
+        diff "$build/decode-smoke-play-t1.txt" \
+             "$build/decode-smoke-play-t4.txt" >&2
+        return 1
+      fi
+      echo "decode-smoke: dcsr_cli play output bit-identical across threads {1,4}"
       return 0
       ;;
     tidy)
