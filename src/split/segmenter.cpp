@@ -8,6 +8,9 @@ std::vector<codec::SegmentPlan> variable_segments(const VideoSource& video,
                                                   const SegmenterConfig& cfg) {
   const int total = video.frame_count();
   if (total <= 0) throw std::invalid_argument("variable_segments: empty video");
+  // The split loop below advances by max_segment_frames per plan.
+  if (cfg.max_segment_frames < 1)
+    throw std::invalid_argument("variable_segments: max_segment_frames < 1");
 
   std::vector<int> bounds = detect_shots(video, cfg.detector);
   bounds.push_back(total);  // sentinel

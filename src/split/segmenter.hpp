@@ -25,7 +25,8 @@ struct SegmenterConfig {
 /// Variable-length, content-aware segmentation: one segment per detected
 /// shot, post-processed with the min/max constraints. The encoder places an
 /// I frame at each segment start, so this is the paper's "appropriate
-/// placement of I frames" (§3.1.1).
+/// placement of I frames" (§3.1.1). Throws std::invalid_argument on an empty
+/// video or max_segment_frames < 1.
 std::vector<codec::SegmentPlan> variable_segments(const VideoSource& video,
                                                   const SegmenterConfig& cfg = {});
 

@@ -6,8 +6,11 @@
 #include <vector>
 
 #include "codec/container.hpp"
+#include "codec/encoder.hpp"
 #include "core/client_pipeline.hpp"
 #include "core/server_pipeline.hpp"
+#include "split/segmenter.hpp"
+#include "util/thread_pool.hpp"
 #include "video/genres.hpp"
 
 namespace dcsr::core {
@@ -122,6 +125,74 @@ TEST_F(AnchorFixture, ValidatesLabels) {
   EXPECT_THROW(play_dcsr_anchors(server->encoded, short_labels,
                                  server->micro_models, *video, 5),
                std::invalid_argument);
+}
+
+// Four segments labelled {0, 1, 1, 0} over two models that differ in width,
+// depth and weights, so playback crosses segment boundaries with a model
+// switch: the decode lookahead, the buffer rotation and the per-segment
+// model choice all show in the scored bits. A fresh model's tail conv is
+// zero, which makes enhancement the identity, so every weight is redrawn
+// instead of trained: the pins need deterministic weights, not good ones.
+struct MultiSegmentFixture : ::testing::Test {
+  static void SetUpTestSuite() {
+    video = make_genre_video(Genre::kSports, 73, 64, 48, 3.0, 15.0).release();
+    codec::CodecConfig codec;
+    codec.crf = 51;
+    encoded = new codec::EncodedVideo(codec::Encoder(codec).encode(
+        *video, split::fixed_segments(video->frame_count(), 12)));
+    models = new std::vector<std::unique_ptr<sr::Edsr>>;
+    Rng rng(5);
+    for (const sr::EdsrConfig& cfg :
+         {sr::EdsrConfig{.n_filters = 8, .n_resblocks = 2, .scale = 1},
+          sr::EdsrConfig{.n_filters = 10, .n_resblocks = 1, .scale = 1}}) {
+      auto model = std::make_unique<sr::Edsr>(cfg, rng);
+      for (nn::Param* p : model->params()) {
+        float* w = p->value.data();
+        for (std::size_t i = 0; i < p->count(); ++i)
+          w[i] = static_cast<float>(rng.uniform(-0.1, 0.1));
+      }
+      models->push_back(std::move(model));
+    }
+  }
+  static void TearDownTestSuite() {
+    delete models;
+    delete encoded;
+    delete video;
+    models = nullptr;
+    encoded = nullptr;
+    video = nullptr;
+  }
+  static SyntheticVideo* video;
+  static codec::EncodedVideo* encoded;
+  static std::vector<std::unique_ptr<sr::Edsr>>* models;
+};
+SyntheticVideo* MultiSegmentFixture::video = nullptr;
+codec::EncodedVideo* MultiSegmentFixture::encoded = nullptr;
+std::vector<std::unique_ptr<sr::Edsr>>* MultiSegmentFixture::models = nullptr;
+
+TEST_F(MultiSegmentFixture, PlaybacksArePinnedAtOneAndFourThreads) {
+  ASSERT_EQ(encoded->segments.size(), 4u);
+  const std::vector<int> labels{0, 1, 1, 0};
+  PlaybackOptions nas_opts;
+  nas_opts.nas_eval_stride = 3;
+  const int saved_threads = default_thread_count();
+  for (int threads : {1, 4}) {
+    set_default_pool_threads(threads);
+    const AnchorPlaybackResult anchored =
+        play_dcsr_anchors(*encoded, labels, *models, *video, 4);
+    EXPECT_EQ(metrics_crc(play_dcsr(*encoded, labels, *models, *video)),
+              0x8dc8eaacu)
+        << threads;
+    EXPECT_EQ(metrics_crc(anchored.playback), 0xfe75939fu) << threads;
+    EXPECT_EQ(anchored.inferences, 12) << threads;
+    EXPECT_EQ(metrics_crc(play_nas(*encoded, *(*models)[1], *video, nas_opts)),
+              0xe35978a8u)
+        << threads;
+  }
+  set_default_pool_threads(saved_threads);
+  // Label 1's segments score other bits than model 0 alone gives them.
+  EXPECT_NE(metrics_crc(play_nemo(*encoded, *(*models)[0], *video)),
+            0x8dc8eaacu);
 }
 
 }  // namespace

@@ -569,13 +569,14 @@ TEST(Simd, Conv3x3MatchesScalarOracleBitwise) {
   std::mt19937 rng(29);
   std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
   constexpr float kCanary = -12345.0f;
-  // c = 40 crosses the kernels' 32-channel chunk; o covers full and
-  // partial 4- and 8-channel blocks; w covers tiles, single vectors and
-  // masked tails of 8 and 16 lanes (48 and 63 end the AVX-512 rows in a
-  // full and a 31-pixel tail); a wider row stride than w + 2 checks in_rs
-  // is honoured.
+  // c = 40 crosses the kernels' 32-channel chunk; o gives the AVX2 kernel
+  // blocks of 1, 2, 3 and 4 channels and the AVX-512 one 8-channel blocks
+  // with no remainder and remainders of 1, 2, 3 and 7; w covers tiles,
+  // single vectors and masked tails of 8 and 16 lanes (48 and 63 end the
+  // AVX-512 rows in a full and a 31-pixel tail); a wider row stride than
+  // w + 2 checks in_rs is honoured.
   for (int C : {1, 3, 8, 16, 40})
-    for (int O : {1, 3, 7, 8, 9, 16, 24})
+    for (int O : {1, 2, 3, 7, 8, 9, 10, 16, 24})
       for (int W : {1, 2, 7, 8, 9, 15, 16, 17, 24, 37, 48, 63, 320}) {
         if (C == 40 && W == 320) continue;
         for (int H : {1, 2, 5}) {
@@ -645,13 +646,16 @@ TEST(Simd, Conv3x3BackwardMatchesScalarOracleBitwise) {
   std::mt19937 rng(31);
   std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
   constexpr float kCanary = -12345.0f;
-  // o and c cover full and partial 4- and 8-channel blocks. Widths below 8
-  // put several rows in one weight-gradient lane chunk, other widths off the
-  // multiple of 8 make chunks cross one row and give dx masked tails of 8
-  // and 16 lanes; h*w % 8 != 0 gives the weight gradient a scalar tail. A
-  // row stride wider than w + 2 checks that in_rs and dy_rs are honoured.
-  for (int C : {1, 3, 8, 9, 16})
-    for (int O : {1, 3, 4, 8, 16})
+  // o gives the weight gradient blocks of 1, 2, 3 and 4 output channels;
+  // c, with the plane range [1, c - 1), gives dx blocks of 1, 2, 3 and 4
+  // input channels and 8-channel blocks with no remainder and remainders of
+  // 1, 2, 3, 6 and 7. Widths below 8 put several rows in one weight-gradient
+  // lane chunk, other widths off the multiple of 8 make chunks cross one row
+  // and give dx masked tails of 8 and 16 lanes; h*w % 8 != 0 gives the
+  // weight gradient a scalar tail. A row stride wider than w + 2 checks that
+  // in_rs and dy_rs are honoured.
+  for (int C : {1, 3, 8, 9, 10, 16})
+    for (int O : {1, 2, 3, 4, 8, 10, 16})
       for (int W : {1, 3, 7, 8, 12, 13, 17, 24, 40, 63})
         for (int H : {1, 2, 5}) {
           const std::size_t rs = static_cast<std::size_t>(W) + 2 + (W % 3);

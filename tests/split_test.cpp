@@ -103,6 +103,15 @@ TEST(Segmenter, RespectsMaxSegmentLength) {
     EXPECT_LE(p.frame_count, 20);
 }
 
+TEST(Segmenter, RejectsNonPositiveMaxSegmentLength) {
+  const auto video = video_with_cuts();
+  for (int max : {0, -1}) {
+    SegmenterConfig cfg;
+    cfg.max_segment_frames = max;
+    EXPECT_THROW(variable_segments(*video, cfg), std::invalid_argument) << max;
+  }
+}
+
 TEST(Segmenter, RespectsMinSegmentLength) {
   const auto video = make_genre_video(Genre::kMusicVideo, 5, 64, 48, 20.0);
   SegmenterConfig cfg;
