@@ -6,8 +6,9 @@
 namespace dcsr::simd {
 
 /// Kernel backends. kScalar is the oracle; kAvx2 overrides every family;
-/// kAvx512 is a tier on top of kAvx2 that overrides conv3x3 and conv3x3_dx
-/// and dispatches every other family to its AVX2 kernel.
+/// kAvx512 is a tier on top of kAvx2 whose conv3x3 and conv3x3_dx are the
+/// zmm instantiation of conv3x3_tiles.hpp (the AVX2 ones are its ymm
+/// instantiation) and whose every other family is its AVX2 kernel.
 enum class Backend : int {
   kScalar = 0,
   // No SSE2 or NEON backend exists and neither is ever supported:
@@ -175,14 +176,6 @@ bool populate_avx2(KernelTable& t) noexcept;
 /// The AVX-512 TU overlays conv3x3 and conv3x3_dx onto a copy of the AVX2
 /// table, with the same no-op rule and return value as populate_avx2.
 bool populate_avx512(KernelTable& t) noexcept;
-
-/// The AVX2 direct-conv kernels (x86 only), which the AVX-512 ones call for
-/// the channels left over after their 8-channel blocks.
-void conv3x3_avx2(const float* in, std::size_t in_rs, int c, int h, int w,
-                  const float* wt, const float* bias, int o, bool relu,
-                  int y0, int y1, float* out);
-void conv3x3_dx_avx2(const float* dy, std::size_t dy_rs, int o, int h, int w,
-                     const float* wt, int c, int c0, int c1, float* dx);
 
 /// Shared 8x8 DCT-II basis, computed once: basis()[k*8+n] = ck *
 /// cos((2n+1) k pi / 16) with c0 = sqrt(1/8), ck>0 = sqrt(2/8) — identical

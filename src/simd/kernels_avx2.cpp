@@ -15,13 +15,15 @@
 //   - quant/dequant/im2col: exact math (division + exact lround
 //     emulation, single multiplies, copies).
 // Edge pixels and tail lanes reuse the kernels_inline.hpp helpers — the
-// same inlined code the scalar oracle runs.
+// same inlined code the scalar oracle runs. conv3x3 and conv3x3_dx are the
+// Ymm instantiation of conv3x3_tiles.hpp, which the AVX-512 tier shares.
 #include "simd/kernels.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 
 #include <immintrin.h>
 
+#include "simd/conv3x3_tiles.hpp"
 #include "simd/kernels_inline.hpp"
 
 namespace dcsr::simd {
@@ -313,155 +315,6 @@ void im2col_row_avx2(const float* src, int H, int W, int oh, int ow,
   }
 }
 
-// --- Direct 3x3 convolution ------------------------------------------------
-//
-// A register tile is OB <= 4 output channels x NV vectors of 8 consecutive
-// pixels of one output row: OB*NV accumulators, and per (c, ky, kx) term NV
-// input loads, OB weight broadcasts and OB*NV vfmadds, in the oracle's
-// ascending order. NV keeps 8-9 chains in flight to cover the fma latency,
-// and with the NV inputs and one broadcast a tile fits 16 ymm registers
-// (blocks of 6 or 8 channels measured no faster on 8- and 16-filter
-// models). A masked tile (NV == 1) covers the last w % 8 pixels of a row:
-// its masked-off lanes load zero, feed only their own accumulators and are
-// never stored.
-//
-// The weights of an OB-channel block are first packed term-major, OB floats
-// per (c, ky, kx), so a tile walks them with one pointer. Input channels go
-// in chunks of at most kConvChunk, which bounds the pack buffer on the
-// stack; a later chunk resumes each chain from the partial sum the previous
-// chunk stored in the output (a float store and reload are exact), and only
-// the last chunk adds the bias and clamps.
-
-constexpr int kConvChunk = 32;
-
-template <int OB, int NV, bool kMasked>
-inline void conv3x3_tile(const float* src, std::size_t in_rs,
-                         std::size_t in_ps, int cc, const float* pk,
-                         bool first, bool last, const float* bias, bool relu,
-                         float* dst, std::size_t out_ps, __m256i mask) {
-  __m256 acc[OB][NV];
-#pragma GCC unroll 8
-  for (int k = 0; k < OB; ++k)
-#pragma GCC unroll 4
-    for (int v = 0; v < NV; ++v) {
-      const float* d = dst + k * out_ps + 8 * v;
-      acc[k][v] = first     ? _mm256_setzero_ps()
-                  : kMasked ? _mm256_maskload_ps(d, mask)
-                            : _mm256_loadu_ps(d);
-    }
-  for (int ci = 0; ci < cc; ++ci) {
-    const float* plane = src + static_cast<std::size_t>(ci) * in_ps;
-#pragma GCC unroll 3
-    for (int ky = 0; ky < 3; ++ky) {
-#pragma GCC unroll 3
-      for (int kx = 0; kx < 3; ++kx, pk += OB) {
-        const float* p = plane + static_cast<std::size_t>(ky) * in_rs + kx;
-        __m256 xv[NV];
-#pragma GCC unroll 4
-        for (int v = 0; v < NV; ++v)
-          xv[v] = kMasked ? _mm256_maskload_ps(p, mask)
-                          : _mm256_loadu_ps(p + 8 * v);
-#pragma GCC unroll 8
-        for (int k = 0; k < OB; ++k) {
-          const __m256 wv = _mm256_broadcast_ss(pk + k);
-#pragma GCC unroll 4
-          for (int v = 0; v < NV; ++v)
-            acc[k][v] = _mm256_fmadd_ps(wv, xv[v], acc[k][v]);
-        }
-      }
-    }
-  }
-  const __m256 zero = _mm256_setzero_ps();
-#pragma GCC unroll 8
-  for (int k = 0; k < OB; ++k) {
-    const __m256 b = _mm256_broadcast_ss(bias + k);
-#pragma GCC unroll 4
-    for (int v = 0; v < NV; ++v) {
-      __m256 r = acc[k][v];
-      if (last) {
-        r = _mm256_add_ps(r, b);
-        // vmaxps returns its second operand unless the first is greater:
-        // the oracle's v > 0 ? v : 0, for -0 and NaN alike.
-        if (relu) r = _mm256_max_ps(r, zero);
-      }
-      float* d = dst + k * out_ps + 8 * v;
-      if (kMasked)
-        _mm256_maskstore_ps(d, mask, r);
-      else
-        _mm256_storeu_ps(d, r);
-    }
-  }
-}
-
-// One output row of OB planes for one input-channel chunk: tiles of 8*NV
-// pixels, then single vectors, then one masked tail.
-template <int OB, int NV>
-void conv3x3_row(const float* src, std::size_t in_rs, std::size_t in_ps,
-                 int cc, int w, const float* pk, bool first, bool last,
-                 const float* bias, bool relu, float* dst,
-                 std::size_t out_ps) {
-  const __m256i tail = _mm256_cmpgt_epi32(
-      _mm256_set1_epi32(w % 8), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-  int x = 0;
-  for (; x + 8 * NV <= w; x += 8 * NV)
-    conv3x3_tile<OB, NV, false>(src + x, in_rs, in_ps, cc, pk, first, last,
-                                bias, relu, dst + x, out_ps, tail);
-  for (; x + 8 <= w; x += 8)
-    conv3x3_tile<OB, 1, false>(src + x, in_rs, in_ps, cc, pk, first, last,
-                               bias, relu, dst + x, out_ps, tail);
-  if (x < w)
-    conv3x3_tile<OB, 1, true>(src + x, in_rs, in_ps, cc, pk, first, last,
-                              bias, relu, dst + x, out_ps, tail);
-}
-
-// Output rows go in bands of about kConvBandPixels pixels, and every
-// channel block of a band runs while the band's input rows are still in
-// cache, which matters once a frame's planes outgrow the caches
-// (paper-scale 1280x720 frames). Each block packs its weights once per band.
-constexpr int kConvBandPixels = 4096;
-
-}  // namespace
-
-// Exported (kernels.hpp): the AVX-512 tier runs its o % 8 remainder
-// channels here.
-void conv3x3_avx2(const float* in, std::size_t in_rs, int c, int h, int w,
-                  const float* wt, const float* bias, int o, bool relu,
-                  int y0, int y1, float* out) {
-  const std::size_t in_ps = static_cast<std::size_t>(h + 2) * in_rs;
-  const std::size_t out_ps = static_cast<std::size_t>(h) * w;
-  const std::size_t w_rs = static_cast<std::size_t>(9) * c;
-  const int band = std::max(1, kConvBandPixels / w);
-  // The row kernel for a block of ob = 1..4 output channels.
-  using RowFn = void (*)(const float*, std::size_t, std::size_t, int, int,
-                         const float*, bool, bool, const float*, bool, float*,
-                         std::size_t);
-  constexpr RowFn kRow[4] = {&conv3x3_row<1, 4>, &conv3x3_row<2, 4>,
-                             &conv3x3_row<3, 3>, &conv3x3_row<4, 2>};
-  float pk[kConvChunk * 9 * 4];
-  for (int b0 = y0; b0 < y1; b0 += band)
-    for (int k = 0; k < o; k += 4) {
-      const int ob = std::min(4, o - k);
-      const RowFn row = kRow[ob - 1];
-      for (int c0 = 0; c0 < c; c0 += kConvChunk) {
-        const int cc = std::min(kConvChunk, c - c0);
-        const float* wk = wt + static_cast<std::size_t>(k) * w_rs +
-                          static_cast<std::size_t>(c0) * 9;
-        for (int t = 0; t < cc * 9; ++t)
-          for (int j = 0; j < ob; ++j) pk[t * ob + j] = wk[j * w_rs + t];
-        const bool first = c0 == 0, last = c0 + cc == c;
-        for (int y = b0; y < std::min(y1, b0 + band); ++y)
-          row(in + static_cast<std::size_t>(c0) * in_ps +
-                  static_cast<std::size_t>(y) * in_rs,
-              in_rs, in_ps, cc, w, pk, first, last, bias + k, relu,
-              out + static_cast<std::size_t>(k) * out_ps +
-                  static_cast<std::size_t>(y) * w,
-              out_ps);
-      }
-    }
-}
-
-namespace {
-
 // --- Direct 3x3 convolution: weight gradient --------------------------------
 //
 // A block of OB <= 4 output channels and one (ci, ky) input row triple
@@ -546,106 +399,6 @@ void conv3x3_dw_avx2(const float* in, std::size_t in_rs, int c, int h, int w,
     kBlock[std::min(4, o - k) - 1](in, in_rs, in_ps, c, h, w, dy + k * plane,
                                    dwt + k * w_rs, w_rs);
 }
-
-// --- Direct 3x3 convolution: input gradient ---------------------------------
-//
-// A register tile is CB <= 4 input channels x NV vectors of 8 consecutive
-// pixels of one dx row. Per tap (ky, kx), in order, it runs CB*NV fma chains
-// from +0 over the o output channels (NV dy loads and CB weight broadcasts
-// per channel), then adds each chain into its dx pixels, which start as
-// +0 + the first tap. A masked tile (NV == 1) covers the last w % 8 pixels;
-// its masked-off lanes load zero and are never stored.
-
-template <int CB, int NV, bool kMasked>
-inline void conv3x3_dx_tile(const float* dy, std::size_t dy_rs,
-                            std::size_t dy_ps, int o, const float* wt,
-                            std::size_t w_rs, float* dst, std::size_t dx_ps,
-                            __m256i mask) {
-  for (int tap = 0; tap < 9; ++tap) {
-    const int ky = tap / 3, kx = tap % 3;
-    const float* src =
-        dy + static_cast<std::size_t>(2 - ky) * dy_rs + (2 - kx);
-    const float* wk = wt + tap;
-    __m256 t[CB][NV];
-#pragma GCC unroll 4
-    for (int cb = 0; cb < CB; ++cb)
-#pragma GCC unroll 2
-      for (int v = 0; v < NV; ++v) t[cb][v] = _mm256_setzero_ps();
-    for (int k = 0; k < o; ++k, src += dy_ps, wk += w_rs) {
-      __m256 dv[NV];
-#pragma GCC unroll 2
-      for (int v = 0; v < NV; ++v)
-        dv[v] = kMasked ? _mm256_maskload_ps(src, mask)
-                        : _mm256_loadu_ps(src + 8 * v);
-#pragma GCC unroll 4
-      for (int cb = 0; cb < CB; ++cb) {
-        const __m256 wv = _mm256_broadcast_ss(wk + 9 * cb);
-#pragma GCC unroll 2
-        for (int v = 0; v < NV; ++v)
-          t[cb][v] = _mm256_fmadd_ps(wv, dv[v], t[cb][v]);
-      }
-    }
-#pragma GCC unroll 4
-    for (int cb = 0; cb < CB; ++cb)
-#pragma GCC unroll 2
-      for (int v = 0; v < NV; ++v) {
-        float* d = dst + cb * dx_ps + 8 * v;
-        const __m256 acc = tap == 0 ? _mm256_setzero_ps()
-                           : kMasked ? _mm256_maskload_ps(d, mask)
-                                     : _mm256_loadu_ps(d);
-        const __m256 r = _mm256_add_ps(acc, t[cb][v]);
-        if (kMasked)
-          _mm256_maskstore_ps(d, mask, r);
-        else
-          _mm256_storeu_ps(d, r);
-      }
-  }
-}
-
-// All rows of CB dx planes: tiles of 16 pixels, then one vector, then one
-// masked tail.
-template <int CB>
-void conv3x3_dx_block(const float* dy, std::size_t dy_rs, std::size_t dy_ps,
-                      int o, int h, int w, const float* wt, std::size_t w_rs,
-                      float* dx) {
-  const __m256i tail = _mm256_cmpgt_epi32(
-      _mm256_set1_epi32(w % 8), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-  const std::size_t dx_ps = static_cast<std::size_t>(h) * w;
-  for (int y = 0; y < h; ++y) {
-    const float* src = dy + static_cast<std::size_t>(y) * dy_rs;
-    float* dst = dx + static_cast<std::size_t>(y) * w;
-    int x = 0;
-    for (; x + 16 <= w; x += 16)
-      conv3x3_dx_tile<CB, 2, false>(src + x, dy_rs, dy_ps, o, wt, w_rs,
-                                    dst + x, dx_ps, tail);
-    for (; x + 8 <= w; x += 8)
-      conv3x3_dx_tile<CB, 1, false>(src + x, dy_rs, dy_ps, o, wt, w_rs,
-                                    dst + x, dx_ps, tail);
-    if (x < w)
-      conv3x3_dx_tile<CB, 1, true>(src + x, dy_rs, dy_ps, o, wt, w_rs,
-                                   dst + x, dx_ps, tail);
-  }
-}
-
-}  // namespace
-
-// Exported (kernels.hpp): the AVX-512 tier runs its c % 8 remainder
-// channels here.
-void conv3x3_dx_avx2(const float* dy, std::size_t dy_rs, int o, int h, int w,
-                     const float* wt, int c, int c0, int c1, float* dx) {
-  const std::size_t dy_ps = static_cast<std::size_t>(h + 2) * dy_rs;
-  const std::size_t w_rs = static_cast<std::size_t>(9) * c;
-  const std::size_t dx_ps = static_cast<std::size_t>(h) * w;
-  using BlockFn = void (*)(const float*, std::size_t, std::size_t, int, int,
-                           int, const float*, std::size_t, float*);
-  constexpr BlockFn kBlock[4] = {&conv3x3_dx_block<1>, &conv3x3_dx_block<2>,
-                                 &conv3x3_dx_block<3>, &conv3x3_dx_block<4>};
-  for (int ci = c0; ci < c1; ci += 4)
-    kBlock[std::min(4, c1 - ci) - 1](dy, dy_rs, dy_ps, o, h, w, wt + ci * 9,
-                                    w_rs, dx + ci * dx_ps);
-}
-
-namespace {
 
 // --- Row sums ---------------------------------------------------------------
 //
@@ -846,9 +599,9 @@ bool populate_avx2(KernelTable& t) noexcept {
   t.dequantize_block = &dequantize_block_avx2;
   t.gemm_tile = &gemm_tile_avx2;
   t.im2col_row = &im2col_row_avx2;
-  t.conv3x3 = &conv3x3_avx2;
+  t.conv3x3 = &conv3x3<Ymm, 4, 2>;
   t.conv3x3_dw = &conv3x3_dw_avx2;
-  t.conv3x3_dx = &conv3x3_dx_avx2;
+  t.conv3x3_dx = &conv3x3_dx<Ymm, 4, 2>;
   t.row_sum = &row_sum_avx2;
   t.yuv_to_rgb_row = &yuv_to_rgb_row_avx2;
   t.rgb_to_yuv_row = &rgb_to_yuv_row_avx2;

@@ -20,7 +20,8 @@
 # Release measurement.
 #
 # The bench binary also stamps dcsr_simd_backend / dcsr_simd_dispatch into
-# the JSON context; select a backend with DCSR_SIMD=scalar|avx2.
+# the JSON context; select a backend with DCSR_SIMD=scalar|avx2|avx512
+# (the default is the best one the host runs).
 # Usage: tools/run_benches.sh [extra benchmark args...]
 set -euo pipefail
 
